@@ -4,7 +4,7 @@ Library layout:
   geometry     metrics, filtration functions, transforms, hulls, rasterization
   datagen      deterministic labeled corpora (holes / curvature / convexity)
   complexes    Vietoris-Rips, weighted Rips, and cubical filtrations
-  persistence  diagram computation (reduction + union-find fast path)
+  persistence  diagrams: union-find (degree 0), block reduction (degree 1)
   signatures   lifespans, persistence images, landscapes, scalar summaries
   learn        k-NN, ridge, threshold rule, k-fold grid search
   pipelines    the end-to-end experiments
@@ -85,7 +85,6 @@ from .pipelines import (
     RegressionConfig,
     concavity_features,
     convexity_experiment,
-    convexity_pipeline,
     convexity_regression,
     curvature_pipeline,
     default_lines,

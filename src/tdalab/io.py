@@ -168,7 +168,19 @@ def read_diagram_csv(path) -> PersistenceDiagram:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected dim,birth,death")
-        rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+        try:
+            dim = int(parts[0])
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: dimension must be an integer, got {parts[0]!r}"
+            ) from None
+        try:
+            birth, death = float(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if math.isnan(birth) or math.isnan(death):
+            raise ValueError(f"{path}:{lineno}: birth and death must not be nan")
+        rows.append((dim, birth, death))
     return PersistenceDiagram(np.array(rows, dtype=float) if rows else np.empty((0, 3)))
 
 

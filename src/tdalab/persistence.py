@@ -1,15 +1,16 @@
 """Persistence diagrams in degrees 0 and 1 over Z/2.
 
-The main path reduces the boundary matrix in per-dimension blocks with
-columns held as Python integers used as bit sets. Degree-0 pairs come from
-a left-to-right reduction of the vertex-edge block; degree-1 pairs come
-from the anti-transposed edge-triangle block, whose pairing is identical
-but whose column count is the number of edges rather than triangles, so
-the huge kernel of the triangle boundary is never reduced. Columns whose
-initial pivot is unclaimed are kept unreduced until someone collides with
-them, exactly as the textbook algorithm would leave them. A union-find
-sweep provides a near-linear fast path for degree 0, and a deliberately
-unoptimized textbook reduction serves as the test oracle.
+One engine serves both complex types. Degree-0 pairs come from an
+elder-rule union-find over the edges in filtration order, which gives the
+pairing of the vertex-edge boundary reduction; the edges it finds closing a
+cycle are the degree-1 creators. Degree-1 deaths come from the
+anti-transposed edge-triangle block, reduced with columns held as Python
+integers used as bit sets; its pairing is identical but its column count is
+the number of edges rather than triangles, so the huge kernel of the
+triangle boundary is never reduced. Columns whose initial pivot is
+unclaimed are kept unreduced until someone collides with them, exactly as
+the textbook algorithm would leave them. A deliberately unoptimized
+textbook reduction of the whole boundary matrix is the reference oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class PersistenceDiagram:
 
     def __post_init__(self):
         iv = np.asarray(self.intervals, dtype=float).reshape(-1, 3)
+        if np.isnan(iv).any():
+            raise ValueError("intervals must not contain nan")
         if iv.size and np.any(iv[:, 2] < iv[:, 1]):
             raise ValueError("interval death must be >= birth")
         order = np.lexsort((iv[:, 2], iv[:, 1], iv[:, 0]))
@@ -75,7 +78,7 @@ def _diagram(rows) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _flag_cells(cx: FilteredComplex):
+def _flag_cells(cx: FilteredComplex, max_dim: int):
     """Per-dimension sorted values and boundary row indices for a flag complex."""
     n = cx.n_vertices
     v_order = np.lexsort((np.arange(n), cx.vertex_values))
@@ -90,7 +93,7 @@ def _flag_cells(cx: FilteredComplex):
     values.append(cx.edge_values[e_order])
     boundaries.append(np.column_stack([v_row[edges[:, 0]], v_row[edges[:, 1]]]))
 
-    if len(cx.triangles):
+    if max_dim >= 1 and len(cx.triangles):
         e_index = np.full((n, n), -1, dtype=np.int64)
         e_index[edges[:, 0], edges[:, 1]] = np.arange(len(edges))
         t_order = np.lexsort(
@@ -111,7 +114,7 @@ def _flag_cells(cx: FilteredComplex):
     return values, boundaries
 
 
-def _cubical_cells(grid: FilteredCubicalGrid):
+def _cubical_cells(grid: FilteredCubicalGrid, max_dim: int):
     """Per-dimension sorted values and boundary rows for a cubical grid.
 
     Cells with +inf values never enter the filtration. Ties are broken by
@@ -143,6 +146,9 @@ def _cubical_cells(grid: FilteredCubicalGrid):
     e_end_i = np.where(e_fam == 1, e_i0 + 1, e_i0)
     e_end_j = np.where(e_fam == 1, e_j0, e_j0 + 1)
     e_bnd = np.column_stack([v_row[e_i0, e_j0], v_row[e_end_i, e_end_j]])
+    if max_dim == 0:
+        return [v_vals, e_vals], [None, e_bnd]
+
     ex_row = -np.ones((c, c + 1), dtype=np.int64)
     ey_row = -np.ones((c + 1, c), dtype=np.int64)
     fam_x = e_fam == 1
@@ -163,11 +169,12 @@ def _cubical_cells(grid: FilteredCubicalGrid):
     return values, boundaries
 
 
-def _cells_of(cx):
+def _cells_of(cx, max_dim: int):
+    """Cells up to dimension 2, or only vertices and edges when max_dim is 0."""
     if isinstance(cx, FilteredComplex):
-        return _flag_cells(cx)
+        return _flag_cells(cx, max_dim)
     if isinstance(cx, FilteredCubicalGrid):
-        return _cubical_cells(cx)
+        return _cubical_cells(cx, max_dim)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
 
 
@@ -176,32 +183,34 @@ def _cells_of(cx):
 # ---------------------------------------------------------------------------
 
 
-def _reduce_primal_block(n_rows: int, boundary_rows) -> tuple:
-    """Left-to-right reduction of one boundary block.
+def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
+    """Elder-rule union-find over edges given in filtration order.
 
-    Columns are bit-set integers over the rows one dimension below.
-    Returns (pairs, zero_flags): pairs as (row, column) and a flag per
-    column that reduced to zero (a class creator).
+    Vertex rows are in filtration order too, so of two roots the smaller
+    row is the elder; each root is the oldest vertex of its component.
+    Returns (pairs, cycle): the (vertex row, edge) death pairs and a mask of
+    the edges that close a cycle. The pairs are exactly those of the
+    left-to-right reduction of the vertex-edge boundary block.
     """
+    parent = list(range(n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     pairs = []
-    zero = np.zeros(len(boundary_rows), dtype=bool)
-    pivot = {}
-    pivot_get = pivot.get
-    for j, rows in enumerate(boundary_rows):
-        col = 0
-        for r in rows:
-            col ^= 1 << r
-        while col:
-            low = col.bit_length() - 1
-            other = pivot_get(low)
-            if other is None:
-                pivot[low] = col
-                pairs.append((low, j))
-                break
-            col ^= other
-        else:
-            zero[j] = True
-    return pairs, zero
+    cycle = np.zeros(len(edge_rows), dtype=bool)
+    for j, (a, b) in enumerate(edge_rows.tolist()):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            cycle[j] = True
+            continue
+        elder, younger = (ra, rb) if ra < rb else (rb, ra)
+        parent[younger] = elder
+        pairs.append((younger, j))
+    return pairs, cycle
 
 
 class _BitColumns:
@@ -270,27 +279,21 @@ def _reduce_dual_block(cofacets, n_cofacets: int) -> list:
 
 def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
     """Assemble intervals from per-dimension cell orders and boundaries."""
-    top = len(values) - 1
     rows = []
-    n_vertices = len(values[0])
-    n_edges = len(values[1]) if top >= 1 else 0
-
-    paired_vertex = np.zeros(n_vertices, dtype=bool)
-    edge_positive = np.zeros(n_edges, dtype=bool)
-    if top >= 1 and n_edges:
-        pairs0, zero_edges = _reduce_primal_block(n_vertices, boundaries[1].tolist())
-        edge_positive = zero_edges
-        for r, j in pairs0:
-            paired_vertex[r] = True
-            birth, death = values[0][r], values[1][j]
-            if not drop_zero or death != birth:
-                rows.append((0, birth, death))
-    for r in np.nonzero(~paired_vertex)[0]:
+    pairs0, cycle = _elder_union_find(len(values[0]), boundaries[1])
+    alive = np.ones(len(values[0]), dtype=bool)
+    for r, j in pairs0:
+        alive[r] = False
+        birth, death = values[0][r], values[1][j]
+        if not drop_zero or death != birth:
+            rows.append((0, birth, death))
+    for r in np.nonzero(alive)[0]:
         rows.append((0, values[0][r], math.inf))
 
-    if max_dim >= 1 and top >= 1:
+    if max_dim >= 1:
+        n_edges = len(values[1])
         edge_killed = np.zeros(n_edges, dtype=bool)
-        if top >= 2 and len(values[2]):
+        if len(values) > 2 and len(values[2]):
             T = len(values[2])
             flat_e = boundaries[2].ravel()
             flat_p = np.repeat(np.arange(T), boundaries[2].shape[1])
@@ -304,7 +307,7 @@ def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
                 birth, death = values[1][e], values[2][p]
                 if not drop_zero or death != birth:
                     rows.append((1, birth, death))
-        for e in np.nonzero(edge_positive & ~edge_killed)[0]:
+        for e in np.nonzero(cycle & ~edge_killed)[0]:
             rows.append((1, values[1][e], math.inf))
     return _diagram(rows)
 
@@ -312,114 +315,23 @@ def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
 def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
     """Persistence diagram of a filtered complex in degrees 0..max_dim.
 
-    Degree 0 comes from a left-to-right reduction of the vertex-edge block;
-    degree 1 pairs come from the anti-transposed edge-triangle block, which
-    yields the same interval multiset while skipping the huge kernel of the
-    triangle boundary. Zero-length intervals are dropped by default; pass
-    drop_zero=False to keep them (Euler-characteristic bookkeeping).
+    Degree 0 comes from an elder-rule union-find over the edges in
+    filtration order; the edges it finds closing a cycle create the degree-1
+    classes, whose deaths come from the anti-transposed edge-triangle block,
+    which skips the huge kernel of the triangle boundary. With max_dim=0 no
+    triangles or squares are extracted. Zero-length intervals are dropped by
+    default; pass drop_zero=False to keep them (Euler-characteristic
+    bookkeeping).
     """
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
-    values, boundaries = _cells_of(cx)
+    values, boundaries = _cells_of(cx, max_dim)
     return _ph_from_cells(values, boundaries, max_dim, drop_zero)
 
 
-# ---------------------------------------------------------------------------
-# union-find fast path for degree 0
-# ---------------------------------------------------------------------------
-
-
-class _UnionFind:
-    __slots__ = ("parent", "rank", "birth")
-
-    def __init__(self, births):
-        self.parent = list(range(len(births)))
-        self.rank = [0] * len(births)
-        self.birth = list(births)
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> tuple:
-        """Merge the two components; returns (elder_birth, younger_birth)."""
-        ra, rb = self.find(a), self.find(b)
-        ba, bb = self.birth[ra], self.birth[rb]
-        elder, younger = min(ba, bb), max(ba, bb)
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        self.birth[ra] = elder
-        return elder, younger
-
-
-def _ph0_from_graph(node_births, edges) -> PersistenceDiagram:
-    """Elder-rule union-find on (a, b, value) edges already in filtration order."""
-    uf = _UnionFind(node_births)
-    rows = []
-    for a, b, val in edges:
-        if uf.find(a) == uf.find(b):
-            continue
-        _, younger = uf.union(a, b)
-        if val != younger:
-            rows.append((0, younger, val))
-    seen = set()
-    for i in range(len(node_births)):
-        root = uf.find(i)
-        if root not in seen:
-            seen.add(root)
-            rows.append((0, uf.birth[root], math.inf))
-    return _diagram(rows)
-
-
 def compute_ph0_unionfind(cx) -> PersistenceDiagram:
-    """Degree-0 persistence via union-find; same multiset as the reduction."""
-    if isinstance(cx, FilteredComplex):
-        births = cx.vertex_values.tolist()
-        edges = sorted(
-            (float(v), int(a), int(b))
-            for (a, b), v in zip(cx.edges, cx.edge_values)
-        )
-        return _ph0_from_graph(births, [(a, b, v) for v, a, b in edges])
-    if isinstance(cx, FilteredCubicalGrid):
-        top = cx.top_values
-        c = cx.side
-        finite = np.isfinite(top)
-        idx = -np.ones((c, c), dtype=np.int64)
-        fi, fj = np.nonzero(finite)
-        idx[fi, fj] = np.arange(len(fi))
-        births = top[fi, fj].tolist()
-        # 8-connectivity: orthogonal and diagonal neighbors join at the max
-        # of the two cell values (shared faces inherit the min, so the pair
-        # is connected as soon as both cells are present)
-        pairs = []
-        for di, dj in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            ai = np.arange(max(0, -di), c - max(0, di))
-            aj = np.arange(max(0, -dj), c - max(0, dj))
-            gi, gj = np.meshgrid(ai, aj, indexing="ij")
-            ni, nj = gi + di, gj + dj
-            ok = finite[gi, gj] & finite[ni, nj]
-            if not np.any(ok):
-                continue
-            a = idx[gi[ok], gj[ok]]
-            b = idx[ni[ok], nj[ok]]
-            val = np.maximum(top[gi[ok], gj[ok]], top[ni[ok], nj[ok]])
-            pairs.append(np.column_stack([a, b, val]))
-        if pairs:
-            allp = np.concatenate(pairs)
-            order = np.lexsort((allp[:, 1], allp[:, 0], allp[:, 2]))
-            edges = [(int(a), int(b), float(v)) for a, b, v in allp[order]]
-        else:
-            edges = []
-        return _ph0_from_graph(births, edges)
-    raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
+    """Degree-0 persistence: ``compute_ph(cx, max_dim=0)``."""
+    return compute_ph(cx, max_dim=0)
 
 
 # ---------------------------------------------------------------------------

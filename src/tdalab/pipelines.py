@@ -231,6 +231,20 @@ class HolesConfig:
     jobs: int = 1
 
 
+def _capped_dim1_pairs(build, cap_factor: float, r_full: float) -> Array:
+    """Finite dim-1 (birth, death) pairs of the complex ``build(r_max)``.
+
+    Reduces the complex capped at ``cap_factor * r_full`` and rebuilds it at
+    ``r_full`` only if the cap leaves some degree-1 class essential.
+    """
+    for r_max in (cap_factor * r_full, r_full):
+        pd = compute_ph(build(r_max), max_dim=1)
+        dim1 = pd.in_dim(1)
+        if not len(dim1) or np.all(np.isfinite(dim1[:, 1])):
+            break
+    return pd.finite_in_dim(1)
+
+
 def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_factor: float, fps_seed: int):
     """Finite dim-1 intervals of the DTM-weighted Rips filtration."""
     cloud = PointCloud(points)
@@ -240,20 +254,9 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     f = dtm(dm, dtm_mass)
     edges_only = weighted_rips_complex(dm, f, max_dim=1)
     r_full = float(edges_only.edge_values.max()) if len(edges_only.edge_values) else 0.0
-    cap = cap_factor * r_full
-    for r_max in (cap, r_full):
-        cx = weighted_rips_complex(dm, f, max_dim=2, r_max=r_max)
-        pd = compute_ph(cx, max_dim=1)
-        dim1 = pd.in_dim(1)
-        if not len(dim1) or np.all(np.isfinite(dim1[:, 1])):
-            break
-    finite = pd.finite_in_dim(1)
-    return finite
-
-
-def _holes_worker(points, fps_seed, subsample, dtm_mass, cap_factor):
-    pairs = _weighted_dim1_diagram(points, subsample, dtm_mass, cap_factor, fps_seed)
-    return pairs
+    return _capped_dim1_pairs(
+        lambda r_max: weighted_rips_complex(dm, f, max_dim=2, r_max=r_max), cap_factor, r_full
+    )
 
 
 def _diagram_from_pairs(pairs: Array, dim: int) -> PersistenceDiagram:
@@ -289,10 +292,10 @@ def holes_pipeline(
 
     fps_seeds = [derive_seed(seed, 0xF5, i) for i in range(len(dataset))]
     args = [
-        (dataset.items[i].points, fps_seeds[i], config.subsample, config.dtm_mass, config.cap_factor)
+        (dataset.items[i].points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
         for i in range(len(dataset))
     ]
-    all_pairs = _map_items(_holes_worker, args, config.jobs)
+    all_pairs = _map_items(_weighted_dim1_diagram, args, config.jobs)
     diagrams = [_diagram_from_pairs(p, 1) for p in all_pairs]
 
     train_diagrams = [diagrams[i] for i in train_idx]
@@ -330,9 +333,9 @@ def holes_pipeline(
             t_seed = derive_seed(seed, 0x7A, t_idx, int(i))
             moved = apply_transform(dataset.items[i], spec, t_seed)
             t_args.append(
-                (moved.points, fps_seeds[i], config.subsample, config.dtm_mass, config.cap_factor)
+                (moved.points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
             )
-        t_pairs = _map_items(_holes_worker, t_args, config.jobs)
+        t_pairs = _map_items(_weighted_dim1_diagram, t_args, config.jobs)
         t_preds = predict([_diagram_from_pairs(p, 1) for p in t_pairs])
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
@@ -370,19 +373,12 @@ def _curvature_worker(coords, kappa, cap_factor):
     cloud = PolarCloud(coords, kappa)
     dm = geodesic_distance_matrix(cloud)
     pd0 = compute_ph0_unionfind(rips_complex(dm, max_dim=1, force=True))
-    pairs0 = pd0.finite_in_dim(0)
-    r_full = float(dm.values.max())
-    pairs1 = np.empty((0, 2))
-    for r_max in (cap_factor * r_full, r_full):
-        cx = rips_complex(dm, max_dim=2, r_max=r_max, force=True)
-        pd1 = compute_ph(cx, max_dim=1)
-        dim1 = pd1.in_dim(1)
-        if not len(dim1) or np.all(np.isfinite(dim1[:, 1])):
-            pairs1 = pd1.finite_in_dim(1)
-            break
-    else:
-        pairs1 = pd1.finite_in_dim(1)
-    return pairs0, pairs1
+    pairs1 = _capped_dim1_pairs(
+        lambda r_max: rips_complex(dm, max_dim=2, r_max=r_max, force=True),
+        cap_factor,
+        float(dm.values.max()),
+    )
+    return pd0.finite_in_dim(0), pairs1
 
 
 def _span_matrix(pair_list, length: int) -> Array:
@@ -619,56 +615,12 @@ def _gen_convexity(kind: str, config: ConvexityConfig, seed: int) -> LabeledData
 
 def _convexity_regime(train_kind, test_kind, scalars, labels, config, seed):
     """Accuracy of the threshold rule for one train/test kind pairing."""
-    tr_train, tr_test = train_test_split_indices(labels[train_kind], config.test_fraction, seed)
-    if train_kind == test_kind:
-        train_idx, test_idx = tr_train, tr_test
-        test_scalars = scalars[test_kind][test_idx]
-        test_labels = labels[test_kind][test_idx]
-    else:
-        train_idx = tr_train
-        _, test_idx = train_test_split_indices(labels[test_kind], config.test_fraction, seed)
-        test_scalars = scalars[test_kind][test_idx]
-        test_labels = labels[test_kind][test_idx]
+    train_idx, _ = train_test_split_indices(labels[train_kind], config.test_fraction, seed)
+    _, test_idx = train_test_split_indices(labels[test_kind], config.test_fraction, seed)
+    test_labels = labels[test_kind][test_idx]
     model = threshold_fit(scalars[train_kind][train_idx], labels[train_kind][train_idx])
-    preds = threshold_predict(model, test_scalars)
-    return accuracy(preds, test_labels), test_idx, test_labels, preds, model
-
-
-def convexity_pipeline(
-    train_kind: str,
-    test_kind: str,
-    config: ConvexityConfig | None = None,
-    seed: int = 0,
-    datasets: dict | None = None,
-) -> ExperimentReport:
-    """One convexity regime: threshold on the maximal tubular concavity."""
-    t0 = time.perf_counter()
-    config = config or ConvexityConfig()
-    for kind in (train_kind, test_kind):
-        if kind not in ("regular", "random"):
-            raise ValueError("kinds must be 'regular' or 'random'")
-    datasets = dict(datasets) if datasets else {}
-    for kind in {train_kind, test_kind}:
-        if kind not in datasets:
-            datasets[kind] = _gen_convexity(kind, config, seed)
-    scalars = {k: _convexity_scalars(ds, config) for k, ds in datasets.items()}
-    labels = {k: np.asarray(ds.labels, dtype=float) for k, ds in datasets.items()}
-    acc, test_idx, test_labels, preds, model = _convexity_regime(
-        train_kind, test_kind, scalars, labels, config, seed
-    )
-    ids = [f"{i:04d}:{datasets[test_kind].meta['shape_ids'][i]}" for i in test_idx]
-    report_config = asdict(config)
-    report_config.update(
-        {"train_kind": train_kind, "test_kind": test_kind, "threshold": model.threshold}
-    )
-    return ExperimentReport(
-        "convexity",
-        report_config,
-        int(seed),
-        (Regime(f"{train_kind}/{test_kind}", "accuracy", acc),),
-        _item_results(ids, test_labels, preds),
-        time.perf_counter() - t0,
-    )
+    preds = threshold_predict(model, scalars[test_kind][test_idx])
+    return accuracy(preds, test_labels), test_idx, test_labels, preds
 
 
 CONVEXITY_REGIMES = (
@@ -694,7 +646,7 @@ def convexity_experiment(
     regimes = []
     items = ()
     for train_kind, test_kind in CONVEXITY_REGIMES:
-        acc, test_idx, test_labels, preds, _ = _convexity_regime(
+        acc, test_idx, test_labels, preds = _convexity_regime(
             train_kind, test_kind, scalars, labels, config, seed
         )
         regimes.append(Regime(f"{train_kind}/{test_kind}", "accuracy", acc))

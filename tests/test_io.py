@@ -74,6 +74,24 @@ def test_diagram_csv_roundtrip(tmp_path):
     assert back.multiset() == pd.multiset()
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("x,0.1,inf", "dimension must be an integer"),
+        ("0.5,0.1,inf", "dimension must be an integer"),
+        ("1,abc,0.5", "could not convert"),
+        ("1,0.1,abc", "could not convert"),
+        ("1,nan,0.5", "birth and death must not be nan"),
+        ("1,0.1,nan", "birth and death must not be nan"),
+    ],
+)
+def test_diagram_csv_rejects_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0.0,inf\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad.csv:2: {message}"):
+        io.read_diagram_csv(path)
+
+
 def test_dataset_roundtrip_clouds(tmp_path):
     ds = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=25, seed=1)
     io.write_dataset(ds, tmp_path / "holes")

@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-from tdalab.complexes import FilteredCubicalGrid, rips_complex, weighted_rips_complex
-from tdalab.geometry import PointCloud, euclidean_distance_matrix
+from tdalab.complexes import (
+    FilteredCubicalGrid,
+    cubical_complex,
+    rips_complex,
+    tubular_filtration,
+    weighted_rips_complex,
+)
+from tdalab.datagen import gen_random_concave_polygon
+from tdalab.geometry import PointCloud, dtm, euclidean_distance_matrix, rasterize
+from tdalab.pipelines import default_lines
 from tdalab.persistence import (
     PersistenceDiagram,
     _cells_of,
@@ -80,6 +91,12 @@ def test_diagram_requires_death_after_birth():
         PersistenceDiagram(np.array([[0.0, 2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("row", [[0.0, math.nan, 1.0], [1.0, 0.5, math.nan], [math.nan, 0.0, 1.0]])
+def test_diagram_rejects_nan(row):
+    with pytest.raises(ValueError, match="nan"):
+        PersistenceDiagram(np.array([row]))
+
+
 def test_connected_complex_one_essential_component():
     for _ in range(5):
         cx = rips_complex(_dm(RNG.random((8, 2))))
@@ -133,7 +150,7 @@ def test_tie_permutation_invariance():
     # interval multiset; grid points produce plenty of exact ties
     pts = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), -1).reshape(-1, 2)
     cx = rips_complex(_dm(pts))
-    values, boundaries = _cells_of(cx)
+    values, boundaries = _cells_of(cx, 1)
     base = _ph_from_cells(values, boundaries, 1, True).multiset()
     rng = np.random.default_rng(0)
     for _ in range(6):
@@ -214,6 +231,61 @@ def test_unionfind_matches_reduction_on_mask_components():
     d0 = pd.in_dim(0)
     assert len(d0) == 2
     assert np.all(np.isinf(d0[:, 1]))
+
+
+# ---------------------------------------------------------------------------
+# degree-0 and edge-count checks beyond the oracle's size limit
+# ---------------------------------------------------------------------------
+
+
+def _spanning_tree_weights(cx):
+    n = cx.n_vertices
+    graph = csr_matrix((cx.edge_values, (cx.edges[:, 0], cx.edges[:, 1])), shape=(n, n))
+    return np.sort(minimum_spanning_tree(graph).data)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["rips", "dtm-rips"])
+def test_dim0_deaths_are_spanning_tree_weights(weighted):
+    # every edge value is positive, so scipy keeps every edge of the graph
+    dm = _dm(np.random.default_rng(150).random((150, 2)))
+    if weighted:
+        cx = weighted_rips_complex(dm, dtm(dm, 0.03), max_dim=1)
+    else:
+        cx = rips_complex(dm, max_dim=1)
+    assert len(cx.edges) == 150 * 149 // 2
+    deaths = compute_ph(cx, max_dim=0, drop_zero=False).finite_in_dim(0)[:, 1]
+    assert np.array_equal(np.sort(deaths), _spanning_tree_weights(cx))
+
+
+def test_dim0_classes_are_tubular_components():
+    # a class is alive at level t iff it is one 8-connected component of the
+    # cells at or below t; checked on every tubular line of concave shapes
+    for seed in range(3):
+        mask = rasterize(gen_random_concave_polygon(seed), 30)
+        cell = mask.cell_size
+        for line in default_lines(mask).lines:
+            fn = tubular_filtration(line)
+            grid = cubical_complex(mask, lambda c, fn=fn: np.round(fn(c) / cell, 9))
+            top = grid.top_values
+            pts = compute_ph(grid, max_dim=0).in_dim(0)
+            for t in np.unique(top[np.isfinite(top)]):
+                alive = int(np.sum((pts[:, 0] <= t) & (pts[:, 1] > t)))
+                _, components = ndimage.label(top <= t, structure=np.ones((3, 3), dtype=bool))
+                assert alive == components
+
+
+def test_every_edge_pairs_once_on_large_capped_complex():
+    # an edge either kills a degree-0 class or creates a degree-1 class; the
+    # cap keeps the circle's class essential, so both kinds of creator count
+    rng = np.random.default_rng(61)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 100)
+    pts = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.03, (100, 2))
+    cx = rips_complex(_dm(pts), r_max=1.0)
+    assert len(cx.triangles) > 10_000
+    pd = compute_ph(cx, max_dim=1, drop_zero=False)
+    d1 = pd.in_dim(1)
+    assert int(np.sum(np.isinf(d1[:, 1]))) == 1
+    assert len(pd.finite_in_dim(0)) + len(d1) == len(cx.edges)
 
 
 def test_lifespans_sorted_descending():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,6 @@ from tdalab.pipelines import (
     _weighted_dim1_diagram,
     concavity_features,
     convexity_experiment,
-    convexity_pipeline,
     convexity_regression,
     curvature_pipeline,
     default_lines,
@@ -207,13 +207,41 @@ def test_convexity_report_regenerates_bit_identically():
     assert report_to_json(r1) == report_to_json(r2)
 
 
-def test_holes_pipeline_jobs_match_serial():
+def _holes_with_jobs(jobs):
     ds = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=80, seed=5)
-    config1 = HolesConfig(subsample=30, knn_grid=(1,), jobs=1)
-    config2 = HolesConfig(subsample=30, knn_grid=(1,), jobs=2)
-    r1 = holes_pipeline(ds, [], config1, seed=0)
-    r2 = holes_pipeline(ds, [], config2, seed=0)
-    assert [i.prediction for i in r1.items] == [i.prediction for i in r2.items]
+    return holes_pipeline(ds, [], HolesConfig(subsample=30, knn_grid=(1,), jobs=jobs), seed=0)
+
+
+def _curvature_with_jobs(jobs):
+    train, test = gen_curvature_dataset(
+        seed=1, clouds_per_kappa=1, points_per_cloud=40, test_count=4
+    )
+    return curvature_pipeline(train, test, CurvatureConfig(knn_grid=(1, 3), jobs=jobs), seed=0)
+
+
+def _convexity_with_jobs(jobs):
+    config = ConvexityConfig(
+        grid_side=16, points_per_cloud=300, clouds_per_shape=2, polygons_per_class=6, jobs=jobs
+    )
+    return convexity_experiment(config, seed=3)
+
+
+def _regression_with_jobs(jobs):
+    masks = list(gen_polygon_masks(20, 20, seed=4).items)
+    return convexity_regression(masks, seed=0, config=RegressionConfig(jobs=jobs))
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_holes_with_jobs, _curvature_with_jobs, _convexity_with_jobs, _regression_with_jobs],
+    ids=["holes", "curvature", "convexity", "regression"],
+)
+def test_jobs_match_serial(run):
+    """Two worker processes give the report of one, apart from the jobs echo."""
+    serial, parallel = run(1), run(2)
+    assert parallel.config["jobs"] == 2
+    parallel = dataclasses.replace(parallel, config={**parallel.config, "jobs": 1})
+    assert report_to_json(parallel) == report_to_json(serial)
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +280,12 @@ def _toy_convexity_config():
     )
 
 
-def test_convexity_pipeline_single_regime():
-    report = convexity_pipeline("regular", "regular", _toy_convexity_config(), seed=0)
-    assert report.regimes[0].name == "regular/regular"
-    # a sanity floor only: the acceptance suite checks the real thresholds
-    assert report.regimes[0].value >= 0.5
-
-
 def test_convexity_experiment_four_regimes():
     report = convexity_experiment(_toy_convexity_config(), seed=0)
     names = [r.name for r in report.regimes]
     assert names == ["regular/regular", "random/random", "regular/random", "random/regular"]
-
-
-def test_convexity_pipeline_rejects_bad_kind():
-    with pytest.raises(ValueError):
-        convexity_pipeline("regular", "fancy", _toy_convexity_config(), seed=0)
+    # a sanity floor only: the acceptance suite checks the real thresholds
+    assert report.regime("regular/regular") >= 0.5
 
 
 # ---------------------------------------------------------------------------
