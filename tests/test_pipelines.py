@@ -23,6 +23,9 @@ from tdalab.pipelines import (
     CurvatureConfig,
     HolesConfig,
     RegressionConfig,
+    _convexity_regime,
+    _convexity_scalars,
+    _gen_convexity,
     _weighted_dim1_diagram,
     concavity_features,
     convexity_experiment,
@@ -278,6 +281,20 @@ def _toy_convexity_config():
     return ConvexityConfig(
         grid_side=20, points_per_cloud=800, clouds_per_shape=3, polygons_per_class=12
     )
+
+
+def test_convexity_pipeline_single_regime():
+    # one train/test pairing on the regular dataset alone, as the experiment runs it
+    config = _toy_convexity_config()
+    ds = _gen_convexity("regular", config, seed=0)
+    scalars = {"regular": _convexity_scalars(ds, config)}
+    labels = {"regular": np.asarray(ds.labels, dtype=float)}
+    acc, test_idx, test_labels, preds = _convexity_regime(
+        "regular", "regular", scalars, labels, config, seed=0
+    )
+    assert len(test_idx) == len(test_labels) == len(preds) > 0
+    # a sanity floor only: the acceptance suite checks the real thresholds
+    assert acc >= 0.5
 
 
 def test_convexity_experiment_four_regimes():
