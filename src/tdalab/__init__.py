@@ -4,7 +4,7 @@ Library layout:
   geometry     metrics, filtration functions, transforms, hulls, rasterization
   datagen      deterministic labeled corpora (holes / curvature / convexity)
   complexes    Vietoris-Rips, weighted Rips, and cubical filtrations
-  persistence  diagrams: union-find (degree 0), block reduction (degree 1)
+  persistence  diagrams: union-find (degree 0), coboundary reduction (degree 1)
   signatures   lifespans, persistence images, landscapes, scalar summaries
   learn        k-NN, ridge, threshold rule, k-fold grid search
   pipelines    the end-to-end experiments
@@ -43,6 +43,7 @@ from .complexes import (
 )
 from .persistence import (
     PersistenceDiagram,
+    compute_flag_ph,
     compute_ph,
     compute_ph0_unionfind,
     naive_reduction_oracle,

@@ -53,9 +53,12 @@ def read_cloud_csv(path) -> PointCloud:
         if len(parts) not in (2, 3):
             raise ValueError(f"{path}:{lineno}: expected 2 or 3 coordinates, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: coordinates must be finite, got {line!r}")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty point-cloud file")
     widths = {len(r) for r in rows}

@@ -1,16 +1,19 @@
 """Persistence diagrams in degrees 0 and 1 over Z/2.
 
-One engine serves both complex types. Degree-0 pairs come from an
-elder-rule union-find over the edges in filtration order, which gives the
-pairing of the vertex-edge boundary reduction; the edges it finds closing a
-cycle are the degree-1 creators. Degree-1 deaths come from the
-anti-transposed edge-triangle block, reduced with columns held as Python
-integers used as bit sets; its pairing is identical but its column count is
-the number of edges rather than triangles, so the huge kernel of the
-triangle boundary is never reduced. Columns whose initial pivot is
-unclaimed are kept unreduced until someone collides with them, exactly as
-the textbook algorithm would leave them. A deliberately unoptimized
-textbook reduction of the whole boundary matrix is the reference oracle.
+One engine serves explicit complexes (listed triangles, cubical squares)
+and flag complexes given by their 1-skeleton alone. Degree-0 pairs come
+from an elder-rule union-find over the edges in filtration order, which
+gives the pairing of the vertex-edge boundary reduction; the edges it
+finds closing a cycle are the degree-1 creators. Degree-1 deaths come from
+the coboundary (cohomology) reduction of the edge-triangle block, after
+Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
+(skipped), apparent pairs -- an edge whose earliest cofacet has the edge as
+its latest facet -- are found for all edges at once with numpy, and only
+the few remaining columns are reduced. Explicit complexes read cofacets
+off their boundary rows; flag complexes enumerate them on demand from the
+edge-value matrix, keyed by one order-preserving int64, so their triangles
+are never built. A deliberately unoptimized textbook reduction of the
+whole boundary matrix is the reference oracle.
 """
 
 from __future__ import annotations
@@ -188,9 +191,9 @@ def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
 
     Vertex rows are in filtration order too, so of two roots the smaller
     row is the elder; each root is the oldest vertex of its component.
-    Returns (pairs, cycle): the (vertex row, edge) death pairs and a mask of
-    the edges that close a cycle. The pairs are exactly those of the
-    left-to-right reduction of the vertex-edge boundary block.
+    Returns (pairs, cycle): the (k, 2) array of (vertex row, edge) death
+    pairs and a mask of the edges that close a cycle. The pairs are exactly
+    those of the left-to-right reduction of the vertex-edge boundary block.
     """
     parent = list(range(n_vertices))
 
@@ -200,133 +203,227 @@ def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
             x = parent[x]
         return x
 
-    pairs = []
-    cycle = np.zeros(len(edge_rows), dtype=bool)
+    dying, killing = [], []
     for j, (a, b) in enumerate(edge_rows.tolist()):
         ra, rb = find(a), find(b)
         if ra == rb:
-            cycle[j] = True
             continue
         elder, younger = (ra, rb) if ra < rb else (rb, ra)
         parent[younger] = elder
-        pairs.append((younger, j))
-    return pairs, cycle
+        dying.append(younger)
+        killing.append(j)
+        if len(killing) == n_vertices - 1:
+            break  # one component left: every later edge closes a cycle
+    cycle = np.ones(len(edge_rows), dtype=bool)
+    cycle[killing] = False
+    return np.array([dying, killing], dtype=np.int64).T, cycle
 
 
-class _BitColumns:
-    """Builds bit-set integers over a fixed row range with a reused buffer."""
+class _BoundaryCofacets:
+    """Cofacets of edges read off explicit boundary rows.
 
-    def __init__(self, width_bits: int):
-        self.width = ((width_bits + 7) // 8) * 8
-        self._buf = np.zeros(self.width, dtype=np.uint8)
-
-    def build(self, rows: Array) -> int:
-        buf = self._buf
-        idx = self.width - 1 - rows
-        buf[idx] = 1
-        start = (int(idx.min()) // 8) * 8  # bytes above the top bit are zero
-        out = int.from_bytes(np.packbits(buf[start:]).tobytes(), "big")
-        buf[idx] = 0
-        return out
-
-
-def _reduce_dual_block(cofacets, n_cofacets: int) -> list:
-    """Reduce the anti-transposed (d, d+1) boundary block.
-
-    ``cofacets[j]`` lists, in ascending filtration position, the (d+1)-cells
-    incident to d-cell j. Columns are processed in reverse filtration order;
-    the resulting (d-cell, (d+1)-cell) pairs form exactly the degree-d
-    persistence pairs. Columns whose initial pivot is unclaimed are stored
-    unreduced and only materialized as bit sets when a later column
-    collides, which is what makes this block cheap.
+    A cofacet's key is its position in the filtration order of triangles
+    (or squares), so keys sort in filtration order.
     """
-    T = n_cofacets
-    bits = _BitColumns(T)
-    raw = {}  # pivot row -> column index stored unreduced
-    reduced = {}  # pivot row -> bit-set column
+
+    def __init__(self, facets: Array, values: Array, n_edges: int):
+        flat_e = facets.ravel()
+        flat_p = np.repeat(np.arange(len(facets)), facets.shape[1])
+        order = np.lexsort((flat_p, flat_e))
+        self._keys = flat_p[order]
+        self._starts = np.searchsorted(flat_e[order], np.arange(n_edges + 1))
+        self._latest_facet = facets.max(axis=1)
+        self._values = values
+
+    def cofacets(self, e: int) -> Array:
+        return self._keys[self._starts[e] : self._starts[e + 1]]
+
+    def earliest(self, edges: Array) -> tuple:
+        """(key of each edge's earliest cofacet, mask of apparent pairs)."""
+        starts = self._starts[edges]
+        has = self._starts[edges + 1] > starts
+        keys = self._keys[np.minimum(starts, len(self._keys) - 1)]
+        return keys, has & (self._latest_facet[keys] == edges)
+
+    def values(self, keys: Array) -> Array:
+        return self._values[keys]
+
+
+# elements of the (edges x vertices) arrays built per block in _FlagCofacets
+_FLAG_BLOCK = 1 << 18
+
+
+class _FlagCofacets:
+    """Triangles of the flag complex spanned by a graph, never stored.
+
+    Triangles are ordered by (value, sorted vertex tuple), the order of
+    ``rips_complex`` and ``weighted_rips_complex`` at ``max_dim=2``. A
+    triangle's key packs (value rank, i, j, k) with i < j < k into one int64
+    whose integer order is that filtration order; its value is the largest
+    of its three edge values. For an edge (a, b) the sorted tuple of
+    {a, b, k} is monotone in k, so its earliest cofacet is the least k of
+    least value rank.
+    """
+
+    def __init__(self, graph: FilteredComplex):
+        n = graph.n_vertices
+        order = np.lexsort((graph.edges[:, 1], graph.edges[:, 0], graph.edge_values))
+        edges = np.sort(graph.edges[order], axis=1)
+        self._levels, rank = np.unique(graph.edge_values[order], return_inverse=True)
+        if len(self._levels) * n**3 >= 2**63:
+            raise ValueError(f"{n} vertices and {len(self._levels)} edge values overflow a triangle key")
+        self._n = n
+        self._a, self._b = edges[:, 0], edges[:, 1]
+        # value rank and filtration position of each edge; an absent edge
+        # ranks above every present one; int32 holds both, as keys only fit
+        # int64 below about 7,000 points
+        self._absent = len(self._levels)
+        self._rank = np.full((n, n), self._absent, dtype=np.int32)
+        self._pos = np.full((n, n), -1, dtype=np.int32)
+        for i, j in ((self._a, self._b), (self._b, self._a)):
+            self._rank[i, j] = rank
+            self._pos[i, j] = np.arange(len(edges))
+
+    def _key(self, rank: Array, a, b, k: Array) -> Array:
+        n = self._n
+        lo, hi = np.minimum(a, k), np.maximum(b, k)
+        return ((rank.astype(np.int64) * n + lo) * n + (a + b + k - lo - hi)) * n + hi
+
+    def cofacets(self, e: int) -> Array:
+        a, b = self._a[e], self._b[e]
+        rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b])
+        k = np.nonzero(rank < self._absent)[0]
+        return np.sort(self._key(rank[k], a, b, k))
+
+    def earliest(self, edges: Array) -> tuple:
+        """(key of each edge's earliest cofacet, mask of apparent pairs).
+
+        The pair is apparent when the earliest cofacet's latest facet, by
+        edge position, is the edge itself.
+        """
+        keys = np.zeros(len(edges), dtype=np.int64)
+        apparent = np.zeros(len(edges), dtype=bool)
+        step = max(1, _FLAG_BLOCK // self._n)
+        for s in range(0, len(edges), step):
+            e = edges[s : s + step]
+            a, b = self._a[e], self._b[e]
+            rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b][:, None])
+            k = rank.argmin(axis=1)  # the first minimum: the least k among ties
+            rank = rank[np.arange(len(e)), k]
+            keys[s : s + step] = self._key(rank, a, b, k)
+            apparent[s : s + step] = (
+                (rank < self._absent) & (self._pos[a, k] < e) & (self._pos[b, k] < e)
+            )
+        return keys, apparent
+
+    def values(self, keys: Array) -> Array:
+        return self._levels[keys // self._n**3]
+
+
+def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
+    """Reduce edge coboundary columns, latest edge first.
+
+    ``cofacets(e)`` gives the ascending cofacet keys of edge e, so a
+    column's pivot is its first key. ``pivots`` maps the pivot of each
+    apparent pair to its edge; those columns need no reduction, are not in
+    ``columns``, and are enumerated only when a column collides with one.
+    Returns the (edge, pivot key) pairs of ``columns``; an edge with no pair
+    is essential.
+    """
+    reduced = {}  # pivot key -> reduced column
     pairs = []
-
-    def build(j) -> int:
-        return bits.build(T - 1 - cofacets[j])
-
-    for j in range(len(cofacets) - 1, -1, -1):
-        cof = cofacets[j]
-        if len(cof) == 0:
-            continue
-        low0 = T - 1 - int(cof[0])
-        if low0 not in raw and low0 not in reduced:
-            raw[low0] = j
-            pairs.append((j, int(cof[0])))
-            continue
-        col = build(j)
-        while col:
-            low = col.bit_length() - 1
+    for j in columns:
+        col = cofacets(j)
+        while len(col):
+            low = int(col[0])
             other = reduced.get(low)
-            if other is not None:
-                col ^= other
-                continue
-            holder = raw.pop(low, None)
-            if holder is not None:
-                other = build(holder)
-                reduced[low] = other
-                col ^= other
-                continue
-            reduced[low] = col
-            pairs.append((j, T - 1 - low))
-            break
+            if other is None:
+                holder = pivots.get(low)
+                if holder is None:
+                    reduced[low] = col
+                    pairs.append((j, low))
+                    break
+                other = reduced[low] = cofacets(holder)
+            col = np.setxor1d(col, other, assume_unique=True)
     return pairs
 
 
-def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
-    """Assemble intervals from per-dimension cell orders and boundaries."""
-    rows = []
-    pairs0, cycle = _elder_union_find(len(values[0]), boundaries[1])
-    alive = np.ones(len(values[0]), dtype=bool)
-    for r, j in pairs0:
-        alive[r] = False
-        birth, death = values[0][r], values[1][j]
-        if not drop_zero or death != birth:
-            rows.append((0, birth, death))
-    for r in np.nonzero(alive)[0]:
-        rows.append((0, values[0][r], math.inf))
+def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool):
+    """Assemble intervals from sorted vertex and edge values.
 
+    Degree 0 and the degree-1 creators come from the elder-rule union-find.
+    The edges it pairs with vertices are cleared: their coboundary columns
+    reduce to zero. Of the cycle edges, apparent pairs are found at once
+    from ``cof.earliest``; only the rest are reduced. ``cof`` is None when
+    there are no 2-cells.
+    """
+    pairs0, cycle = _elder_union_find(len(v_values), edge_rows)
+    alive = np.ones(len(v_values), dtype=bool)
+    alive[pairs0[:, 0]] = False
+    blocks = [
+        (0, v_values[pairs0[:, 0]], e_values[pairs0[:, 1]]),
+        (0, v_values[alive], math.inf),
+    ]
     if max_dim >= 1:
-        n_edges = len(values[1])
-        edge_killed = np.zeros(n_edges, dtype=bool)
-        if len(values) > 2 and len(values[2]):
-            T = len(values[2])
-            flat_e = boundaries[2].ravel()
-            flat_p = np.repeat(np.arange(T), boundaries[2].shape[1])
-            order = np.lexsort((flat_p, flat_e))
-            fe, fp = flat_e[order], flat_p[order]
-            starts = np.searchsorted(fe, np.arange(n_edges))
-            ends = np.searchsorted(fe, np.arange(n_edges) + 1)
-            cofacets = [fp[s:e] for s, e in zip(starts, ends)]
-            for e, p in _reduce_dual_block(cofacets, T):
-                edge_killed[e] = True
-                birth, death = values[1][e], values[2][p]
-                if not drop_zero or death != birth:
-                    rows.append((1, birth, death))
-        for e in np.nonzero(cycle & ~edge_killed)[0]:
-            rows.append((1, values[1][e], math.inf))
-    return _diagram(rows)
+        creators = np.nonzero(cycle)[0]
+        killed = np.zeros(len(e_values), dtype=bool)
+        if cof is not None and len(creators):
+            first, apparent = cof.earliest(creators)
+            pairs = _reduce_coboundaries(
+                creators[~apparent][::-1].tolist(),
+                cof.cofacets,
+                dict(zip(first[apparent].tolist(), creators[apparent].tolist())),
+            )
+            edges = np.concatenate([creators[apparent], np.array([e for e, _ in pairs], dtype=np.int64)])
+            keys = np.concatenate([first[apparent], np.array([k for _, k in pairs], dtype=np.int64)])
+            killed[edges] = True
+            blocks.append((1, e_values[edges], cof.values(keys)))
+        blocks.append((1, e_values[creators[~killed[creators]]], math.inf))
+    rows = []
+    for dim, births, deaths in blocks:
+        deaths = np.broadcast_to(deaths, births.shape)
+        keep = deaths != births if drop_zero else slice(None)
+        rows.append(np.column_stack([np.full(len(births), float(dim)), births, deaths])[keep])
+    return PersistenceDiagram(np.concatenate(rows))
+
+
+def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
+    """Intervals of explicit cells: per-dimension sorted values and boundary rows."""
+    cof = None
+    if max_dim >= 1 and len(values) > 2 and len(values[2]):
+        cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
+    return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
 
 
 def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
-    """Persistence diagram of a filtered complex in degrees 0..max_dim.
+    """Persistence diagram of an explicit complex in degrees 0..max_dim.
 
-    Degree 0 comes from an elder-rule union-find over the edges in
-    filtration order; the edges it finds closing a cycle create the degree-1
-    classes, whose deaths come from the anti-transposed edge-triangle block,
-    which skips the huge kernel of the triangle boundary. With max_dim=0 no
-    triangles or squares are extracted. Zero-length intervals are dropped by
-    default; pass drop_zero=False to keep them (Euler-characteristic
-    bookkeeping).
+    ``cx`` is a ``FilteredComplex`` with its triangles listed, or a
+    ``FilteredCubicalGrid``. With max_dim=0 no triangles or squares are
+    extracted. Zero-length intervals are dropped by default; pass
+    drop_zero=False to keep them (Euler-characteristic bookkeeping).
     """
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
     values, boundaries = _cells_of(cx, max_dim)
     return _ph_from_cells(values, boundaries, max_dim, drop_zero)
+
+
+def compute_flag_ph(graph: FilteredComplex, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
+    """Persistence diagram of the flag complex spanned by a 1-skeleton.
+
+    ``graph`` is what ``rips_complex`` or ``weighted_rips_complex`` build at
+    ``max_dim=1``; the diagram equals ``compute_ph`` of the same builder at
+    ``max_dim=2`` and the same ``r_max``, but no triangle is ever built:
+    each edge enumerates its cofacets from the edge-value matrix.
+    """
+    if not 0 <= max_dim <= 1:
+        raise ValueError("max_dim must be 0 or 1")
+    if len(graph.triangles):
+        raise ValueError("compute_flag_ph takes a 1-skeleton; use compute_ph for explicit triangles")
+    values, boundaries = _flag_cells(graph, 0)
+    cof = _FlagCofacets(graph) if max_dim >= 1 else None
+    return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
 
 
 def compute_ph0_unionfind(cx) -> PersistenceDiagram:

@@ -45,7 +45,7 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import PersistenceDiagram, compute_ph, compute_ph0_unionfind
+from .persistence import PersistenceDiagram, compute_flag_ph, compute_ph0_unionfind
 from .seeding import derive_seed, generator
 from .signatures import ImageScheme, LandscapeScheme, lifespans_topk
 
@@ -231,18 +231,20 @@ class HolesConfig:
     jobs: int = 1
 
 
-def _capped_dim1_pairs(build, cap_factor: float, r_full: float) -> Array:
-    """Finite dim-1 (birth, death) pairs of the complex ``build(r_max)``.
+def _capped_dim1_pairs(pd: PersistenceDiagram, cap: float) -> Array:
+    """Finite dim-1 (birth, death) pairs of the flag complex capped at ``cap``.
 
-    Reduces the complex capped at ``cap_factor * r_full`` and rebuilds it at
-    ``r_full`` only if the cap leaves some degree-1 class essential.
+    ``pd`` is the diagram of the complete flag complex, which has no
+    essential degree-1 class. The capped complex is a filtration prefix, so
+    its pairs are the full pairs born at or below the cap; one that dies
+    above the cap would turn essential there, and then all pairs are kept,
+    as the complex rebuilt at the full radius would give.
     """
-    for r_max in (cap_factor * r_full, r_full):
-        pd = compute_ph(build(r_max), max_dim=1)
-        dim1 = pd.in_dim(1)
-        if not len(dim1) or np.all(np.isfinite(dim1[:, 1])):
-            break
-    return pd.finite_in_dim(1)
+    pairs = pd.finite_in_dim(1)
+    born = pairs[:, 0] <= cap
+    if np.any(born & (pairs[:, 1] > cap)):
+        return pairs
+    return pairs[born]
 
 
 def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_factor: float, fps_seed: int):
@@ -251,12 +253,9 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     if subsample and subsample < cloud.n:
         cloud = farthest_point_subsample(cloud, subsample, fps_seed)
     dm = euclidean_distance_matrix(cloud)
-    f = dtm(dm, dtm_mass)
-    edges_only = weighted_rips_complex(dm, f, max_dim=1)
-    r_full = float(edges_only.edge_values.max()) if len(edges_only.edge_values) else 0.0
-    return _capped_dim1_pairs(
-        lambda r_max: weighted_rips_complex(dm, f, max_dim=2, r_max=r_max), cap_factor, r_full
-    )
+    graph = weighted_rips_complex(dm, dtm(dm, dtm_mass), max_dim=1)
+    r_full = float(graph.edge_values.max()) if len(graph.edge_values) else 0.0
+    return _capped_dim1_pairs(compute_flag_ph(graph), cap_factor * r_full)
 
 
 def _diagram_from_pairs(pairs: Array, dim: int) -> PersistenceDiagram:
@@ -372,13 +371,8 @@ def _curvature_worker(coords, kappa, cap_factor):
 
     cloud = PolarCloud(coords, kappa)
     dm = geodesic_distance_matrix(cloud)
-    pd0 = compute_ph0_unionfind(rips_complex(dm, max_dim=1, force=True))
-    pairs1 = _capped_dim1_pairs(
-        lambda r_max: rips_complex(dm, max_dim=2, r_max=r_max, force=True),
-        cap_factor,
-        float(dm.values.max()),
-    )
-    return pd0.finite_in_dim(0), pairs1
+    pd = compute_flag_ph(rips_complex(dm, max_dim=1))
+    return pd.finite_in_dim(0), _capped_dim1_pairs(pd, cap_factor * float(dm.values.max()))
 
 
 def _span_matrix(pair_list, length: int) -> Array:

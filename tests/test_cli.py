@@ -7,6 +7,9 @@ import pytest
 
 from tdalab.cli import main
 from tdalab import io
+from tdalab.complexes import rips_complex, weighted_rips_complex
+from tdalab.geometry import PointCloud, dtm, euclidean_distance_matrix
+from tdalab.persistence import compute_ph
 
 
 def run_cli(*args):
@@ -115,6 +118,21 @@ def test_ph_dtm_filtration(tmp_path):
     out = tmp_path / "pd.csv"
     assert run_cli("ph", src, "--filtration", "dtm", "--m", "0.1", "--out", out) == 0
     assert len(io.read_diagram_csv(out)) > 0
+
+
+@pytest.mark.parametrize("filtration", ["rips", "dtm"])
+def test_ph_flag_equals_explicit_2_skeleton(tmp_path, filtration):
+    points = np.random.default_rng(3).random((40, 2))
+    src = tmp_path / "cloud.csv"
+    io.write_cloud_csv(src, PointCloud(points))
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, "--filtration", filtration, "--m", 0.05, "--r-max", 0.3, "--out", out) == 0
+    dm = euclidean_distance_matrix(io.read_cloud_csv(src))
+    if filtration == "dtm":
+        cx = weighted_rips_complex(dm, dtm(dm, 0.05), max_dim=2, r_max=0.3)
+    else:
+        cx = rips_complex(dm, max_dim=2, r_max=0.3)
+    assert io.read_diagram_csv(out).multiset() == compute_ph(cx).multiset()
 
 
 def test_ph_missing_file_fails(tmp_path, capsys):

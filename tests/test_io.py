@@ -30,6 +30,15 @@ def test_cloud_csv_rejects_malformed(tmp_path):
         io.read_cloud_csv(path)
 
 
+@pytest.mark.parametrize("row", ["1,nan", "1,inf", "-inf,2", "0.5,0.5,nan"])
+def test_cloud_csv_rejects_non_finite(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    width = row.count(",") + 1
+    path.write_text(",".join(["0.0"] * width) + f"\n{row}\n")
+    with pytest.raises(ValueError, match="bad.csv:2: coordinates must be finite"):
+        io.read_cloud_csv(path)
+
+
 def test_mask_pbm_roundtrip(tmp_path):
     cells = RNG.random((9, 9)) < 0.5
     cells[4, 4] = True

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from tdalab.complexes import (
     FilteredCubicalGrid,
@@ -20,6 +20,7 @@ from tdalab.persistence import (
     PersistenceDiagram,
     _cells_of,
     _ph_from_cells,
+    compute_flag_ph,
     compute_ph,
     compute_ph0_unionfind,
     naive_reduction_oracle,
@@ -259,7 +260,8 @@ def test_dim0_deaths_are_spanning_tree_weights(weighted):
 
 def test_dim0_classes_are_tubular_components():
     # a class is alive at level t iff it is one 8-connected component of the
-    # cells at or below t; checked on every tubular line of concave shapes
+    # cells at or below t, and it was born at the component's lowest cell
+    # (the elder rule); checked on every tubular line of concave shapes
     for seed in range(3):
         mask = rasterize(gen_random_concave_polygon(seed), 30)
         cell = mask.cell_size
@@ -269,9 +271,10 @@ def test_dim0_classes_are_tubular_components():
             top = grid.top_values
             pts = compute_ph(grid, max_dim=0).in_dim(0)
             for t in np.unique(top[np.isfinite(top)]):
-                alive = int(np.sum((pts[:, 0] <= t) & (pts[:, 1] > t)))
-                _, components = ndimage.label(top <= t, structure=np.ones((3, 3), dtype=bool))
-                assert alive == components
+                alive = pts[(pts[:, 0] <= t) & (pts[:, 1] > t), 0]
+                labels, count = ndimage.label(top <= t, structure=np.ones((3, 3), dtype=bool))
+                minima = ndimage.minimum(top, labels, np.arange(1, count + 1))
+                assert np.array_equal(np.sort(alive), np.sort(minima))
 
 
 def test_every_edge_pairs_once_on_large_capped_complex():
@@ -286,6 +289,77 @@ def test_every_edge_pairs_once_on_large_capped_complex():
     d1 = pd.in_dim(1)
     assert int(np.sum(np.isinf(d1[:, 1]))) == 1
     assert len(pd.finite_in_dim(0)) + len(d1) == len(cx.edges)
+
+
+def test_dim0_births_are_component_minima():
+    # at each level the classes alive are born at the lowest vertex of their
+    # component (the elder rule); scipy finds the components independently
+    dm = _dm(np.random.default_rng(152).random((150, 2)))
+    f = dtm(dm, 0.03)
+    graph = weighted_rips_complex(dm, f, max_dim=1)
+    for engine in (compute_ph, compute_flag_ph):
+        pts = engine(graph, max_dim=0).in_dim(0)
+        for t in np.quantile(graph.edge_values, np.linspace(0.0, 0.05, 20)):
+            alive = pts[(pts[:, 0] <= t) & (pts[:, 1] > t), 0]
+            born = np.nonzero(f <= t)[0]
+            keep = (graph.edge_values <= t)
+            sub = csr_matrix(
+                (np.ones(int(keep.sum())), tuple(graph.edges[keep].T)), shape=(150, 150)
+            )[born][:, born]
+            _, labels = connected_components(sub, directed=False)
+            minima = np.full(labels.max() + 1, np.inf)
+            np.minimum.at(minima, labels, f[born])
+            assert np.array_equal(np.sort(alive), np.sort(minima))
+
+
+# ---------------------------------------------------------------------------
+# flag complexes from their 1-skeleton
+# ---------------------------------------------------------------------------
+
+
+def _flag_builders(points, weighted):
+    dm = _dm(points)
+    if weighted:
+        f = dtm(dm, 0.1)
+        return lambda max_dim, r_max=None: weighted_rips_complex(dm, f, max_dim, r_max)
+    return lambda max_dim, r_max=None: rips_complex(dm, max_dim, r_max)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["rips", "dtm-rips"])
+@pytest.mark.parametrize("capped", [False, True], ids=["full", "capped"])
+def test_flag_ph_equals_explicit_at_scale(weighted, capped):
+    rng = np.random.default_rng(17)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 110 if capped else 70)
+    points = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.1, (len(theta), 2))
+    build = _flag_builders(points, weighted)
+    r_max = float(np.quantile(build(1).edge_values, 0.3)) if capped else None
+    explicit = build(2, r_max)
+    assert 10_000 <= len(explicit.triangles) <= 100_000
+    graph = build(1, r_max)
+    for drop_zero in (True, False):
+        flag = compute_flag_ph(graph, drop_zero=drop_zero).multiset()
+        assert flag == compute_ph(explicit, drop_zero=drop_zero).multiset()
+
+
+def test_flag_ph_equals_oracle_small():
+    rng = np.random.default_rng(12)
+    lattice = np.stack(np.meshgrid(np.arange(4.0), np.arange(3.0)), -1).reshape(-1, 2)
+    for trial in range(12):
+        points = lattice if trial < 2 else rng.random((12, 2))
+        build = _flag_builders(points, weighted=trial % 2 == 1)
+        r_max = float(np.quantile(build(1).edge_values, 0.5)) if trial % 3 == 0 else None
+        explicit, graph = build(2, r_max), build(1, r_max)
+        for drop_zero in (True, False):
+            oracle = naive_reduction_oracle(explicit, drop_zero=drop_zero).multiset()
+            assert compute_flag_ph(graph, drop_zero=drop_zero).multiset() == oracle
+            assert compute_ph(explicit, drop_zero=drop_zero).multiset() == oracle
+        assert compute_flag_ph(graph, max_dim=0).multiset() == naive_reduction_oracle(explicit, 0).multiset()
+
+
+def test_flag_ph_rejects_triangles():
+    cx = rips_complex(_dm(RNG.random((5, 2))))
+    with pytest.raises(ValueError, match="1-skeleton"):
+        compute_flag_ph(cx)
 
 
 def test_lifespans_sorted_descending():

@@ -4,20 +4,29 @@ import math
 import numpy as np
 import pytest
 
+from tdalab.complexes import rips_complex, weighted_rips_complex
 from tdalab.datagen import (
     gen_convexity_dataset,
     gen_curvature_dataset,
     gen_holes_dataset,
     gen_polygon_masks,
+    holes_catalog,
+    sample_constant_curvature_disk,
+    sample_holes_shape,
 )
 from tdalab.geometry import (
     BinaryMask,
     PointCloud,
     TransformSpec,
     apply_transform,
+    dtm,
+    euclidean_distance_matrix,
+    farthest_point_subsample,
+    geodesic_distance_matrix,
     rasterize,
 )
 from tdalab.io import report_to_json
+from tdalab.persistence import compute_ph
 from tdalab.pipelines import (
     ConvexityConfig,
     CurvatureConfig,
@@ -25,6 +34,7 @@ from tdalab.pipelines import (
     RegressionConfig,
     _convexity_regime,
     _convexity_scalars,
+    _curvature_worker,
     _gen_convexity,
     _weighted_dim1_diagram,
     concavity_features,
@@ -160,6 +170,45 @@ def test_holes_feature_isometry_invariance():
         k = min(len(spans_a), len(spans_b))
         assert np.allclose(spans_a[:k], spans_b[:k], atol=1e-6)
         assert len(spans_a) == len(spans_b)
+
+
+def _cap_then_retry(build, cap_factor, r_full):
+    """Finite dim-1 pairs of build(cap), or of build(r_full) when the cap
+    leaves a class essential; and whether it had to rebuild."""
+    pd = compute_ph(build(cap_factor * r_full), max_dim=1)
+    if np.all(np.isfinite(pd.in_dim(1)[:, 1])):
+        return pd.finite_in_dim(1), False
+    return compute_ph(build(r_full), max_dim=1).finite_in_dim(1), True
+
+
+@pytest.mark.parametrize("shape, retries", [(0, False), (4, True)], ids=["disk", "one-hole-disk"])
+def test_weighted_dim1_matches_cap_then_retry(shape, retries):
+    points = sample_holes_shape(holes_catalog()[shape], 300, 5).points
+    config = HolesConfig()
+    dm = euclidean_distance_matrix(farthest_point_subsample(PointCloud(points), 100, 3))
+    f = dtm(dm, config.dtm_mass)
+    r_full = float(weighted_rips_complex(dm, f, max_dim=1).edge_values.max())
+    expected, retried = _cap_then_retry(
+        lambda r_max: weighted_rips_complex(dm, f, max_dim=2, r_max=r_max), config.cap_factor, r_full
+    )
+    assert retried == retries
+    got = _weighted_dim1_diagram(points, 100, config.dtm_mass, config.cap_factor, 3)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("kappa, retries", [(2.0, False), (0.0, True)], ids=["sphere", "plane"])
+def test_curvature_worker_matches_cap_then_retry(kappa, retries):
+    cloud = sample_constant_curvature_disk(kappa, 50, 0)
+    cap_factor = CurvatureConfig().cap_factor
+    dm = geodesic_distance_matrix(cloud)
+    expected1, retried = _cap_then_retry(
+        lambda r_max: rips_complex(dm, max_dim=2, r_max=r_max), cap_factor, float(dm.values.max())
+    )
+    assert retried == retries
+    expected0 = compute_ph(rips_complex(dm, max_dim=1), max_dim=0).finite_in_dim(0)
+    got0, got1 = _curvature_worker(cloud.coords, kappa, cap_factor)
+    assert np.array_equal(got0, expected0)
+    assert np.array_equal(got1, expected1)
 
 
 def test_holes_report_regenerates_bit_identically():
