@@ -5,8 +5,8 @@ Library layout:
   datagen      deterministic labeled corpora (holes / curvature / convexity)
   complexes    Vietoris-Rips, weighted Rips, and cubical filtrations
   persistence  diagrams: union-find (degree 0), coboundary reduction (degree 1)
-  signatures   lifespans, persistence images, landscapes, scalar summaries
-  learn        k-NN, ridge, threshold rule, k-fold grid search
+  signatures   lifespans, persistence images, landscapes (one diagram or a batch), scalar summaries
+  learn        k-NN, ridge, threshold rule, k-fold selection by mean score
   pipelines    the end-to-end experiments
   io           CSV / PBM / JSON formats
   cli          command-line front end (generate / ph / run)
@@ -69,7 +69,6 @@ from .datagen import (
 from .learn import (
     Standardizer,
     accuracy,
-    kfold_grid_search,
     knn_fit_predict,
     mse,
     ridge_fit,

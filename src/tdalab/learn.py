@@ -2,12 +2,13 @@
 
 k-nearest-neighbor classification/regression, ridge regression with an
 unpenalized intercept, a scalar threshold classifier, per-column
-standardization fitted on training data only, and a deterministic k-fold
-grid search.
+standardization fitted on training data only, deterministic k-fold splits,
+and the rule that picks a config by its mean score over the folds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,36 +37,66 @@ class Standardizer:
         return (np.asarray(X, dtype=float) - self.mean) / self.std
 
 
-def knn_fit_predict(train_X: Array, train_y: Array, test_X: Array, k: int, mode: str) -> Array:
-    """Plain k-NN: majority vote (ties to the smallest label) or neighbor mean.
+def neighbour_ranking(train_X: Array, train_y: Array, test_X: Array, k: int) -> Array:
+    """Indices of the k nearest training rows of each test row, nearest first.
 
-    Neighbor ranking breaks distance ties by label so predictions do not
-    depend on the order of the training rows.
+    Distance ties go to the smaller label (then to the earlier row), so
+    predictions do not depend on the order of the training rows.
     """
     train_X = np.asarray(train_X, dtype=float)
-    train_y = np.asarray(train_y)
     test_X = np.asarray(test_X, dtype=float)
-    if train_X.ndim != 2 or len(train_X) == 0:
-        raise ValueError("training set must be a nonempty 2-D array")
-    if not 1 <= k <= len(train_X):
-        raise ValueError(f"k must lie in [1, {len(train_X)}]")
-    if mode not in ("classify", "regress"):
-        raise ValueError("mode must be 'classify' or 'regress'")
     d2 = (
         np.sum(test_X**2, axis=1)[:, None]
         - 2.0 * test_X @ train_X.T
         + np.sum(train_X**2, axis=1)[None, :]
     )
-    preds = np.empty(len(test_X), dtype=float)
-    for i in range(len(test_X)):
-        order = np.lexsort((train_y, d2[i]))[:k]
-        labels = train_y[order]
-        if mode == "regress":
-            preds[i] = labels.mean()
-        else:
-            uniq, counts = np.unique(labels, return_counts=True)
-            preds[i] = uniq[counts == counts.max()].min()
-    return preds
+    return np.lexsort((np.broadcast_to(train_y, d2.shape), d2))[:, :k]
+
+
+def knn_predict_ranked(ranking: Array, train_y: Array, k: int, mode: str) -> Array:
+    """k-NN predictions from the first k columns of a neighbour ranking:
+    majority vote (ties to the smallest label) or neighbour mean."""
+    labels = np.asarray(train_y)[ranking[:, :k]]
+    if mode == "regress":
+        return labels.mean(axis=1)
+    if mode != "classify":
+        raise ValueError("mode must be 'classify' or 'regress'")
+    classes = np.unique(labels)
+    votes = (labels[:, :, None] == classes).sum(axis=1)
+    return classes[np.argmax(votes, axis=1)].astype(float)
+
+
+def knn_fit_predict(train_X: Array, train_y: Array, test_X: Array, k: int, mode: str) -> Array:
+    """Plain k-NN: majority vote (ties to the smallest label) or neighbor mean."""
+    train_X = np.asarray(train_X, dtype=float)
+    if train_X.ndim != 2 or len(train_X) == 0:
+        raise ValueError("training set must be a nonempty 2-D array")
+    if not 1 <= k <= len(train_X):
+        raise ValueError(f"k must lie in [1, {len(train_X)}]")
+    return knn_predict_ranked(neighbour_ranking(train_X, train_y, test_X, k), train_y, k, mode)
+
+
+def knn_grid_scores(
+    train_X: Array, train_y: Array, val_X: Array, val_y: Array, knn_grid, mode: str
+) -> list:
+    """Validation score of k-NN at every k of the grid, all from one
+    neighbour ranking: accuracy (classify) or mse (regress). A k above the
+    number of training rows scores -inf (classify) or +inf (regress)."""
+    if mode not in ("classify", "regress"):
+        raise ValueError("mode must be 'classify' or 'regress'")
+    if min(knn_grid, default=1) < 1:
+        raise ValueError("k must be at least 1")
+    classify = mode == "classify"
+    fitting = [k for k in knn_grid if k <= len(train_X)]
+    ranking = neighbour_ranking(train_X, train_y, val_X, max(fitting)) if fitting else None
+    scores = []
+    for k in knn_grid:
+        if k > len(train_X):
+            scores.append(-math.inf if classify else math.inf)
+            continue
+        preds = knn_predict_ranked(ranking, train_y, k, mode)
+        scores.append(accuracy(preds, val_y) if classify else mse(preds, val_y))
+    return scores
 
 
 @dataclass(frozen=True)
@@ -207,28 +238,17 @@ def kfold_splits(n: int, folds: int, seed: int, labels: Array | None = None):
     ]
 
 
-def kfold_grid_search(
-    configs,
-    evaluate,
-    n_items: int,
-    folds: int = 3,
-    seed: int = 0,
-    maximize: bool = True,
-    labels: Array | None = None,
-):
-    """Mean validation metric per config over deterministic k-fold splits.
+def select_by_mean(fold_scores, maximize: bool = True):
+    """The config with the best mean validation score over the folds.
 
-    ``evaluate(config, train_idx, val_idx)`` returns the fold metric. The
-    best config is returned with its score; ties keep the earliest config.
+    ``fold_scores[f][c]`` is config c's score on fold f, folds in order.
+    Returns (index, score, scores), scores being every config's mean; ties
+    keep the earliest config.
     """
-    configs = list(configs)
-    if not configs:
+    table = np.asarray(fold_scores, dtype=float)
+    if table.ndim != 2 or table.shape[1] == 0:
         raise ValueError("config grid must be nonempty")
-    splits = kfold_splits(n_items, folds, seed, labels)
-    scores = []
-    for config in configs:
-        vals = [float(evaluate(config, tr, va)) for tr, va in splits]
-        scores.append(float(np.mean(vals)))
+    scores = [float(np.mean(table[:, c])) for c in range(table.shape[1])]
     arr = np.array(scores)
-    best_idx = int(np.argmax(arr)) if maximize else int(np.argmin(arr))
-    return configs[best_idx], scores[best_idx], scores
+    best = int(np.argmax(arr)) if maximize else int(np.argmin(arr))
+    return best, scores[best], scores

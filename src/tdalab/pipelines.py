@@ -37,17 +37,19 @@ from .geometry import (
 from .learn import (
     Standardizer,
     accuracy,
-    kfold_grid_search,
+    kfold_splits,
     knn_fit_predict,
+    knn_grid_scores,
     mse,
     ridge_fit,
     ridge_predict,
+    select_by_mean,
     threshold_fit,
     threshold_predict,
 )
 from .persistence import PersistenceDiagram, compute_flag_ph, compute_ph0_unionfind
 from .seeding import derive_seed, generator
-from .signatures import ImageScheme, LandscapeScheme, lifespans_topk
+from .signatures import FinitePoints, ImageScheme, LandscapeScheme, finite_points, lifespans_matrix
 
 Array = np.ndarray
 
@@ -137,81 +139,56 @@ def signature_grid() -> list:
     return grid
 
 
-def _vectorize(diagrams, dim: int, kind: str, params: dict, fit_on) -> Array:
-    """Stack one signature over diagrams; data-driven ranges fit on `fit_on`."""
+def _vectorize(kind: str, params: dict, fit_on: FinitePoints, *batches) -> list:
+    """One signature matrix per batch of diagram points; data-driven ranges
+    are fit on ``fit_on``."""
     if kind == "lifespans":
-        return np.stack([lifespans_topk(pd, dim, params["k"]).values for pd in diagrams])
+        return [lifespans_matrix(points, params["k"]) for points in batches]
     if kind == "pi":
-        scheme = ImageScheme(dim=dim, sigma=params["sigma"], weight=params["weight"]).fit(fit_on)
-        return np.stack([scheme.vector(pd).values for pd in diagrams])
-    if kind == "pl":
-        scheme = LandscapeScheme(dim=dim, top=params["top"]).fit(fit_on)
-        return np.stack([scheme.vector(pd).values for pd in diagrams])
-    raise ValueError(f"unknown signature kind: {kind!r}")
+        scheme = ImageScheme(dim=fit_on.dim, sigma=params["sigma"], weight=params["weight"])
+    elif kind == "pl":
+        scheme = LandscapeScheme(dim=fit_on.dim, top=params["top"])
+    else:
+        raise ValueError(f"unknown signature kind: {kind!r}")
+    scheme = scheme.fit(fit_on)
+    return [scheme.matrix(points) for points in batches]
 
 
-def _knn_signature_search(
-    train_diagrams,
-    train_labels: Array,
-    dim: int,
-    sig_configs,
-    knn_grid,
-    mode: str,
-    seed: int,
-    folds: int = 3,
-):
-    """Joint 3-fold CV over (signature, k); returns the best pair."""
-    labels = np.asarray(train_labels, dtype=float)
-    configs = [(sig, k) for sig in sig_configs for k in knn_grid]
-    classify = mode == "classify"
+def _signature_features(points: FinitePoints, sig_configs):
+    """Featurizer for ``_knn_search``: per fold, every signature's training
+    and validation matrices, with ranges fit on the training fold."""
 
-    def evaluate(config, tr, va):
-        (kind, params), k = config
-        if k > len(tr):
-            return -math.inf if classify else math.inf
-        fit_on = [train_diagrams[i] for i in tr]
-        X_tr = _vectorize(fit_on, dim, kind, params, fit_on)
-        X_va = _vectorize([train_diagrams[i] for i in va], dim, kind, params, fit_on)
-        std = Standardizer.fit(X_tr)
-        preds = knn_fit_predict(std.transform(X_tr), labels[tr], std.transform(X_va), k, mode)
-        return accuracy(preds, labels[va]) if classify else mse(preds, labels[va])
+    def featurize(tr, va):
+        fit_on, val = points.take(tr), points.take(va)
+        for kind, params in sig_configs:
+            yield _vectorize(kind, params, fit_on, fit_on, val)
 
-    best, score, _ = kfold_grid_search(
-        configs,
-        evaluate,
-        len(train_diagrams),
-        folds=folds,
-        seed=seed,
-        maximize=classify,
-        labels=labels if classify else None,
-    )
-    return best, score
+    return featurize
 
 
-def _knn_k_search(train_X, train_labels, knn_grid, mode, seed, folds=3):
-    """3-fold CV over the k grid on fixed features."""
+def _knn_search(featurize, train_labels: Array, knn_grid, mode: str, seed: int, folds: int = 3):
+    """Joint k-fold CV over (candidate, k) for k-NN on standardized features.
+
+    ``featurize(train_idx, val_idx)`` yields one (train, validation) feature
+    pair per candidate, always in the same order. Each validation row's
+    neighbours are ranked once per (fold, candidate) and every k is scored
+    from that ranking. Returns (candidate index, k, mean score); ties keep
+    the earliest (candidate, k).
+    """
     labels = np.asarray(train_labels, dtype=float)
     classify = mode == "classify"
-
-    def evaluate(k, tr, va):
-        if k > len(tr):
-            return -math.inf if classify else math.inf
-        std = Standardizer.fit(train_X[tr])
-        preds = knn_fit_predict(
-            std.transform(train_X[tr]), labels[tr], std.transform(train_X[va]), k, mode
-        )
-        return accuracy(preds, labels[va]) if classify else mse(preds, labels[va])
-
-    best_k, _, _ = kfold_grid_search(
-        list(knn_grid),
-        evaluate,
-        len(train_X),
-        folds=folds,
-        seed=seed,
-        maximize=classify,
-        labels=labels if classify else None,
-    )
-    return best_k
+    grid = list(knn_grid)
+    fold_scores = []
+    for tr, va in kfold_splits(len(labels), folds, seed, labels if classify else None):
+        row = []
+        for X_tr, X_va in featurize(tr, va):
+            std = Standardizer.fit(X_tr)
+            row += knn_grid_scores(
+                std.transform(X_tr), labels[tr], std.transform(X_va), labels[va], grid, mode
+            )
+        fold_scores.append(row)
+    best, score, _ = select_by_mean(fold_scores, maximize=classify)
+    return best // len(grid), grid[best % len(grid)], score
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +288,17 @@ def holes_pipeline(
     else:
         raise ValueError(f"unknown signature mode: {config.signature!r}")
 
-    (best_sig, best_k), _ = _knn_signature_search(
-        train_diagrams, train_labels, 1, sig_configs, config.knn_grid, "classify", seed
+    train_points = finite_points(train_diagrams, 1)
+    best, best_k, _ = _knn_search(
+        _signature_features(train_points, sig_configs), train_labels, config.knn_grid, "classify", seed
     )
-    kind, params = best_sig
-    X_train = _vectorize(train_diagrams, 1, kind, params, train_diagrams)
+    kind, params = sig_configs[best]
+    (X_train,) = _vectorize(kind, params, train_points, train_points)
     std = Standardizer.fit(X_train)
     X_train_std = std.transform(X_train)
 
     def predict(diags):
-        X = _vectorize(diags, 1, kind, params, train_diagrams)
+        (X,) = _vectorize(kind, params, train_points, finite_points(diags, 1))
         return knn_fit_predict(X_train_std, train_labels, std.transform(X), best_k, "classify")
 
     clean_preds = predict([diagrams[i] for i in test_idx])
@@ -427,17 +405,18 @@ def curvature_pipeline(
             if length is not None:
                 X_tr = _span_matrix(tr, length)
                 X_te = _span_matrix(te, length)
-                best_k = _knn_k_search(X_tr, y_train, config.knn_grid, "regress", seed)
+                _, best_k, _ = _knn_search(
+                    lambda t, v: [(X_tr[t], X_tr[v])], y_train, config.knn_grid, "regress", seed
+                )
             else:
-                diagrams_tr = [_diagram_from_pairs(p, dim) for p in tr]
-                (sig, best_k), _ = _knn_signature_search(
-                    diagrams_tr, y_train, dim, signature_grid(), config.knn_grid, "regress", seed
+                points_tr = finite_points([_diagram_from_pairs(p, dim) for p in tr], dim)
+                points_te = finite_points([_diagram_from_pairs(p, dim) for p in te], dim)
+                sigs = signature_grid()
+                best, best_k, _ = _knn_search(
+                    _signature_features(points_tr, sigs), y_train, config.knn_grid, "regress", seed
                 )
-                kind, params = sig
-                X_tr = _vectorize(diagrams_tr, dim, kind, params, diagrams_tr)
-                X_te = _vectorize(
-                    [_diagram_from_pairs(p, dim) for p in te], dim, kind, params, diagrams_tr
-                )
+                kind, params = sigs[best]
+                X_tr, X_te = _vectorize(kind, params, points_tr, points_tr, points_te)
             std = Standardizer.fit(X_tr)
             preds = knn_fit_predict(
                 std.transform(X_tr), y_train, std.transform(X_te), best_k, "regress"

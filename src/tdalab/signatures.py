@@ -5,6 +5,11 @@ birth/lifespan plane), persistence landscapes (stacked triangle
 functions), and scalar summaries. Infinite intervals are dropped by every
 scheme: the one essential degree-0 class is shared by all shapes and
 carries no signal.
+
+Each vectorization has a batch form (``lifespans_matrix``,
+``image_matrix``, ``landscape_matrix``) over the ``FinitePoints`` of a list
+of diagrams, one row per diagram; the single-diagram functions are its
+one-row case.
 """
 
 from __future__ import annotations
@@ -18,6 +23,11 @@ from .persistence import PersistenceDiagram
 Array = np.ndarray
 
 PI_WEIGHTS = ("1", "y", "y2")
+# Diagram points, padding included, per numpy pass of the image and landscape
+# kernels. Larger blocks make larger temporaries: at 512 the curvature
+# search's peak traced allocation was 3.0 MB, against 2.7 MB when diagrams
+# were vectorized one at a time; at 256 it is 2.6 MB, and no slower.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -35,21 +45,112 @@ class SignatureVector:
         object.__setattr__(self, "values", v)
 
 
-def _birth_life(pd: PersistenceDiagram, dim: int) -> Array:
-    """(m, 2) births and lifespans of the finite intervals of the dimension."""
-    pts = pd.finite_in_dim(dim)
-    return np.column_stack([pts[:, 0], pts[:, 1] - pts[:, 0]]) if len(pts) else np.empty((0, 2))
+class FinitePoints:
+    """The finite (birth, death) points of a list of diagrams in one
+    dimension, as ``finite_points`` extracts them.
+
+    Points are concatenated in diagram order, each diagram's in its own
+    sorted order; diagram i owns rows ``bounds[i]:bounds[i + 1]``. Every
+    vectorization below takes one of these and returns one row per diagram.
+    """
+
+    def __init__(self, dim: int, births: Array, deaths: Array, bounds: Array):
+        self.dim = dim
+        self.births = births
+        self.deaths = deaths
+        self.lives = deaths - births
+        self.bounds = bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    @property
+    def counts(self) -> Array:
+        return np.diff(self.bounds)
+
+    def positions(self) -> tuple:
+        """(diagram index, index within the diagram) of every point."""
+        seg = np.repeat(np.arange(len(self)), self.counts)
+        return seg, np.arange(len(seg)) - self.bounds[seg]
+
+    def _select(self, idx: Array, counts: Array) -> "FinitePoints":
+        bounds = np.zeros(len(counts) + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum(counts)
+        return FinitePoints(self.dim, self.births[idx], self.deaths[idx], bounds)
+
+    def take(self, rows) -> "FinitePoints":
+        """The points of the diagrams ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = self.counts[rows]
+        firsts = np.cumsum(counts) - counts
+        idx = np.repeat(self.bounds[rows] - firsts, counts) + np.arange(counts.sum())
+        return self._select(idx, counts)
+
+    def longest(self, top: int | None) -> "FinitePoints":
+        """Each diagram cut to its ``top`` longest intervals (None keeps all)."""
+        counts = self.counts
+        if top is None or not np.any(counts > top):
+            return self
+        parts = []
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            if hi - lo > top:
+                parts.append(lo + np.argsort(self.lives[lo:hi])[::-1][:top])
+            else:
+                parts.append(np.arange(lo, hi))
+        return self._select(np.concatenate(parts), np.minimum(counts, top))
+
+
+def finite_points(diagrams, dim: int) -> FinitePoints:
+    """The finite points of the diagrams in one dimension, extracted once."""
+    pts = [pd.finite_in_dim(dim) for pd in diagrams]
+    flat = np.concatenate(pts) if pts else np.empty((0, 2))
+    bounds = np.zeros(len(pts) + 1, dtype=np.int64)
+    bounds[1:] = np.cumsum([len(p) for p in pts])
+    return FinitePoints(dim, flat[:, 0].copy(), flat[:, 1].copy(), bounds)
+
+
+def _points(diagrams, dim: int) -> FinitePoints:
+    if not isinstance(diagrams, FinitePoints):
+        return finite_points(diagrams, dim)
+    if diagrams.dim != dim:
+        raise ValueError(f"points are of dimension {diagrams.dim}, not {dim}")
+    return diagrams
+
+
+def _blocks(points: FinitePoints):
+    """Consecutive diagram ranges [lo, hi) laid out padded, one row per
+    diagram and one column per point of the largest, in at most BLOCK_ROWS
+    cells (or one diagram per block). Yields (lo, hi, width, rows, at):
+    ``rows`` slices the block's points and ``at`` indexes them in the layout."""
+    seg, rank = points.positions()
+    counts = points.counts.tolist()
+    lo = 0
+    while lo < len(counts):
+        hi, width = lo + 1, counts[lo]
+        while hi < len(counts) and (hi + 1 - lo) * max(width, counts[hi]) <= BLOCK_ROWS:
+            width = max(width, counts[hi])
+            hi += 1
+        rows = slice(points.bounds[lo], points.bounds[hi])
+        yield lo, hi, width, rows, (seg[rows] - lo, rank[rows])
+        lo = hi
+
+
+def lifespans_matrix(points: FinitePoints, k: int) -> Array:
+    """Per diagram, the k largest finite lifespans, sorted descending and zero-padded."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    seg, rank = points.positions()
+    order = np.lexsort((-points.lives, seg))
+    keep = rank < k
+    out = np.zeros((len(points), k))
+    out[seg[keep], rank[keep]] = points.lives[order][keep]
+    return out
 
 
 def lifespans_topk(pd: PersistenceDiagram, dim: int, k: int) -> SignatureVector:
     """The k largest finite lifespans, sorted descending and zero-padded."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    spans = pd.lifespans(dim)
-    out = np.zeros(k)
-    take = min(k, len(spans))
-    out[:take] = spans[:take]
-    return SignatureVector(out, {"kind": "lifespans", "dim": dim, "k": k})
+    values = lifespans_matrix(finite_points([pd], dim), k)[0]
+    return SignatureVector(values, {"kind": "lifespans", "dim": dim, "k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +168,14 @@ def _weight_values(weight: str, lifespans: Array) -> Array:
     raise ValueError(f"weight must be one of {PI_WEIGHTS}, got {weight!r}")
 
 
+def _check_image(resolution: int, sigma: float, weight: str) -> None:
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    _weight_values(weight, np.zeros(1))
+
+
 @dataclass(frozen=True)
 class ImageScheme:
     """Persistence-image scheme; the value range is fitted once on training
@@ -80,21 +189,15 @@ class ImageScheme:
     life_range: tuple | None = None
 
     def __post_init__(self):
-        if self.resolution < 1:
-            raise ValueError("resolution must be at least 1")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        _weight_values(self.weight, np.zeros(1))
+        _check_image(self.resolution, self.sigma, self.weight)
 
     def fit(self, diagrams) -> "ImageScheme":
-        """Return a copy with ranges covering the given diagrams."""
-        pts = [p for pd in diagrams for p in _birth_life(pd, self.dim)]
-        if pts:
-            arr = np.array(pts)
-            births = arr[:, 0]
-            lives = arr[:, 1]
-            b_lo, b_hi = float(births.min()), float(births.max())
-            l_hi = float(lives.max())
+        """Return a copy with ranges covering the given diagrams (a list of
+        diagrams or their FinitePoints)."""
+        pts = _points(diagrams, self.dim)
+        if len(pts.births):
+            b_lo, b_hi = float(pts.births.min()), float(pts.births.max())
+            l_hi = float(pts.lives.max())
         else:
             b_lo = b_hi = 0.0
             l_hi = 0.0
@@ -103,6 +206,18 @@ class ImageScheme:
         if l_hi <= 0:
             l_hi = 4 * self.sigma
         return replace(self, birth_range=(b_lo, b_hi), life_range=(0.0, l_hi))
+
+    def matrix(self, points: FinitePoints) -> Array:
+        """One image row per diagram; an unfitted scheme is fitted on them."""
+        scheme = self if self.birth_range is not None else self.fit(points)
+        return image_matrix(
+            _points(points, self.dim),
+            scheme.resolution,
+            scheme.sigma,
+            scheme.weight,
+            scheme.birth_range,
+            scheme.life_range,
+        )
 
     def vector(self, pd: PersistenceDiagram) -> SignatureVector:
         scheme = self if self.birth_range is not None else self.fit([pd])
@@ -117,6 +232,48 @@ class ImageScheme:
         )
 
 
+def image_matrix(
+    points: FinitePoints,
+    resolution: int,
+    sigma: float,
+    weight: str,
+    birth_range: tuple,
+    life_range: tuple,
+) -> Array:
+    """Per diagram, the sum of weighted Gaussian bumps on the (birth, lifespan)
+    plane, integrated per grid cell by center-point evaluation times cell
+    area and flattened birth-major.
+
+    Each diagram's bumps are summed point by point in its point order, as
+    the single-diagram image always summed them, by one einsum per block of
+    diagrams laid out padded.
+    """
+    _check_image(resolution, sigma, weight)
+    b_lo, b_hi = map(float, birth_range)
+    l_lo, l_hi = map(float, life_range)
+    bw = (b_hi - b_lo) / resolution
+    lw = (l_hi - l_lo) / resolution
+    bc = b_lo + (np.arange(resolution) + 0.5) * bw
+    lc = l_lo + (np.arange(resolution) + 0.5) * lw
+    sums = np.zeros((len(points), resolution, resolution))
+    for lo, hi, width, rows, at in _blocks(points):
+        # padding points have weight 0, so their bumps are exact zeros
+        births, lives, weights = np.zeros((3, hi - lo, width))
+        births[at] = points.births[rows]
+        lives[at] = points.lives[rows]
+        weights[at] = _weight_values(weight, points.lives[rows])
+        db = bc - births[:, :, None]
+        dl = lc - lives[:, :, None]
+        gb = np.exp(-(db**2) / (2 * sigma**2))
+        gl = np.exp(-(dl**2) / (2 * sigma**2))
+        sums[lo:hi] = np.einsum("dk,dkb,dkl->dbl", weights, gb, gl)
+    norm = 1.0 / (2.0 * np.pi * sigma**2)
+    image = (norm * sums * (bw * lw)).reshape(len(points), -1)
+    if not np.all(np.isfinite(image)):
+        raise ValueError("signature values must be finite")
+    return image
+
+
 def persistence_image(
     pd: PersistenceDiagram,
     dim: int,
@@ -127,41 +284,28 @@ def persistence_image(
     life_range: tuple | None = None,
 ) -> SignatureVector:
     """Sum of weighted Gaussian bumps on the (birth, lifespan) plane,
-    integrated per grid cell by center-point evaluation times cell area."""
-    if resolution < 1:
-        raise ValueError("resolution must be at least 1")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    pts = _birth_life(pd, dim)
+    integrated per grid cell by center-point evaluation times cell area.
+    A missing range is fitted on the diagram itself."""
+    scheme = ImageScheme(dim, resolution, sigma, weight)
     if birth_range is None or life_range is None:
-        fitted = ImageScheme(dim, resolution, sigma, weight).fit([pd])
+        fitted = scheme.fit([pd])
         birth_range = birth_range or fitted.birth_range
         life_range = life_range or fitted.life_range
-    b_lo, b_hi = map(float, birth_range)
-    l_lo, l_hi = map(float, life_range)
-    bw = (b_hi - b_lo) / resolution
-    lw = (l_hi - l_lo) / resolution
-    bc = b_lo + (np.arange(resolution) + 0.5) * bw
-    lc = l_lo + (np.arange(resolution) + 0.5) * lw
-    image = np.zeros((resolution, resolution))
-    if len(pts):
-        w = _weight_values(weight, pts[:, 1])
-        norm = 1.0 / (2.0 * np.pi * sigma**2)
-        db = bc[None, :] - pts[:, 0:1]
-        dl = lc[None, :] - pts[:, 1:2]
-        gb = np.exp(-(db**2) / (2 * sigma**2))
-        gl = np.exp(-(dl**2) / (2 * sigma**2))
-        image = norm * np.einsum("k,kb,kl->bl", w, gb, gl) * (bw * lw)
+    birth_range = tuple(map(float, birth_range))
+    life_range = tuple(map(float, life_range))
+    values = image_matrix(
+        finite_points([pd], dim), resolution, sigma, weight, birth_range, life_range
+    )[0]
     scheme = {
         "kind": "image",
         "dim": dim,
         "resolution": resolution,
         "sigma": sigma,
         "weight": weight,
-        "birth_range": (b_lo, b_hi),
-        "life_range": (l_lo, l_hi),
+        "birth_range": birth_range,
+        "life_range": life_range,
     }
-    return SignatureVector(image.ravel(), scheme)
+    return SignatureVector(values, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +338,24 @@ class LandscapeScheme:
         return min(self.top, 10) if self.top is not None else 10
 
     def fit(self, diagrams) -> "LandscapeScheme":
-        lo, hi = np.inf, -np.inf
-        for pd in diagrams:
-            pts = pd.finite_in_dim(self.dim)
-            if len(pts):
-                lo = min(lo, float(pts[:, 0].min()))
-                hi = max(hi, float(pts[:, 1].max()))
-        if not np.isfinite(lo) or hi <= lo:
+        """Return a copy whose span covers the given diagrams (a list of
+        diagrams or their FinitePoints)."""
+        pts = _points(diagrams, self.dim)
+        if len(pts.births):
+            lo, hi = float(pts.births.min()), float(pts.deaths.max())
+        if not len(pts.births) or hi <= lo:
             lo, hi = 0.0, 1.0
         return replace(self, t_range=(lo, hi))
+
+    def matrix(self, points: FinitePoints) -> Array:
+        """One landscape row per diagram; an unfitted scheme is fitted on them."""
+        scheme = self if self.t_range is not None else self.fit(points)
+        return landscape_matrix(
+            _points(points, self.dim).longest(self.top),
+            scheme.resolution,
+            scheme.levels,
+            scheme.t_range,
+        )
 
     def vector(self, pd: PersistenceDiagram) -> SignatureVector:
         scheme = self if self.t_range is not None else self.fit([pd])
@@ -216,6 +369,38 @@ class LandscapeScheme:
         )
 
 
+def landscape_matrix(points: FinitePoints, resolution: int, levels: int, t_range: tuple) -> Array:
+    """Per diagram, landscape levels sampled at ``resolution`` points of
+    ``t_range`` and concatenated in order k = 1..levels.
+
+    lambda_k(t) is the k-th largest of max(0, min(t - b, d - t)) over the
+    diagram's points.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be at least 2")
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    ts = np.linspace(t_range[0], t_range[1], resolution)
+    out = np.zeros((len(points), levels, resolution))
+    for lo, hi, width, rows, at in _blocks(points):
+        if not width:
+            continue
+        # padding points are (0, 0), whose tent is 0 everywhere; tents are
+        # nonnegative, so zeros do not change a diagram's top values
+        births, deaths = np.zeros((2, hi - lo, 1, width))
+        births[:, 0][at] = points.births[rows]
+        deaths[:, 0][at] = points.deaths[rows]
+        tent = ts[:, None] - births
+        np.minimum(tent, deaths - ts[:, None], out=tent)
+        np.maximum(0.0, tent, out=tent)
+        # negated and sorted in place, largest first
+        np.negative(tent, out=tent)
+        tent.sort(axis=2)
+        take = min(levels, width)
+        out[lo:hi, :take] = -tent[:, :, :take].transpose(0, 2, 1)
+    return out.reshape(len(points), -1)
+
+
 def persistence_landscape(
     pd: PersistenceDiagram,
     dim: int,
@@ -224,34 +409,19 @@ def persistence_landscape(
     top: int | None = None,
     t_range: tuple | None = None,
 ) -> SignatureVector:
-    """Landscape levels sampled on a uniform grid over the diagram's span.
+    """Landscape levels sampled on a uniform grid over the diagram's span
+    (of its ``top`` longest intervals when ``top`` is given).
 
     lambda_k(t) is the k-th largest of max(0, min(t - b, d - t)); levels are
     concatenated in order k = 1..levels.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
-    pts = pd.finite_in_dim(dim)
-    if top is not None and len(pts) > top:
-        order = np.argsort(pts[:, 1] - pts[:, 0])[::-1]
-        pts = pts[order[:top]]
+    pts = finite_points([pd], dim).longest(top)
     if t_range is None:
-        if len(pts):
-            t_range = (float(pts[:, 0].min()), float(pts[:, 1].max()))
+        if len(pts.births):
+            t_range = (float(pts.births.min()), float(pts.deaths.max()))
         else:
             t_range = (0.0, 1.0)
-    ts = np.linspace(t_range[0], t_range[1], resolution)
-    out = np.zeros((levels, resolution))
-    if len(pts):
-        tent = np.maximum(
-            0.0,
-            np.minimum(ts[None, :] - pts[:, 0:1], pts[:, 1:2] - ts[None, :]),
-        )
-        take = min(levels, len(pts))
-        ranked = -np.sort(-tent, axis=0)
-        out[:take] = ranked[:take]
+    values = landscape_matrix(pts, resolution, levels, t_range)[0]
     scheme = {
         "kind": "landscape",
         "dim": dim,
@@ -260,7 +430,7 @@ def persistence_landscape(
         "top": top,
         "t_range": tuple(map(float, t_range)),
     }
-    return SignatureVector(out.ravel(), scheme)
+    return SignatureVector(values, scheme)
 
 
 def scalar_summaries(pd: PersistenceDiagram, dim: int) -> tuple:

@@ -4,12 +4,15 @@ import pytest
 from tdalab.learn import (
     Standardizer,
     accuracy,
-    kfold_grid_search,
     kfold_splits,
     knn_fit_predict,
+    knn_grid_scores,
+    knn_predict_ranked,
     mse,
+    neighbour_ranking,
     ridge_fit,
     ridge_predict,
+    select_by_mean,
     threshold_fit,
     threshold_predict,
 )
@@ -71,6 +74,70 @@ def test_knn_rejects_bad_k():
         knn_fit_predict(X, np.zeros(5), X, k=6, mode="classify")
     with pytest.raises(ValueError):
         knn_fit_predict(np.empty((0, 2)), np.empty(0), X, k=1, mode="classify")
+
+
+def _knn_one_row_at_a_time(train_X, train_y, test_X, k, mode):
+    """The per-row k-NN loop: lexsort by distance then label, vote or mean."""
+    d2 = (
+        np.sum(test_X**2, axis=1)[:, None]
+        - 2.0 * test_X @ train_X.T
+        + np.sum(train_X**2, axis=1)[None, :]
+    )
+    preds = np.empty(len(test_X))
+    for i in range(len(test_X)):
+        labels = train_y[np.lexsort((train_y, d2[i]))[:k]]
+        if mode == "regress":
+            preds[i] = labels.mean()
+        else:
+            uniq, counts = np.unique(labels, return_counts=True)
+            preds[i] = uniq[counts == counts.max()].min()
+    return preds
+
+
+@pytest.mark.parametrize("mode", ["classify", "regress"])
+def test_ranked_predictions_equal_knn_fit_predict_at_every_k(mode):
+    rng = np.random.default_rng(11)
+    # a coarse lattice makes distance ties common; three labels make vote ties common
+    X = rng.integers(0, 3, (40, 2)).astype(float)
+    y = rng.integers(0, 3, 40).astype(float) if mode == "classify" else rng.random(40)
+    test = rng.integers(0, 3, (25, 2)).astype(float)
+    ranking = neighbour_ranking(X, y, test, len(X))
+    for k in range(1, len(X) + 1):
+        ranked = knn_predict_ranked(ranking, y, k, mode)
+        assert np.array_equal(ranked, knn_fit_predict(X, y, test, k, mode))
+        assert np.array_equal(ranked, _knn_one_row_at_a_time(X, y, test, k, mode))
+
+
+def test_ranked_vote_tie_goes_to_smallest_label():
+    X = np.array([[0.0], [2.0], [-3.0], [3.0]])
+    y = np.array([3.0, 1.0, 2.0, 2.0])
+    ranking = neighbour_ranking(X, y, np.array([[1.0]]), 4)
+    # k = 2: one vote each for 3 and 1; k = 4: two for 2, one each for 1 and 3
+    assert knn_predict_ranked(ranking, y, 2, "classify")[0] == 1.0
+    assert knn_predict_ranked(ranking, y, 4, "classify")[0] == 2.0
+    assert knn_fit_predict(X, y, np.array([[1.0]]), 2, "classify")[0] == 1.0
+
+
+def test_neighbour_ranking_breaks_distance_ties_by_label():
+    X = np.array([[1.0], [-1.0], [1.0]])
+    y = np.array([5.0, 4.0, 3.0])
+    assert neighbour_ranking(X, y, np.array([[0.0]]), 3).tolist() == [[2, 1, 0]]
+
+
+def test_knn_grid_scores_per_k():
+    rng = np.random.default_rng(3)
+    X, y = rng.random((12, 2)), rng.integers(0, 2, 12).astype(float)
+    V, w = rng.random((5, 2)), rng.integers(0, 2, 5).astype(float)
+    scores = knn_grid_scores(X, y, V, w, (1, 5, 13, 12), "classify")
+    assert scores[2] == -np.inf
+    for k, score in zip((1, 5, 12), (scores[0], scores[1], scores[3])):
+        assert score == accuracy(knn_fit_predict(X, y, V, k, "classify"), w)
+    assert knn_grid_scores(X, y, V, w, (13,), "regress") == [np.inf]
+    assert knn_grid_scores(X, y, V, w, (2,), "regress") == [
+        mse(knn_fit_predict(X, y, V, 2, "regress"), w)
+    ]
+    with pytest.raises(ValueError):
+        knn_grid_scores(X, y, V, w, (0, 1), "classify")
 
 
 # ---------------------------------------------------------------------------
@@ -222,37 +289,36 @@ def test_kfold_stratified_class_guard():
 
 
 def test_grid_search_single_config():
-    best, score, scores = kfold_grid_search(
-        ["only"], lambda c, tr, va: 0.5, 12, folds=3, seed=0
-    )
-    assert best == "only"
+    best, score, scores = select_by_mean([[0.5], [0.5], [0.5]])
+    assert best == 0
     assert score == pytest.approx(0.5)
+    assert scores == [pytest.approx(0.5)]
 
 
 def test_grid_search_dominant_config():
-    def evaluate(config, tr, va):
-        return 0.9 if config == "good" else 0.1
-
-    best, score, scores = kfold_grid_search(
-        ["bad", "good"], evaluate, 12, folds=3, seed=0
-    )
-    assert best == "good"
+    best, score, scores = select_by_mean([[0.1, 0.9], [0.1, 0.9], [0.1, 0.9]])
+    assert best == 1
     assert scores == [pytest.approx(0.1), pytest.approx(0.9)]
 
 
 def test_grid_search_minimize_mode():
-    def evaluate(config, tr, va):
-        return {"a": 2.0, "b": 1.0}[config]
+    best, score, _ = select_by_mean([[2.0, 1.0]] * 3, maximize=False)
+    assert best == 1
+    assert score == 1.0
 
-    best, score, _ = kfold_grid_search(
-        ["a", "b"], evaluate, 9, folds=3, seed=0, maximize=False
-    )
-    assert best == "b"
+
+def test_grid_search_mean_over_folds_ties_to_earliest():
+    # means 0.5, 0.6, 0.6, -inf: the earlier of the tied configs wins
+    folds = [[0.5, 0.9, 0.6, 1.0], [0.5, 0.3, 0.6, 1.0], [0.5, 0.6, 0.6, -np.inf]]
+    best, score, scores = select_by_mean(folds)
+    assert best == 1 and score == pytest.approx(0.6)
+    assert scores[3] == -np.inf
+    assert select_by_mean([[np.inf, 1.0, 1.0]] * 3, maximize=False)[0] == 1
 
 
 def test_grid_search_empty_grid_rejected():
     with pytest.raises(ValueError):
-        kfold_grid_search([], lambda *a: 0, 10)
+        select_by_mean([[], [], []])
 
 
 def test_signature_grid_size():

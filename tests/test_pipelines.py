@@ -26,7 +26,8 @@ from tdalab.geometry import (
     rasterize,
 )
 from tdalab.io import report_to_json
-from tdalab.persistence import compute_ph
+from tdalab.learn import Standardizer, accuracy, kfold_splits, knn_fit_predict, mse
+from tdalab.persistence import PersistenceDiagram, compute_ph
 from tdalab.pipelines import (
     ConvexityConfig,
     CurvatureConfig,
@@ -36,6 +37,8 @@ from tdalab.pipelines import (
     _convexity_scalars,
     _curvature_worker,
     _gen_convexity,
+    _knn_search,
+    _signature_features,
     _weighted_dim1_diagram,
     concavity_features,
     convexity_experiment,
@@ -43,8 +46,10 @@ from tdalab.pipelines import (
     curvature_pipeline,
     default_lines,
     holes_pipeline,
+    signature_grid,
     train_test_split_indices,
 )
+from tdalab.signatures import ImageScheme, LandscapeScheme, finite_points, lifespans_topk
 
 RNG = np.random.default_rng(2)
 
@@ -228,6 +233,81 @@ def test_holes_pipeline_auto_signature_grid():
     assert report.config["signature_chosen"] in ("lifespans", "pi", "pl")
     assert report.config["knn_k"] in (1, 3)
     assert 0.0 <= report.regime("clean") <= 1.0
+
+
+def _per_config_search(diagrams, labels, dim, sig_configs, knn_grid, mode, seed):
+    """The search as one evaluation per (signature, k, fold): vectorize one
+    diagram at a time, rank neighbours anew for each k, mean over folds and
+    keep the earliest best config."""
+    classify = mode == "classify"
+
+    def vectorize(diags, kind, params, fit_on):
+        if kind == "lifespans":
+            return np.stack([lifespans_topk(pd, dim, params["k"]).values for pd in diags])
+        if kind == "pi":
+            scheme = ImageScheme(dim=dim, sigma=params["sigma"], weight=params["weight"])
+        else:
+            scheme = LandscapeScheme(dim=dim, top=params["top"])
+        scheme = scheme.fit(fit_on)
+        return np.stack([scheme.vector(pd).values for pd in diags])
+
+    configs = [(sig, k) for sig in sig_configs for k in knn_grid]
+    splits = kfold_splits(len(diagrams), 3, seed, labels if classify else None)
+    scores = []
+    for (kind, params), k in configs:
+        vals = []
+        for tr, va in splits:
+            if k > len(tr):
+                vals.append(-math.inf if classify else math.inf)
+                continue
+            fit_on = [diagrams[i] for i in tr]
+            X_tr = vectorize(fit_on, kind, params, fit_on)
+            X_va = vectorize([diagrams[i] for i in va], kind, params, fit_on)
+            std = Standardizer.fit(X_tr)
+            preds = knn_fit_predict(std.transform(X_tr), labels[tr], std.transform(X_va), k, mode)
+            vals.append(accuracy(preds, labels[va]) if classify else mse(preds, labels[va]))
+        scores.append(float(np.mean(vals)))
+    best = int(np.argmax(scores)) if classify else int(np.argmin(scores))
+    return configs[best], scores[best], scores
+
+
+def _search_diagrams(rng, count, dim, scale):
+    """Diagrams whose lifespans grow with the label, plus noise intervals."""
+    diagrams = []
+    for label in range(count):
+        m = int(rng.integers(0, 25))
+        births = rng.random(m)
+        lives = rng.random(m) * (1 + scale * (label % 3))
+        rows = [[dim, b, b + life] for b, life in zip(births, lives)] + [[dim, 0.0, math.inf]]
+        diagrams.append(PersistenceDiagram(np.array(rows)))
+    return diagrams
+
+
+@pytest.mark.parametrize(
+    "mode, scale, knn_grid",
+    [
+        ("classify", 0.3, (1, 5, 9)),  # 9 exceeds every training fold of 8
+        ("regress", 0.3, (1, 5, 9)),
+        ("classify", 50.0, (1, 2, 3)),  # separable classes: many configs score 1.0
+        ("regress", 0.3, (3, 3, 1, 20)),  # a repeated k ties with itself
+    ],
+)
+def test_knn_search_matches_per_config_loop(mode, scale, knn_grid):
+    rng = np.random.default_rng(8)
+    diagrams = _search_diagrams(rng, 12, 1, scale)
+    labels = np.array([label % 3 for label in range(12)], dtype=float)
+    if mode == "regress":
+        labels = labels + rng.random(12)
+    sigs = signature_grid()
+    (sig, k), score, scores = _per_config_search(diagrams, labels, 1, sigs, knn_grid, mode, 5)
+    best, best_k, best_score = _knn_search(
+        _signature_features(finite_points(diagrams, 1), sigs), labels, knn_grid, mode, 5
+    )
+    assert (sigs[best], best_k, best_score) == (sig, k, score)
+    if scale == 50.0 or knn_grid.count(3) == 2:
+        assert scores.count(score) > 1  # the tie the rule has to break
+    if 9 in knn_grid or 20 in knn_grid:
+        assert (-math.inf if mode == "classify" else math.inf) in scores
 
 
 @pytest.mark.parametrize("mode", ["pi", "pl"])

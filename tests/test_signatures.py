@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import (
+    BLOCK_ROWS,
     ImageScheme,
     LandscapeScheme,
     SignatureVector,
+    finite_points,
+    image_matrix,
+    landscape_matrix,
+    lifespans_matrix,
     lifespans_topk,
     persistence_image,
     persistence_landscape,
@@ -174,6 +179,115 @@ def test_landscape_empty_diagram():
     vec = persistence_landscape(EMPTY, 1, resolution=10, levels=2)
     assert np.all(vec.values == 0)
     assert len(vec.values) == 20
+
+
+# ---------------------------------------------------------------------------
+# batches: one row per diagram, equal to the single-diagram vectors
+# ---------------------------------------------------------------------------
+
+
+def _random_diagrams(rng, dim=1):
+    """Random diagrams of many sizes (one larger than a block), with an empty,
+    a one-point, an essential-only, an equal-births and three tied-lifespans
+    ones."""
+    diagrams = []
+    for m in [0, 1, 2, 3, 7, 30, 64, BLOCK_ROWS + 90] + list(rng.integers(0, 40, 12)):
+        births = rng.random(m) * 2
+        rows = [[dim, b, b + life] for b, life in zip(births, rng.random(m) * 3)]
+        diagrams.append(_pd(rows + [[dim, 0.0, math.inf], [1 - dim, 0.0, 1.0]]))
+    diagrams.append(_pd([[dim, 0.3, math.inf]]))
+    diagrams.append(_pd([[dim, 0.5, 0.5 + life] for life in (1.0, 2.0, 0.25, 2.0)]))
+    diagrams.append(_pd([[dim, b, b + 1.5] for b in (0.0, 0.7, 0.2, 1.1, 0.4)] + [[dim, 0, 0.1]]))
+    # 60 distinct births, lifespans in {0, 1, 2, 3}: a cut at top falls inside a tie
+    births = rng.permutation(60) / 30
+    diagrams.append(_pd([[dim, b, b + life] for b, life in zip(births, rng.integers(0, 4, 60))]))
+    return diagrams
+
+
+def test_batch_lifespans_equal_single_rows():
+    diagrams = _random_diagrams(np.random.default_rng(0))
+    points = finite_points(diagrams, 1)
+    for k in (1, 3, 10, 700):
+        rows = np.stack([lifespans_topk(pd, 1, k).values for pd in diagrams])
+        assert np.array_equal(lifespans_matrix(points, k), rows)
+
+
+@pytest.mark.parametrize("weight", ["1", "y", "y2"])
+@pytest.mark.parametrize("sigma", [0.1, 1.0])
+def test_batch_images_equal_single_rows(weight, sigma):
+    diagrams = _random_diagrams(np.random.default_rng(1))
+    points = finite_points(diagrams, 1)
+    scheme = ImageScheme(dim=1, sigma=sigma, weight=weight).fit(points)
+    assert scheme == ImageScheme(dim=1, sigma=sigma, weight=weight).fit(diagrams)
+    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    assert np.array_equal(scheme.matrix(points), rows)
+    # the per-diagram arithmetic the batch replaces: one einsum per diagram
+    (b_lo, b_hi), (l_lo, l_hi) = scheme.birth_range, scheme.life_range
+    bw, lw = (b_hi - b_lo) / 10, (l_hi - l_lo) / 10
+    bc = b_lo + (np.arange(10) + 0.5) * bw
+    lc = l_lo + (np.arange(10) + 0.5) * lw
+    for pd, row in zip(diagrams, rows):
+        pts = pd.finite_in_dim(1)
+        image = np.zeros((10, 10))
+        if len(pts):
+            life = pts[:, 1] - pts[:, 0]
+            w = {"1": np.ones_like(life), "y": life, "y2": life**2}[weight]
+            gb = np.exp(-((bc[None, :] - pts[:, 0:1]) ** 2) / (2 * sigma**2))
+            gl = np.exp(-((lc[None, :] - life[:, None]) ** 2) / (2 * sigma**2))
+            norm = 1.0 / (2.0 * np.pi * sigma**2)
+            image = norm * np.einsum("k,kb,kl->bl", w, gb, gl) * (bw * lw)
+        assert np.array_equal(row, image.ravel())
+
+
+def test_batch_image_equal_births_degenerate_range():
+    diagrams = [_pd([[1, 0.5, 1.0], [1, 0.5, 2.0]]), _pd([[1, 0.5, 0.75]]), EMPTY]
+    points = finite_points(diagrams, 1)
+    scheme = ImageScheme(dim=1, sigma=0.25, weight="y").fit(points)
+    assert scheme.birth_range == (-0.5, 1.5)
+    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    assert np.array_equal(scheme.matrix(points), rows)
+    assert np.array_equal(
+        image_matrix(points, 10, 0.25, "y", scheme.birth_range, scheme.life_range), rows
+    )
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 10, None])
+def test_batch_landscapes_equal_single_rows(top):
+    diagrams = _random_diagrams(np.random.default_rng(2))
+    points = finite_points(diagrams, 1)
+    scheme = LandscapeScheme(dim=1, top=top).fit(points)
+    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    assert np.array_equal(scheme.matrix(points), rows)
+    # the per-diagram arithmetic the batch replaces, with its own cut among
+    # tied lifespans (the last three diagrams tie)
+    ts = np.linspace(*scheme.t_range, scheme.resolution)
+    for pd, row in zip(diagrams, rows):
+        pts = pd.finite_in_dim(1)
+        if top is not None and len(pts) > top:
+            pts = pts[np.argsort(pts[:, 1] - pts[:, 0])[::-1][:top]]
+        out = np.zeros((scheme.levels, scheme.resolution))
+        if len(pts):
+            tent = np.maximum(0.0, np.minimum(ts[None, :] - pts[:, 0:1], pts[:, 1:2] - ts[None, :]))
+            take = min(scheme.levels, len(pts))
+            out[:take] = -np.sort(-tent, axis=0)[:take]
+        assert np.array_equal(row, out.ravel())
+    assert np.array_equal(
+        landscape_matrix(points.longest(top), 100, scheme.levels, scheme.t_range), rows
+    )
+
+
+def test_finite_points_take_and_longest():
+    diagrams = _random_diagrams(np.random.default_rng(3))
+    points = finite_points(diagrams, 1)
+    rows = [5, 0, 22, 5, 1]
+    part = points.take(rows)
+    whole = finite_points([diagrams[i] for i in rows], 1)
+    for a, b in ((part.births, whole.births), (part.deaths, whole.deaths), (part.bounds, whole.bounds)):
+        assert np.array_equal(a, b)
+    cut = points.longest(2)
+    assert cut.counts.tolist() == np.minimum(points.counts, 2).tolist()
+    with pytest.raises(ValueError):
+        ImageScheme(dim=0).fit(points)
 
 
 # ---------------------------------------------------------------------------
