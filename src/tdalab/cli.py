@@ -173,7 +173,10 @@ def _cmd_ph(args) -> int:
             fn = tubular_filtration(line)
         else:
             v = np.array([float(p) for p in (args.vector or "0,1").split(",")])
-            v = v / np.linalg.norm(v)
+            norm = float(np.linalg.norm(v))
+            if norm == 0:
+                raise SystemExit("--vector must be nonzero")
+            v = v / norm
             fn = height_filtration(v) if args.filtration == "height" else absolute_height_filtration(v)
         cx = cubical_complex(mask, fn)
         pd = compute_ph(cx, max_dim=args.max_dim)

@@ -27,26 +27,36 @@ MAX_FLAG_POINTS = 400
 class FilteredComplex:
     """Flag complex up to dimension 2 with monotone filtration values.
 
-    Per-dimension arrays are sorted by (value, vertex tuple); faces of equal
-    value sort before cofaces globally because lower dimensions come first.
+    The constructor puts the simplices in filtration order, whatever order
+    they are given in: each edge and triangle row is sorted ascending, edges
+    are ordered by (value, i, j) and triangles by (value, i, j, k). Faces of
+    equal value sort before cofaces globally because lower dimensions come
+    first.
     """
 
     vertex_values: Array  # (n,)
-    edges: Array  # (m, 2) int, each row sorted ascending
+    edges: Array  # (m, 2) int
     edge_values: Array  # (m,)
-    triangles: Array  # (t, 3) int, each row sorted ascending
+    triangles: Array  # (t, 3) int
     triangle_values: Array  # (t,)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertex_values", np.asarray(self.vertex_values, dtype=float))
-        object.__setattr__(self, "edges", np.asarray(self.edges, dtype=np.int64).reshape(-1, 2))
-        object.__setattr__(self, "edge_values", np.asarray(self.edge_values, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3))
-        object.__setattr__(self, "triangle_values", np.asarray(self.triangle_values, dtype=float))
-        if self.vertex_values.size < 1:
+        vertex_values = np.asarray(self.vertex_values, dtype=float)
+        edges = np.sort(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        edge_values = np.asarray(self.edge_values, dtype=float)
+        tris = np.sort(np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3), axis=1)
+        tri_values = np.asarray(self.triangle_values, dtype=float)
+        if vertex_values.size < 1:
             raise ValueError("complex needs at least one vertex")
-        if len(self.edges) != len(self.edge_values) or len(self.triangles) != len(self.triangle_values):
+        if len(edges) != len(edge_values) or len(tris) != len(tri_values):
             raise ValueError("simplex and value arrays must align")
+        e_order = np.lexsort((edges[:, 1], edges[:, 0], edge_values))
+        t_order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0], tri_values))
+        object.__setattr__(self, "vertex_values", vertex_values)
+        object.__setattr__(self, "edges", edges[e_order])
+        object.__setattr__(self, "edge_values", edge_values[e_order])
+        object.__setattr__(self, "triangles", tris[t_order])
+        object.__setattr__(self, "triangle_values", tri_values[t_order])
 
     @property
     def n_vertices(self) -> int:
@@ -69,38 +79,6 @@ class FilteredComplex:
         ]
         items.sort(key=lambda s: (s[2], s[1], s[0]))
         return items
-
-    def validate(self):
-        """Check face monotonicity exactly; raises on violation."""
-        if len(self.edges):
-            below = np.maximum(
-                self.vertex_values[self.edges[:, 0]], self.vertex_values[self.edges[:, 1]]
-            )
-            if np.any(self.edge_values < below):
-                raise ValueError("edge value below an endpoint value")
-            order = np.lexsort((self.edges[:, 1], self.edges[:, 0], self.edge_values))
-            if not np.array_equal(order, np.arange(len(self.edges))):
-                raise ValueError("edges are not in filtration order")
-        if len(self.triangles):
-            lookup = {tuple(e): v for e, v in zip(map(tuple, self.edges), self.edge_values)}
-            for t, v in zip(self.triangles, self.triangle_values):
-                a, b, c = int(t[0]), int(t[1]), int(t[2])
-                for face in ((a, b), (a, c), (b, c)):
-                    fv = lookup.get(face)
-                    if fv is None:
-                        raise ValueError(f"triangle {t} is missing face {face}")
-                    if v < fv:
-                        raise ValueError(f"triangle {t} value below face {face}")
-
-
-def _sort_edges(edges: Array, values: Array):
-    order = np.lexsort((edges[:, 1], edges[:, 0], values))
-    return edges[order], values[order]
-
-
-def _sort_triangles(tris: Array, values: Array):
-    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0], values))
-    return tris[order], values[order]
 
 
 def _flag_triangles(n: int, edge_value: Array, r_max: float):
@@ -143,10 +121,8 @@ def _build_flag(vertex_values: Array, edge_value: Array, max_dim: int, r_max: fl
     keep = vals <= r_max
     edges = np.column_stack([iu[keep], ju[keep]]).astype(np.int64)
     evals = vals[keep]
-    edges, evals = _sort_edges(edges, evals)
     if max_dim >= 2:
         tris, tvals = _flag_triangles(n, edge_value, r_max)
-        tris, tvals = _sort_triangles(tris, tvals)
     else:
         tris = np.empty((0, 3), dtype=np.int64)
         tvals = np.empty(0)
@@ -269,16 +245,6 @@ class FilteredCubicalGrid:
         padded[1:-1, :] = self.top_values
         return np.minimum(padded[:-1, :], padded[1:, :])
 
-    @property
-    def n_simplices(self) -> int:
-        """Number of finite cells (vertices + edges + squares)."""
-        return (
-            int(np.isfinite(self.vertex_values()).sum())
-            + int(np.isfinite(self.edge_values_x()).sum())
-            + int(np.isfinite(self.edge_values_y()).sum())
-            + int(np.isfinite(self.top_values).sum())
-        )
-
 
 def tubular_filtration(line: Line) -> Callable[[Array], Array]:
     """Filtration callable: distance of cell centers to the line."""
@@ -288,8 +254,8 @@ def tubular_filtration(line: Line) -> Callable[[Array], Array]:
 def height_filtration(v) -> Callable[[Array], Array]:
     """Filtration callable: scalar product of cell centers with unit v."""
     v = np.asarray(v, dtype=float).ravel()
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-        raise ValueError("height direction must be a unit vector")
+    if not np.all(np.isfinite(v)) or abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+        raise ValueError("height direction must be a finite unit vector")
     return lambda centers: centers @ v
 
 
@@ -316,11 +282,3 @@ def cubical_complex(mask: BinaryMask, fn: Callable[[Array], Array]) -> FilteredC
         raise ValueError("filtration values on occupied cells must be finite")
     values[occ] = vals
     return FilteredCubicalGrid(values)
-
-
-def complex_to_csv(cx: FilteredComplex) -> str:
-    """Debug dump: one line per simplex, ``dim,value,v0[,v1[,v2]]``."""
-    lines = []
-    for verts, dim, value in cx.simplices():
-        lines.append(",".join([str(dim), repr(value)] + [str(v) for v in verts]))
-    return "\n".join(lines) + "\n"

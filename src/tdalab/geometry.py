@@ -1,8 +1,8 @@
 """Point-cloud and mask primitives.
 
-Metrics (Euclidean and constant-curvature geodesic), filtration functions
-(distance-to-measure, tubular, height), random transforms, convex hulls,
-rasterization, and the area-ratio convexity measure.
+Metrics (Euclidean and constant-curvature geodesic), distance-to-measure,
+distances to a line, random transforms, convex hulls, rasterization, and
+the area-ratio convexity measure.
 
 Conventions:
   - point clouds are float arrays of shape (n, d) with d in {2, 3};
@@ -318,35 +318,10 @@ def dtm(matrix: DistanceMatrix, m: float) -> Array:
     return np.sqrt(np.mean(rows**2, axis=1))
 
 
-def tubular_distance(point: Array, line: Line) -> float:
-    """Euclidean distance from a planar point to an infinite line."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    rel = p - line.anchor
-    return abs(float(rel[0] * line.direction[1] - rel[1] * line.direction[0]))
-
-
 def tubular_distances(points: Array, line: Line) -> Array:
-    """Vectorized ``tubular_distance`` for an (n, 2) array of points."""
+    """Euclidean distances from an (n, 2) array of planar points to an infinite line."""
     rel = np.asarray(points, dtype=float).reshape(-1, 2) - line.anchor
     return np.abs(rel[:, 0] * line.direction[1] - rel[:, 1] * line.direction[0])
-
-
-def _check_unit(v: Array) -> Array:
-    v = np.asarray(v, dtype=float).ravel()
-    if abs(float(np.linalg.norm(v)) - 1.0) > _UNIT_TOL:
-        raise ValueError("direction must be a unit vector (within 1e-12)")
-    return v
-
-
-def height(point: Array, v: Array) -> float:
-    """Scalar product of a point with a unit direction."""
-    v = _check_unit(v)
-    return float(np.dot(np.asarray(point, dtype=float).ravel(), v))
-
-
-def absolute_height(point: Array, v: Array) -> float:
-    """Absolute scalar product: distance to the hyperplane through the origin."""
-    return abs(height(point, v))
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +472,8 @@ def polygon_area(polygon: Polygon) -> float:
     return _signed_area(polygon.vertices)
 
 
-def point_in_polygon(point: Array, polygon: Polygon) -> bool:
-    """Ray-casting containment test; boundary points count as inside."""
-    x, y = float(point[0]), float(point[1])
-    verts = polygon.vertices
-    m = len(verts)
-    inside = False
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        # boundary check on this edge
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if cross == 0 and min(x1, x2) <= x <= max(x1, x2) and min(y1, y2) <= y <= max(y1, y2):
-            return True
-        if (y1 > y) != (y2 > y):
-            x_cross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-            if x < x_cross:
-                inside = not inside
-    return inside
-
-
 def points_in_polygon(points: Array, polygon: Polygon) -> Array:
-    """Vectorized ray-casting containment for an (n, 2) array; boundary inside."""
+    """Ray-casting containment test for an (n, 2) array; boundary points count as inside."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x = pts[:, 0]
     y = pts[:, 1]

@@ -1,8 +1,9 @@
-"""File formats: point-cloud CSV, P1 PBM masks, diagram CSV, dataset
-directories with manifests, and report/model JSON.
+"""File formats: point-cloud CSV, P1 PBM and 0/1 CSV masks, diagram CSV,
+dataset directories with manifests, and report JSON.
 
 All writers are deterministic: rerunning with the same data produces
-byte-identical files.
+byte-identical files. Readers reject malformed input with a ValueError that
+names the file, and the line where the format has lines.
 """
 
 from __future__ import annotations
@@ -86,6 +87,9 @@ def write_mask_pbm(path, mask: BinaryMask) -> None:
 
 
 def read_mask_pbm(path) -> BinaryMask:
+    """Plain-text P1 PBM, raster rows top to bottom, with one 0/1 token per
+    pixel; an ``# extent x0 y0 width`` comment sets the physical extent,
+    unit cells at the origin otherwise."""
     text = Path(path).read_text()
     extent = None
     tokens = []
@@ -100,42 +104,51 @@ def read_mask_pbm(path) -> BinaryMask:
         raise ValueError(f"{path}: not a plain-text P1 PBM file")
     if len(tokens) < 3:
         raise ValueError(f"{path}: truncated PBM header")
-    w, h = int(tokens[1]), int(tokens[2])
+    try:
+        w, h = int(tokens[1]), int(tokens[2])
+    except ValueError:
+        w = h = 0
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: width and height must be positive integers, got {tokens[1]!r} {tokens[2]!r}")
     bits = tokens[3:]
     if len(bits) != w * h:
         raise ValueError(f"{path}: expected {w * h} pixels, got {len(bits)}")
     if w != h:
         raise ValueError(f"{path}: mask grids must be square, got {w}x{h}")
-    cells = np.zeros((w, h), dtype=bool)
-    for r in range(h):
-        for i in range(w):
-            cells[i, h - 1 - r] = bits[r * w + i] == "1"
+    bad = [b for b in bits if b not in ("0", "1")]
+    if bad:
+        raise ValueError(f"{path}: pixels must be 0 or 1, got {bad[0]!r}")
+    cells = _raster_cells(np.reshape([b == "1" for b in bits], (h, w)))
     if extent is not None:
         return BinaryMask(cells, (extent[0], extent[1]), extent[2])
     return BinaryMask(cells, (0.0, 0.0), float(w))
 
 
 def read_mask_csv(path) -> BinaryMask:
-    """0/1 CSV grid, raster rows top to bottom, unit cells by default."""
+    """0/1 CSV grid, raster rows top to bottom, unit cells."""
     rows = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        try:
-            rows.append([int(float(p)) for p in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        row = [p.strip() for p in line.split(",")]
+        bad = [p for p in row if p not in ("0", "1")]
+        if bad:
+            raise ValueError(f"{path}:{lineno}: cells must be 0 or 1, got {bad[0]!r}")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: expected {len(rows[0])} cells, got {len(row)}")
+        rows.append([p == "1" for p in row])
     if not rows:
         raise ValueError(f"{path}: empty mask file")
-    grid = np.array(rows)
-    if grid.shape[0] != grid.shape[1]:
-        raise ValueError(f"{path}: mask grids must be square, got {grid.shape}")
-    c = grid.shape[0]
-    cells = np.zeros((c, c), dtype=bool)
-    for r in range(c):
-        cells[:, c - 1 - r] = grid[r] != 0
-    return BinaryMask(cells, (0.0, 0.0), float(c))
+    if len(rows) != len(rows[0]):
+        raise ValueError(f"{path}: mask grids must be square, got {len(rows)}x{len(rows[0])}")
+    c = len(rows)
+    return BinaryMask(_raster_cells(rows), (0.0, 0.0), float(c))
+
+
+def _raster_cells(rows) -> Array:
+    """cells[ix, iy] from raster rows of pixels given top to bottom."""
+    return np.array(rows, dtype=bool).T[:, ::-1]
 
 
 def read_mask(path) -> BinaryMask:
@@ -250,7 +263,7 @@ def read_dataset(dataset_dir) -> LabeledDataset:
 
 
 # ---------------------------------------------------------------------------
-# reports, models, signatures
+# reports
 # ---------------------------------------------------------------------------
 
 
@@ -273,24 +286,3 @@ def report_to_json(report) -> str:
 
 def write_report_json(path, report) -> None:
     Path(path).write_text(report_to_json(report))
-
-
-def model_to_json(model, standardizer=None) -> str:
-    payload = model.to_dict()
-    if standardizer is not None:
-        payload["standardizer"] = {
-            "mean": [float(m) for m in standardizer.mean],
-            "std": [float(s) for s in standardizer.std],
-        }
-    return _json_dumps(payload)
-
-
-def signatures_to_csv(vectors) -> tuple:
-    """(csv text, sidecar json) for a batch of SignatureVector with one scheme."""
-    if not vectors:
-        raise ValueError("need at least one signature vector")
-    schemes = {json.dumps(v.scheme, sort_keys=True, default=str) for v in vectors}
-    if len(schemes) != 1:
-        raise ValueError("signature batch must share one scheme")
-    lines = [",".join(_fmt(x) for x in v.values) for v in vectors]
-    return "\n".join(lines) + "\n", schemes.pop() + "\n"

@@ -105,14 +105,6 @@ class RidgeModel:
     intercept: float
     lam: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ridge",
-            "weights": [float(w) for w in self.weights],
-            "intercept": float(self.intercept),
-            "lam": float(self.lam),
-        }
-
 
 def ridge_fit(X: Array, y: Array, lam: float) -> RidgeModel:
     """Least squares with an L2 penalty on the weights; intercept unpenalized.
@@ -153,14 +145,6 @@ class ThresholdModel:
     threshold: float
     high_label: float
     low_label: float
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "threshold",
-            "threshold": float(self.threshold),
-            "high_label": float(self.high_label),
-            "low_label": float(self.low_label),
-        }
 
 
 def threshold_predict(model: ThresholdModel, scalars: Array) -> Array:

@@ -82,27 +82,23 @@ def _diagram(rows) -> PersistenceDiagram:
 
 
 def _flag_cells(cx: FilteredComplex, max_dim: int):
-    """Per-dimension sorted values and boundary row indices for a flag complex."""
+    """Per-dimension sorted values and boundary row indices for a flag complex.
+
+    Edges and triangles are already in filtration order, with sorted rows:
+    the ``FilteredComplex`` constructor puts them there.
+    """
     n = cx.n_vertices
     v_order = np.lexsort((np.arange(n), cx.vertex_values))
     v_row = np.empty(n, dtype=np.int64)
     v_row[v_order] = np.arange(n)
-    values = [cx.vertex_values[v_order]]
-    boundaries = [None]
-
-    # re-sort defensively so directly constructed complexes reduce correctly
-    e_order = np.lexsort((cx.edges[:, 1], cx.edges[:, 0], cx.edge_values))
-    edges = cx.edges[e_order]
-    values.append(cx.edge_values[e_order])
-    boundaries.append(np.column_stack([v_row[edges[:, 0]], v_row[edges[:, 1]]]))
+    edges = cx.edges
+    values = [cx.vertex_values[v_order], cx.edge_values]
+    boundaries = [None, v_row[edges]]
 
     if max_dim >= 1 and len(cx.triangles):
         e_index = np.full((n, n), -1, dtype=np.int64)
         e_index[edges[:, 0], edges[:, 1]] = np.arange(len(edges))
-        t_order = np.lexsort(
-            (cx.triangles[:, 2], cx.triangles[:, 1], cx.triangles[:, 0], cx.triangle_values)
-        )
-        tris = cx.triangles[t_order]
+        tris = cx.triangles
         rows = np.column_stack(
             [
                 e_index[tris[:, 0], tris[:, 1]],
@@ -112,7 +108,7 @@ def _flag_cells(cx: FilteredComplex, max_dim: int):
         )
         if rows.size and rows.min() < 0:
             raise ValueError("triangle has a missing edge face")
-        values.append(cx.triangle_values[t_order])
+        values.append(cx.triangle_values)
         boundaries.append(rows)
     return values, boundaries
 
@@ -256,24 +252,23 @@ _FLAG_BLOCK = 1 << 18
 class _FlagCofacets:
     """Triangles of the flag complex spanned by a graph, never stored.
 
-    Triangles are ordered by (value, sorted vertex tuple), the order of
-    ``rips_complex`` and ``weighted_rips_complex`` at ``max_dim=2``. A
-    triangle's key packs (value rank, i, j, k) with i < j < k into one int64
-    whose integer order is that filtration order; its value is the largest
-    of its three edge values. For an edge (a, b) the sorted tuple of
-    {a, b, k} is monotone in k, so its earliest cofacet is the least k of
-    least value rank.
+    Triangles are ordered by (value, sorted vertex tuple), the order a
+    ``FilteredComplex`` gives its listed triangles. A triangle's key packs
+    (value rank, i, j, k) with i < j < k into one int64 whose integer order
+    is that filtration order; its value is the largest of its three edge
+    values. For an edge (a, b), a < b, the sorted tuple of {a, b, k} is
+    monotone in k, so its earliest cofacet is the least k of least value
+    rank. The graph's edges are in filtration order with sorted rows, as
+    every ``FilteredComplex`` holds them.
     """
 
     def __init__(self, graph: FilteredComplex):
         n = graph.n_vertices
-        order = np.lexsort((graph.edges[:, 1], graph.edges[:, 0], graph.edge_values))
-        edges = np.sort(graph.edges[order], axis=1)
-        self._levels, rank = np.unique(graph.edge_values[order], return_inverse=True)
+        self._levels, rank = np.unique(graph.edge_values, return_inverse=True)
         if len(self._levels) * n**3 >= 2**63:
             raise ValueError(f"{n} vertices and {len(self._levels)} edge values overflow a triangle key")
         self._n = n
-        self._a, self._b = edges[:, 0], edges[:, 1]
+        self._a, self._b = graph.edges.T
         # value rank and filtration position of each edge; an absent edge
         # ranks above every present one; int32 holds both, as keys only fit
         # int64 below about 7,000 points
@@ -282,7 +277,7 @@ class _FlagCofacets:
         self._pos = np.full((n, n), -1, dtype=np.int32)
         for i, j in ((self._a, self._b), (self._b, self._a)):
             self._rank[i, j] = rank
-            self._pos[i, j] = np.arange(len(edges))
+            self._pos[i, j] = np.arange(len(rank))
 
     def _key(self, rank: Array, a, b, k: Array) -> Array:
         n = self._n

@@ -353,17 +353,6 @@ def _curvature_worker(coords, kappa, cap_factor):
     return pd.finite_in_dim(0), _capped_dim1_pairs(pd, cap_factor * float(dm.values.max()))
 
 
-def _span_matrix(pair_list, length: int) -> Array:
-    """Descending lifespans per item, zero-padded/truncated to `length`."""
-    out = np.zeros((len(pair_list), length))
-    for i, pairs in enumerate(pair_list):
-        if len(pairs):
-            spans = np.sort(pairs[:, 1] - pairs[:, 0])[::-1]
-            take = min(length, len(spans))
-            out[i, :take] = spans[:take]
-    return out
-
-
 def curvature_pipeline(
     train: LabeledDataset,
     test: LabeledDataset,
@@ -390,9 +379,9 @@ def curvature_pipeline(
     regimes = []
     key_preds = None
     for dim in (0, 1):
-        tr = [p[dim] for p in train_pairs]
-        te = [p[dim] for p in test_pairs]
-        max_len = max(1, max((len(p) for p in tr), default=1))
+        points_tr = finite_points([_diagram_from_pairs(p[dim], dim) for p in train_pairs], dim)
+        points_te = finite_points([_diagram_from_pairs(p[dim], dim) for p in test_pairs], dim)
+        max_len = max(1, int(points_tr.counts.max(initial=0)))
         for variant in config.variants:
             if variant == "simple":
                 length = max_len
@@ -403,14 +392,12 @@ def curvature_pipeline(
             else:
                 raise ValueError(f"unknown curvature variant: {variant!r}")
             if length is not None:
-                X_tr = _span_matrix(tr, length)
-                X_te = _span_matrix(te, length)
+                X_tr = lifespans_matrix(points_tr, length)
+                X_te = lifespans_matrix(points_te, length)
                 _, best_k, _ = _knn_search(
                     lambda t, v: [(X_tr[t], X_tr[v])], y_train, config.knn_grid, "regress", seed
                 )
             else:
-                points_tr = finite_points([_diagram_from_pairs(p, dim) for p in tr], dim)
-                points_te = finite_points([_diagram_from_pairs(p, dim) for p in te], dim)
                 sigs = signature_grid()
                 best, best_k, _ = _knn_search(
                     _signature_features(points_tr, sigs), y_train, config.knn_grid, "regress", seed

@@ -219,18 +219,6 @@ class ImageScheme:
             scheme.life_range,
         )
 
-    def vector(self, pd: PersistenceDiagram) -> SignatureVector:
-        scheme = self if self.birth_range is not None else self.fit([pd])
-        return persistence_image(
-            pd,
-            scheme.dim,
-            scheme.resolution,
-            scheme.sigma,
-            scheme.weight,
-            birth_range=scheme.birth_range,
-            life_range=scheme.life_range,
-        )
-
 
 def image_matrix(
     points: FinitePoints,
@@ -357,17 +345,6 @@ class LandscapeScheme:
             scheme.t_range,
         )
 
-    def vector(self, pd: PersistenceDiagram) -> SignatureVector:
-        scheme = self if self.t_range is not None else self.fit([pd])
-        return persistence_landscape(
-            pd,
-            scheme.dim,
-            scheme.resolution,
-            scheme.levels,
-            top=scheme.top,
-            t_range=scheme.t_range,
-        )
-
 
 def landscape_matrix(points: FinitePoints, resolution: int, levels: int, t_range: tuple) -> Array:
     """Per diagram, landscape levels sampled at ``resolution`` points of
@@ -409,19 +386,17 @@ def persistence_landscape(
     top: int | None = None,
     t_range: tuple | None = None,
 ) -> SignatureVector:
-    """Landscape levels sampled on a uniform grid over the diagram's span
-    (of its ``top`` longest intervals when ``top`` is given).
+    """Landscape levels sampled on a uniform grid over ``t_range``, of the
+    diagram's ``top`` longest finite intervals (None keeps all).
 
     lambda_k(t) is the k-th largest of max(0, min(t - b, d - t)); levels are
-    concatenated in order k = 1..levels.
+    concatenated in order k = 1..levels. A missing ``t_range`` is fitted as
+    ``LandscapeScheme.fit`` fits it, on all finite intervals before the cut.
     """
-    pts = finite_points([pd], dim).longest(top)
+    pts = finite_points([pd], dim)
     if t_range is None:
-        if len(pts.births):
-            t_range = (float(pts.births.min()), float(pts.deaths.max()))
-        else:
-            t_range = (0.0, 1.0)
-    values = landscape_matrix(pts, resolution, levels, t_range)[0]
+        t_range = LandscapeScheme(dim, resolution, top).fit(pts).t_range
+    values = landscape_matrix(pts.longest(top), resolution, levels, t_range)[0]
     scheme = {
         "kind": "landscape",
         "dim": dim,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,23 @@ def test_ph_mask_tubular_single_component(tmp_path):
     pd = io.read_diagram_csv(out)
     assert len(pd.in_dim(0)) == 1
     assert math.isinf(pd.in_dim(0)[0, 1])
+
+
+def test_ph_mask_csv_bad_cell_fails(tmp_path, capsys):
+    src = tmp_path / "mask.csv"
+    src.write_text("1,1\n1,inf\n")
+    assert run_cli("ph", src, "--filtration", "tubular") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mask.csv:2: cells must be 0 or 1" in err
+
+
+def test_ph_height_zero_vector_fails(tmp_path):
+    src = tmp_path / "full.pbm"
+    src.write_text("P1\n2 2\n1 1\n1 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero norm
+        with pytest.raises(SystemExit, match="--vector must be nonzero"):
+            run_cli("ph", src, "--filtration", "height", "--vector", "0,0")
 
 
 def test_ph_svg_output(tmp_path):

@@ -7,7 +7,6 @@ from tdalab.complexes import (
     FilteredComplex,
     FilteredCubicalGrid,
     absolute_height_filtration,
-    complex_to_csv,
     cubical_complex,
     height_filtration,
     rips_complex,
@@ -15,12 +14,27 @@ from tdalab.complexes import (
     weighted_rips_complex,
 )
 from tdalab.geometry import BinaryMask, Line, PointCloud, euclidean_distance_matrix
+from tdalab.persistence import compute_ph
 
 RNG = np.random.default_rng(11)
 
 
 def _dm(points):
     return euclidean_distance_matrix(PointCloud(points))
+
+
+def _assert_filtration(cx):
+    """Edges and triangles in (value, vertex tuple) order, each face present
+    and no later than its coface."""
+    below = np.maximum(cx.vertex_values[cx.edges[:, 0]], cx.vertex_values[cx.edges[:, 1]])
+    assert np.all(cx.edge_values >= below)
+    edges = [(v, *map(int, e)) for e, v in zip(cx.edges, cx.edge_values)]
+    assert edges == sorted(edges) and all(i < j for _, i, j in edges)
+    tris = [(v, *map(int, t)) for t, v in zip(cx.triangles, cx.triangle_values)]
+    assert tris == sorted(tris) and all(i < j < k for _, i, j, k in tris)
+    lookup = {(i, j): v for v, i, j in edges}
+    for v, a, b, c in tris:
+        assert all(lookup[face] <= v for face in ((a, b), (a, c), (b, c)))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +66,7 @@ def test_rips_full_simplex_counts():
     cx = rips_complex(_dm(RNG.random((n, 2))))
     assert len(cx.edges) == math.comb(n, 2)
     assert len(cx.triangles) == math.comb(n, 3)
-    cx.validate()
+    _assert_filtration(cx)
 
 
 def test_rips_r_max_truncates():
@@ -64,7 +78,7 @@ def test_rips_r_max_truncates():
 
 def test_rips_monotonicity_random():
     cx = rips_complex(_dm(RNG.random((12, 3))))
-    cx.validate()
+    _assert_filtration(cx)
     lookup = {tuple(e): v for e, v in zip(map(tuple, cx.edges), cx.edge_values)}
     for t, v in zip(cx.triangles, cx.triangle_values):
         a, b, c = map(int, t)
@@ -117,7 +131,7 @@ def test_weighted_rips_edges_dominate_vertices():
     cx = weighted_rips_complex(_dm(RNG.random((10, 2))), f)
     below = np.maximum(f[cx.edges[:, 0]], f[cx.edges[:, 1]])
     assert np.all(cx.edge_values >= below - 1e-15)
-    cx.validate()
+    _assert_filtration(cx)
 
 
 def test_weighted_rips_constant_weights_shift():
@@ -205,25 +219,22 @@ def test_height_and_absolute_height_filtrations():
 
 
 def test_cubical_rejects_unit_direction_violation():
-    with pytest.raises(ValueError):
-        height_filtration((1.0, 1.0))
-
-
-def test_complex_csv_dump():
-    cx = rips_complex(_dm([[0, 0], [0, 2]]))
-    text = complex_to_csv(cx)
-    lines = text.strip().splitlines()
-    assert lines[0] == "0,0.0,0"
-    assert lines[1] == "0,0.0,1"
-    assert lines[2] == "1,2.0,0,1"
+    for v in ((1.0, 1.0), (math.nan, 0.0), (math.nan, math.nan), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite unit vector"):
+            height_filtration(v)
+        with pytest.raises(ValueError, match="finite unit vector"):
+            absolute_height_filtration(v)
 
 
 def test_filtered_complex_validate_catches_bad_edge():
-    with pytest.raises(ValueError):
-        FilteredComplex(
-            np.array([0.0, 1.0]),
-            np.array([[0, 1]]),
-            np.array([0.5]),  # below the endpoint value 1.0
-            np.empty((0, 3)),
-            np.empty(0),
-        ).validate()
+    # an edge below an endpoint would kill that vertex's class before its
+    # birth; the diagram rejects such an interval
+    cx = FilteredComplex(
+        np.array([0.0, 1.0]),
+        np.array([[0, 1]]),
+        np.array([0.5]),  # below the endpoint value 1.0
+        np.empty((0, 3)),
+        np.empty(0),
+    )
+    with pytest.raises(ValueError, match="death must be >= birth"):
+        compute_ph(cx)

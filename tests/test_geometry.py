@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdalab.complexes import absolute_height_filtration, height_filtration
 from tdalab.geometry import (
     BinaryMask,
     Line,
@@ -12,7 +13,6 @@ from tdalab.geometry import (
     PolarCloud,
     Polygon,
     TransformSpec,
-    absolute_height,
     apply_transform,
     convex_hull,
     convexity_measure,
@@ -21,12 +21,10 @@ from tdalab.geometry import (
     farthest_point_subsample,
     fill_sampling_gaps,
     geodesic_distance_matrix,
-    height,
-    point_in_polygon,
     points_in_polygon,
     polygon_area,
     rasterize,
-    tubular_distance,
+    tubular_distances,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -154,22 +152,22 @@ def test_dtm_rejects_bad_mass():
 
 
 # ---------------------------------------------------------------------------
-# tubular distance, heights
+# tubular distances, heights
 # ---------------------------------------------------------------------------
 
 
 def test_tubular_vertical_drop():
-    assert tubular_distance((3, 4), Line.horizontal(0.0)) == pytest.approx(4.0)
+    assert tubular_distances([[3, 4]], Line.horizontal(0.0)).tolist() == pytest.approx([4.0])
 
 
 def test_tubular_point_on_line():
     line = Line.through((0, 0), (2, 1))
-    assert tubular_distance((4, 2), line) == pytest.approx(0.0, abs=1e-12)
+    assert tubular_distances([[4, 2]], line)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tubular_diagonal_projection():
     line = Line.through((0, 0), (1, 1))
-    assert tubular_distance((1, 0), line) == pytest.approx(math.sqrt(2) / 2)
+    assert tubular_distances([[1, 0]], line)[0] == pytest.approx(math.sqrt(2) / 2)
 
 
 @settings(deadline=None, max_examples=50)
@@ -181,30 +179,31 @@ def test_tubular_translation_invariance(px, py, tx, ty, angle):
     direction = (math.cos(angle), math.sin(angle))
     line = Line((0.0, 0.0), direction)
     moved = Line((tx, ty), direction)
-    d0 = tubular_distance((px, py), line)
-    d1 = tubular_distance((px + tx, py + ty), moved)
+    d0 = tubular_distances([[px, py]], line)[0]
+    d1 = tubular_distances([[px + tx, py + ty]], moved)[0]
     assert d1 == pytest.approx(d0, abs=1e-9)
 
 
 def test_tubular_reflection_invariance():
     line = Line.horizontal(1.0)
-    for _ in range(20):
-        p = RNG.uniform(-3, 3, 2)
-        mirrored = np.array([p[0], 2.0 - p[1]])
-        assert tubular_distance(p, line) == pytest.approx(tubular_distance(mirrored, line))
+    p = RNG.uniform(-3, 3, (20, 2))
+    mirrored = np.column_stack([p[:, 0], 2.0 - p[:, 1]])
+    assert np.allclose(tubular_distances(p, line), tubular_distances(mirrored, line))
 
 
 def test_height_examples():
-    assert height((0, 5), (0, 1)) == pytest.approx(5.0)
-    assert height((3, -2), (1, 0)) == pytest.approx(3.0)
-    assert absolute_height((3, -2), (1, 0)) == pytest.approx(3.0)
-    assert height((1, -1), (0, 1)) == pytest.approx(-1.0)
-    assert absolute_height((1, -1), (0, 1)) == pytest.approx(1.0)
+    points = np.array([[0.0, 5.0], [3.0, -2.0], [1.0, -1.0]])
+    assert height_filtration((0, 1))(points).tolist() == pytest.approx([5.0, -2.0, -1.0])
+    assert height_filtration((1, 0))(points).tolist() == pytest.approx([0.0, 3.0, 1.0])
+    assert absolute_height_filtration((0, 1))(points).tolist() == pytest.approx([5.0, 2.0, 1.0])
+    assert absolute_height_filtration((1, 0))(points).tolist() == pytest.approx([0.0, 3.0, 1.0])
 
 
 def test_height_rejects_non_unit_vector():
     with pytest.raises(ValueError):
-        height((1, 1), (1, 1))
+        height_filtration((1, 1))
+    with pytest.raises(ValueError):
+        absolute_height_filtration((1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +384,9 @@ def test_polygon_area_unit_square():
 
 def test_point_in_polygon_centroid_and_boundary():
     tri = Polygon([[0, 0], [3, 0], [0, 3]])
-    assert point_in_polygon([1, 1], tri)
-    assert point_in_polygon([1.5, 0], tri)  # boundary counts as inside
-    assert point_in_polygon([0, 0], tri)
-    assert not point_in_polygon([2, 2], tri)
+    # the centroid, a boundary point, a vertex (boundary counts as inside), outside
+    queries = [[1, 1], [1.5, 0], [0, 0], [2, 2]]
+    assert points_in_polygon(queries, tri).tolist() == [True, True, True, False]
 
 
 def _winding_number_inside(q, verts):
@@ -404,11 +402,9 @@ def _winding_number_inside(q, verts):
 def test_point_in_polygon_matches_winding_oracle():
     poly = Polygon([[0, 0], [2, 0], [2, 1], [1, 0.5], [0.5, 1.5], [0, 1]])
     queries = RNG.uniform(-0.5, 2.5, size=(1000, 2))
-    for q in queries:
-        assert point_in_polygon(q, poly) == _winding_number_inside(q, poly.vertices)
     assert np.array_equal(
         points_in_polygon(queries, poly),
-        np.array([point_in_polygon(q, poly) for q in queries]),
+        np.array([_winding_number_inside(q, poly.vertices) for q in queries]),
     )
 
 

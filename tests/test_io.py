@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,9 +6,7 @@ import pytest
 from tdalab import io
 from tdalab.datagen import gen_curvature_dataset, gen_holes_dataset, gen_polygon_masks
 from tdalab.geometry import BinaryMask, PointCloud, PolarCloud
-from tdalab.learn import Standardizer, ridge_fit, threshold_fit
 from tdalab.persistence import PersistenceDiagram
-from tdalab.signatures import lifespans_topk
 
 RNG = np.random.default_rng(8)
 
@@ -68,6 +65,42 @@ def test_mask_csv_grid(tmp_path):
     mask = io.read_mask_csv(path)
     assert mask.cells[0, 1] and mask.cells[1, 0]
     assert io.read_mask(path).cells.tolist() == mask.cells.tolist()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,inf", "cells must be 0 or 1, got 'inf'"),
+        ("1,nan", "cells must be 0 or 1, got 'nan'"),
+        ("2,0", "cells must be 0 or 1, got '2'"),
+        ("0.7,1", "cells must be 0 or 1, got '0.7'"),
+        ("1,x", "cells must be 0 or 1, got 'x'"),
+        ("1,", "cells must be 0 or 1, got ''"),
+        ("1,0,1", "expected 2 cells, got 3"),
+    ],
+)
+def test_mask_csv_rejects_bad_row(tmp_path, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,0\n{row}\n")
+    with pytest.raises(ValueError, match=f"bad.csv:2: {message}"):
+        io.read_mask_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("P1\n2.5 2\n1 0\n0 1\n", "width and height must be positive integers"),
+        ("P1\n2 two\n1 0\n0 1\n", "width and height must be positive integers"),
+        ("P1\n0 0\n", "width and height must be positive integers"),
+        ("P1\n2 2\n1 x\n0 1\n", "pixels must be 0 or 1, got 'x'"),
+        ("P1\n2 2\n1 0\n2 1\n", "pixels must be 0 or 1, got '2'"),
+    ],
+)
+def test_mask_pbm_rejects_bad_file(tmp_path, text, message):
+    path = tmp_path / "bad.pbm"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.pbm: {message}"):
+        io.read_mask_pbm(path)
 
 
 def test_diagram_csv_roundtrip(tmp_path):
@@ -142,28 +175,3 @@ def test_dataset_rerun_is_byte_identical(tmp_path):
 def test_dataset_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         io.read_dataset(tmp_path)
-
-
-def test_model_json():
-    model = ridge_fit(RNG.random((10, 2)), RNG.random(10), lam=0.1)
-    std = Standardizer.fit(RNG.random((10, 2)))
-    payload = json.loads(io.model_to_json(model, std))
-    assert payload["kind"] == "ridge"
-    assert len(payload["weights"]) == 2
-    assert len(payload["standardizer"]["mean"]) == 2
-    t = threshold_fit([0.0, 1.0], [0.0, 1.0])
-    assert json.loads(io.model_to_json(t))["kind"] == "threshold"
-
-
-def test_signatures_csv_and_sidecar():
-    pds = [
-        PersistenceDiagram(np.array([[0, 0, 1.0]])),
-        PersistenceDiagram(np.array([[0, 0, 2.0], [0, 0.5, 1.0]])),
-    ]
-    vecs = [lifespans_topk(pd, 0, 3) for pd in pds]
-    csv_text, sidecar = io.signatures_to_csv(vecs)
-    assert len(csv_text.strip().splitlines()) == 2
-    assert json.loads(sidecar)["kind"] == "lifespans"
-    mixed = [vecs[0], lifespans_topk(pds[1], 0, 4)]
-    with pytest.raises(ValueError):
-        io.signatures_to_csv(mixed)

@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 from tdalab.complexes import (
+    FilteredComplex,
     FilteredCubicalGrid,
     cubical_complex,
     rips_complex,
@@ -360,6 +361,37 @@ def test_flag_ph_rejects_triangles():
     cx = rips_complex(_dm(RNG.random((5, 2))))
     with pytest.raises(ValueError, match="1-skeleton"):
         compute_flag_ph(cx)
+
+
+def _scrambled(cx, rng):
+    """The same complex given with its edges and triangles shuffled and
+    every row reversed."""
+    pe, pt = rng.permutation(len(cx.edges)), rng.permutation(len(cx.triangles))
+    return FilteredComplex(
+        cx.vertex_values,
+        cx.edges[pe][:, ::-1],
+        cx.edge_values[pe],
+        cx.triangles[pt][:, ::-1],
+        cx.triangle_values[pt],
+    )
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["rips", "dtm-rips"])
+def test_direct_complex_in_any_order_equals_builder(weighted):
+    rng = np.random.default_rng(5)
+    lattice = np.stack(np.meshgrid(np.arange(4.0), np.arange(3.0)), -1).reshape(-1, 2)
+    for points in (lattice, rng.random((12, 2))):
+        build = _flag_builders(points, weighted)
+        explicit, graph = build(2), build(1)
+        for drop_zero in (True, False):
+            oracle = naive_reduction_oracle(explicit, drop_zero=drop_zero).multiset()
+            assert compute_ph(explicit, drop_zero=drop_zero).multiset() == oracle
+            direct = _scrambled(explicit, rng)
+            for name in ("edges", "edge_values", "triangles", "triangle_values"):
+                assert np.array_equal(getattr(direct, name), getattr(explicit, name))
+            assert compute_ph(direct, drop_zero=drop_zero).multiset() == oracle
+            assert naive_reduction_oracle(direct, drop_zero=drop_zero).multiset() == oracle
+            assert compute_flag_ph(_scrambled(graph, rng), drop_zero=drop_zero).multiset() == oracle
 
 
 def test_lifespans_sorted_descending():

@@ -24,6 +24,7 @@ from tdalab.geometry import (
     farthest_point_subsample,
     geodesic_distance_matrix,
     rasterize,
+    tubular_distances,
 )
 from tdalab.io import report_to_json
 from tdalab.learn import Standardizer, accuracy, kfold_splits, knn_fit_predict, mse
@@ -49,7 +50,14 @@ from tdalab.pipelines import (
     signature_grid,
     train_test_split_indices,
 )
-from tdalab.signatures import ImageScheme, LandscapeScheme, finite_points, lifespans_topk
+from tdalab.signatures import (
+    ImageScheme,
+    LandscapeScheme,
+    finite_points,
+    lifespans_topk,
+    persistence_image,
+    persistence_landscape,
+)
 
 RNG = np.random.default_rng(2)
 
@@ -71,8 +79,6 @@ def test_default_lines_distinct_nine():
 
 
 def test_default_lines_translate_with_mask():
-    from tdalab.geometry import tubular_distance
-
     mask = _unit_mask()
     shift = np.array([5.0, -3.0])
     moved = BinaryMask(mask.cells, tuple(shift), 1.0)
@@ -81,7 +87,7 @@ def test_default_lines_translate_with_mask():
     for la, lb in zip(a.lines, b.lines):
         assert np.allclose(la.direction, lb.direction)
         # the translated line is the original line shifted with the mask
-        assert tubular_distance(la.anchor + shift, lb) == pytest.approx(0.0, abs=1e-9)
+        assert tubular_distances([la.anchor + shift], lb)[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_full_square_tubular_single_interval_per_line():
@@ -245,11 +251,15 @@ def _per_config_search(diagrams, labels, dim, sig_configs, knn_grid, mode, seed)
         if kind == "lifespans":
             return np.stack([lifespans_topk(pd, dim, params["k"]).values for pd in diags])
         if kind == "pi":
-            scheme = ImageScheme(dim=dim, sigma=params["sigma"], weight=params["weight"])
-        else:
-            scheme = LandscapeScheme(dim=dim, top=params["top"])
-        scheme = scheme.fit(fit_on)
-        return np.stack([scheme.vector(pd).values for pd in diags])
+            s = ImageScheme(dim=dim, sigma=params["sigma"], weight=params["weight"]).fit(fit_on)
+            return np.stack([
+                persistence_image(pd, dim, s.resolution, s.sigma, s.weight, s.birth_range, s.life_range).values
+                for pd in diags
+            ])
+        s = LandscapeScheme(dim=dim, top=params["top"]).fit(fit_on)
+        return np.stack([
+            persistence_landscape(pd, dim, s.resolution, s.levels, s.top, s.t_range).values for pd in diags
+        ])
 
     configs = [(sig, k) for sig in sig_configs for k in knn_grid]
     splits = kfold_splits(len(diagrams), 3, seed, labels if classify else None)

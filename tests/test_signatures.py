@@ -115,8 +115,8 @@ def test_image_scheme_fit_reused_on_new_diagram():
     scheme = ImageScheme(dim=0, sigma=0.5, weight="1").fit(train)
     assert scheme.birth_range == (0.0, 1.0)
     assert scheme.life_range == (0.0, 3.0)
-    vec = scheme.vector(_pd([[0, 10, 20]]))  # far outside the fitted range
-    assert np.all(np.isfinite(vec.values))
+    row = scheme.matrix(finite_points([_pd([[0, 10, 20]])], 0))  # far outside the fitted range
+    assert np.all(np.isfinite(row))
 
 
 def test_image_rejects_bad_params():
@@ -204,6 +204,17 @@ def _random_diagrams(rng, dim=1):
     return diagrams
 
 
+def _image_rows(scheme, diagrams):
+    """The single-diagram images at the scheme's fitted ranges."""
+    return np.stack([
+        persistence_image(
+            pd, scheme.dim, scheme.resolution, scheme.sigma, scheme.weight,
+            scheme.birth_range, scheme.life_range,
+        ).values
+        for pd in diagrams
+    ])
+
+
 def test_batch_lifespans_equal_single_rows():
     diagrams = _random_diagrams(np.random.default_rng(0))
     points = finite_points(diagrams, 1)
@@ -219,7 +230,7 @@ def test_batch_images_equal_single_rows(weight, sigma):
     points = finite_points(diagrams, 1)
     scheme = ImageScheme(dim=1, sigma=sigma, weight=weight).fit(points)
     assert scheme == ImageScheme(dim=1, sigma=sigma, weight=weight).fit(diagrams)
-    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    rows = _image_rows(scheme, diagrams)
     assert np.array_equal(scheme.matrix(points), rows)
     # the per-diagram arithmetic the batch replaces: one einsum per diagram
     (b_lo, b_hi), (l_lo, l_hi) = scheme.birth_range, scheme.life_range
@@ -244,7 +255,7 @@ def test_batch_image_equal_births_degenerate_range():
     points = finite_points(diagrams, 1)
     scheme = ImageScheme(dim=1, sigma=0.25, weight="y").fit(points)
     assert scheme.birth_range == (-0.5, 1.5)
-    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    rows = _image_rows(scheme, diagrams)
     assert np.array_equal(scheme.matrix(points), rows)
     assert np.array_equal(
         image_matrix(points, 10, 0.25, "y", scheme.birth_range, scheme.life_range), rows
@@ -256,7 +267,10 @@ def test_batch_landscapes_equal_single_rows(top):
     diagrams = _random_diagrams(np.random.default_rng(2))
     points = finite_points(diagrams, 1)
     scheme = LandscapeScheme(dim=1, top=top).fit(points)
-    rows = np.stack([scheme.vector(pd).values for pd in diagrams])
+    rows = np.stack([
+        persistence_landscape(pd, 1, scheme.resolution, scheme.levels, top, scheme.t_range).values
+        for pd in diagrams
+    ])
     assert np.array_equal(scheme.matrix(points), rows)
     # the per-diagram arithmetic the batch replaces, with its own cut among
     # tied lifespans (the last three diagrams tie)
@@ -271,6 +285,13 @@ def test_batch_landscapes_equal_single_rows(top):
             take = min(scheme.levels, len(pts))
             out[:take] = -np.sort(-tent, axis=0)[:take]
         assert np.array_equal(row, out.ravel())
+        # without a t_range, one diagram's landscape is the one-row case of an
+        # unfitted scheme: the span covers all its finite intervals, cut or not
+        alone = LandscapeScheme(dim=1, top=top)
+        assert np.array_equal(
+            persistence_landscape(pd, 1, levels=alone.levels, top=top).values,
+            alone.matrix(finite_points([pd], 1))[0],
+        )
     assert np.array_equal(
         landscape_matrix(points.longest(top), 100, scheme.levels, scheme.t_range), rows
     )
