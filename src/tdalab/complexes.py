@@ -31,7 +31,9 @@ class FilteredComplex:
     they are given in: each edge and triangle row is sorted ascending, edges
     are ordered by (value, i, j) and triangles by (value, i, j, k). Faces of
     equal value sort before cofaces globally because lower dimensions come
-    first.
+    first. It rejects, naming the simplex, a vertex index out of range, a
+    repeated vertex, a triangle without one of its edges, and a simplex
+    valued below one of its faces.
     """
 
     vertex_values: Array  # (n,)
@@ -42,14 +44,30 @@ class FilteredComplex:
 
     def __post_init__(self):
         vertex_values = np.asarray(self.vertex_values, dtype=float)
-        edges = np.sort(np.asarray(self.edges, dtype=np.int64).reshape(-1, 2), axis=1)
+        given_edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         edge_values = np.asarray(self.edge_values, dtype=float)
-        tris = np.sort(np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3), axis=1)
+        given_tris = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         tri_values = np.asarray(self.triangle_values, dtype=float)
         if vertex_values.size < 1:
             raise ValueError("complex needs at least one vertex")
-        if len(edges) != len(edge_values) or len(tris) != len(tri_values):
+        if len(given_edges) != len(edge_values) or len(given_tris) != len(tri_values):
             raise ValueError("simplex and value arrays must align")
+        n = vertex_values.size
+        edges = np.sort(given_edges, axis=1)
+        tris = np.sort(given_tris, axis=1)
+        _reject("edge", given_edges, (edges[:, 0] < 0) | (edges[:, 1] >= n), f"has a vertex outside 0..{n - 1}")
+        _reject("edge", given_edges, edges[:, 0] == edges[:, 1], "repeats a vertex")
+        below = edge_values < np.maximum(vertex_values[edges[:, 0]], vertex_values[edges[:, 1]])
+        _reject("edge", given_edges, below, "is valued below a vertex")
+        if len(tris):
+            _reject("triangle", given_tris, (tris[:, 0] < 0) | (tris[:, 2] >= n), f"has a vertex outside 0..{n - 1}")
+            _reject("triangle", given_tris, np.any(tris[:, 1:] == tris[:, :-1], axis=1), "repeats a vertex")
+            key = edges[:, 0] * n + edges[:, 1]
+            faces = tris[:, [0, 0, 1]] * n + tris[:, [1, 2, 2]]
+            _reject("triangle", given_tris, ~np.isin(faces, key).all(axis=1), "has a missing edge")
+            by_key = np.argsort(key)
+            at = by_key[np.searchsorted(key, faces, sorter=by_key)]
+            _reject("triangle", given_tris, tri_values < edge_values[at].max(axis=1), "is valued below an edge")
         e_order = np.lexsort((edges[:, 1], edges[:, 0], edge_values))
         t_order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0], tri_values))
         object.__setattr__(self, "vertex_values", vertex_values)
@@ -79,6 +97,13 @@ class FilteredComplex:
         ]
         items.sort(key=lambda s: (s[2], s[1], s[0]))
         return items
+
+
+def _reject(kind: str, given: Array, bad: Array, what: str) -> None:
+    """Raise naming the first ``kind`` row of ``given`` flagged in ``bad``."""
+    if np.any(bad):
+        row = tuple(int(x) for x in given[int(np.argmax(bad))])
+        raise ValueError(f"{kind} {row} {what}")
 
 
 def _flag_triangles(n: int, edge_value: Array, r_max: float):

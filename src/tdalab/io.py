@@ -86,6 +86,17 @@ def write_mask_pbm(path, mask: BinaryMask) -> None:
     Path(path).write_text(mask_to_pbm(mask))
 
 
+def _parse_extent(path, parts) -> tuple:
+    """(x0, y0, width) of an ``# extent`` comment: finite, with positive width."""
+    try:
+        x0, y0, width = map(float, parts)
+    except ValueError:
+        x0 = y0 = width = math.nan
+    if not (all(map(math.isfinite, (x0, y0, width))) and width > 0):
+        raise ValueError(f"{path}: extent must be finite 'x0 y0 width' with width > 0, got {' '.join(parts)!r}")
+    return x0, y0, width
+
+
 def read_mask_pbm(path) -> BinaryMask:
     """Plain-text P1 PBM, raster rows top to bottom, with one 0/1 token per
     pixel; an ``# extent x0 y0 width`` comment sets the physical extent,
@@ -97,7 +108,7 @@ def read_mask_pbm(path) -> BinaryMask:
         if line.startswith("#"):
             parts = line[1:].split()
             if len(parts) == 4 and parts[0] == "extent":
-                extent = tuple(float(p) for p in parts[1:])
+                extent = _parse_extent(path, parts[1:])
             continue
         tokens.extend(line.split())
     if not tokens or tokens[0] != "P1":

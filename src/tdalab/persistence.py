@@ -1,10 +1,14 @@
 """Persistence diagrams in degrees 0 and 1 over Z/2.
 
-One engine serves explicit complexes (listed triangles, cubical squares)
-and flag complexes given by their 1-skeleton alone. Degree-0 pairs come
-from an elder-rule union-find over the edges in filtration order, which
-gives the pairing of the vertex-edge boundary reduction; the edges it
-finds closing a cycle are the degree-1 creators. Degree-1 deaths come from
+Degree 0 of a cubical grid comes from a level sweep (Wagner, Chen &
+Vuçini, 2012): one ``scipy.ndimage.label`` call over the sublevel sets
+stacked at the levels where components can start or merge, with each
+component's parent one level up and the elder rule applied per parent. Everything else runs through one engine, which serves
+explicit complexes (listed triangles, cubical squares) and flag complexes
+given by their 1-skeleton alone. Its degree-0 pairs come from an
+elder-rule union-find over the edges in filtration order, which gives the
+pairing of the vertex-edge boundary reduction; the edges it finds closing
+a cycle are the degree-1 creators. Degree-1 deaths come from
 the coboundary (cohomology) reduction of the edge-triangle block, after
 Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
 (skipped), apparent pairs -- an edge whose earliest cofacet has the edge as
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import ndimage
 
 from .complexes import FilteredComplex, FilteredCubicalGrid
 
@@ -106,14 +111,12 @@ def _flag_cells(cx: FilteredComplex, max_dim: int):
                 e_index[tris[:, 1], tris[:, 2]],
             ]
         )
-        if rows.size and rows.min() < 0:
-            raise ValueError("triangle has a missing edge face")
         values.append(cx.triangle_values)
         boundaries.append(rows)
     return values, boundaries
 
 
-def _cubical_cells(grid: FilteredCubicalGrid, max_dim: int):
+def _cubical_cells(grid: FilteredCubicalGrid):
     """Per-dimension sorted values and boundary rows for a cubical grid.
 
     Cells with +inf values never enter the filtration. Ties are broken by
@@ -145,8 +148,6 @@ def _cubical_cells(grid: FilteredCubicalGrid, max_dim: int):
     e_end_i = np.where(e_fam == 1, e_i0 + 1, e_i0)
     e_end_j = np.where(e_fam == 1, e_j0, e_j0 + 1)
     e_bnd = np.column_stack([v_row[e_i0, e_j0], v_row[e_end_i, e_end_j]])
-    if max_dim == 0:
-        return [v_vals, e_vals], [None, e_bnd]
 
     ex_row = -np.ones((c, c + 1), dtype=np.int64)
     ey_row = -np.ones((c + 1, c), dtype=np.int64)
@@ -169,12 +170,140 @@ def _cubical_cells(grid: FilteredCubicalGrid, max_dim: int):
 
 
 def _cells_of(cx, max_dim: int):
-    """Cells up to dimension 2, or only vertices and edges when max_dim is 0."""
+    """Cells up to dimension 2; a flag complex lists no triangles when max_dim is 0."""
     if isinstance(cx, FilteredComplex):
         return _flag_cells(cx, max_dim)
     if isinstance(cx, FilteredCubicalGrid):
-        return _cubical_cells(cx, max_dim)
+        return _cubical_cells(cx)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# degree 0 of cubical grids: level sweep
+# ---------------------------------------------------------------------------
+
+# 8-connected within each plane of a (levels, h, w) stack, no links across planes
+_PLANES_8 = np.zeros((3, 3, 3), dtype=bool)
+_PLANES_8[1] = True
+# a cell's eight neighbours as (row, column) offsets; the first four come
+# before the cell in raster order
+_RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _changes_h0_table() -> Array:
+    """Per subset of a cell's neighbours (bit k for ``_RING[k]``): False when
+    they form exactly one 8-connected group, so that a cell entering after
+    just those joins one component without starting or merging any."""
+    patches = np.zeros((256, 3, 3), dtype=bool)
+    for k, (di, dj) in enumerate(_RING):
+        patches[:, 1 + di, 1 + dj] = (np.arange(256) >> k) & 1
+    eight = np.ones((3, 3), dtype=bool)
+    return np.array([ndimage.label(p, structure=eight)[1] != 1 for p in patches])
+
+
+_CHANGES_H0 = _changes_h0_table()
+
+# cells of the (levels, h, w) stack labelled per ndimage.label call: the
+# stack and its int32 labels then take about 5 MB however many levels a
+# noisy grid has
+_SWEEP_CELLS = 1 << 20
+
+
+def _critical_levels(v: Array) -> Array:
+    """Ascending levels at which the components of the sublevel sets can change.
+
+    Cells enter in the order (value, raster position). A cell starts a
+    component when none of its eight neighbours entered before it, and can
+    merge components only when those that did form two or more 8-connected
+    groups. At every other level each entering cell joins one existing
+    component, so the components one level down map one to one onto those
+    at the level.
+    """
+    h, w = v.shape
+    pad = np.full((h + 2, w + 2), np.inf)
+    pad[1:-1, 1:-1] = v
+    code = np.zeros((h, w), dtype=np.uint8)
+    for k, (di, dj) in enumerate(_RING):
+        nb = pad[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
+        earlier = nb <= v if k < 4 else nb < v
+        code |= earlier.astype(np.uint8) << k
+    return np.unique(v[_CHANGES_H0[code] & np.isfinite(v)])
+
+
+def sublevel_ph0(values) -> tuple:
+    """Degree-0 persistence of the 8-connected sublevel sets of a grid.
+
+    ``values`` is a 2-D array of top-cell values, +inf outside the shape,
+    with at least one finite cell. Returns (births, deaths), in no
+    particular order, with +inf deaths for the essential classes and no
+    zero-length pairs: the degree-0 diagram of ``compute_ph`` on the grid.
+
+    The sublevel sets at each level where components can start or merge
+    are stacked into a (levels, h, w) boolean array over the box of finite
+    cells and labelled by ``scipy.ndimage.label``, 8-connected within a
+    plane and unlinked across planes, so labels grow plane by plane. A
+    component's parent is the label of any of its cells one plane up; of
+    the children of one parent the earliest-born lives on and the others
+    die at the parent's level. The components of the last plane are
+    essential. A stack of more than ``_SWEEP_CELLS`` cells is labelled in
+    blocks of planes, each block starting at the plane where the previous
+    one ended. The work is the number of such levels times the box's
+    cells: small for distances to a line or heights over a shape, large for
+    noise.
+    """
+    v = np.asarray(values, dtype=float)
+    finite = np.isfinite(v)
+    if v.ndim != 2 or not finite.any() or np.any(~finite & (v != math.inf)):
+        raise ValueError("values must be a 2-D array of finite or +inf cells, at least one finite")
+    rows = np.flatnonzero(finite.any(axis=1))
+    cols = np.flatnonzero(finite.any(axis=0))
+    v = v[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    levels = _critical_levels(v)
+    step = max(1, _SWEEP_CELLS // v.size - 1)
+    births, deaths = [], []
+    lo = 0
+    while True:
+        hi = min(lo + step, len(levels) - 1)
+        labels, n = ndimage.label(v <= levels[lo : hi + 1, None, None], structure=_PLANES_8)
+        flat = labels.ravel()
+        cells = np.flatnonzero(flat)
+        comp = flat[cells]
+        birth = np.full(n + 1, np.inf)
+        np.minimum.at(birth, comp, v.ravel()[cells % v.size])
+        rep = np.empty(n + 1, dtype=np.int64)
+        rep[comp] = cells
+        ids = np.arange(1, n + 1)
+        plane = np.searchsorted(labels.reshape(len(labels), -1).max(axis=1), np.arange(n + 1))
+        last = plane[ids] == len(labels) - 1
+        child = ids[~last]
+        parent = flat[rep[child] + v.size]  # the same cell one plane up
+        order = np.lexsort((birth[child], parent))
+        elder = np.ones(len(order), dtype=bool)
+        elder[1:] = parent[order[1:]] != parent[order[:-1]]
+        dying = child[order[~elder]]
+        births.append(birth[dying])
+        deaths.append(levels[lo + plane[dying] + 1])
+        if hi == len(levels) - 1:
+            births.append(birth[ids[last]])
+            deaths.append(np.full(int(last.sum()), math.inf))
+            return np.concatenate(births), np.concatenate(deaths)
+        lo = hi
+
+
+def _grid_ph0(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
+    """Degree-0 diagram of a cubical grid from the level sweep.
+
+    With drop_zero=False, every corner vertex that enters at a level
+    without starting a class there dies as it enters.
+    """
+    births, deaths = sublevel_ph0(grid.top_values)
+    if not drop_zero:
+        vv = grid.vertex_values()
+        levels, entering = np.unique(vv[np.isfinite(vv)], return_counts=True)
+        starting = np.bincount(np.searchsorted(levels, births), minlength=len(levels))
+        zero = np.repeat(levels, entering - starting)
+        births, deaths = np.concatenate([births, zero]), np.concatenate([deaths, zero])
+    return PersistenceDiagram(np.column_stack([np.zeros(len(births)), births, deaths]))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +523,15 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     """Persistence diagram of an explicit complex in degrees 0..max_dim.
 
     ``cx`` is a ``FilteredComplex`` with its triangles listed, or a
-    ``FilteredCubicalGrid``. With max_dim=0 no triangles or squares are
-    extracted. Zero-length intervals are dropped by default; pass
-    drop_zero=False to keep them (Euler-characteristic bookkeeping).
+    ``FilteredCubicalGrid``. With max_dim=0 no triangles are extracted, and
+    a grid's diagram comes from ``sublevel_ph0``. Zero-length intervals are
+    dropped by default; pass drop_zero=False to keep them
+    (Euler-characteristic bookkeeping).
     """
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
+    if max_dim == 0 and isinstance(cx, FilteredCubicalGrid):
+        return _grid_ph0(cx, drop_zero)
     values, boundaries = _cells_of(cx, max_dim)
     return _ph_from_cells(values, boundaries, max_dim, drop_zero)
 
@@ -422,7 +554,8 @@ def compute_flag_ph(graph: FilteredComplex, max_dim: int = 1, drop_zero: bool = 
 
 
 def compute_ph0_unionfind(cx) -> PersistenceDiagram:
-    """Degree-0 persistence: ``compute_ph(cx, max_dim=0)``."""
+    """Degree-0 persistence: ``compute_ph(cx, max_dim=0)``, by union-find on a
+    flag complex and by the level sweep on a grid."""
     return compute_ph(cx, max_dim=0)
 
 

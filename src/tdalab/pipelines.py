@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import datagen
-from .complexes import cubical_complex, rips_complex, tubular_filtration, weighted_rips_complex
+from .complexes import rips_complex, weighted_rips_complex
 from .datagen import LabeledDataset
 from .geometry import (
     BinaryMask,
@@ -33,6 +33,7 @@ from .geometry import (
     fill_sampling_gaps,
     geodesic_distance_matrix,
     rasterize,
+    tubular_distances,
 )
 from .learn import (
     Standardizer,
@@ -47,7 +48,7 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import PersistenceDiagram, compute_flag_ph, compute_ph0_unionfind
+from .persistence import PersistenceDiagram, compute_flag_ph, sublevel_ph0
 from .seeding import derive_seed, generator
 from .signatures import FinitePoints, ImageScheme, LandscapeScheme, finite_points, lifespans_matrix
 
@@ -501,18 +502,20 @@ def default_lines(mask: BinaryMask) -> LineSet:
     return LineSet(lines, LINE_NAMES)
 
 
-def _second_persistence(pd: PersistenceDiagram, end_value: float) -> float:
+def _second_persistence(births: Array, deaths: Array, end_value: float) -> float:
     """Lifespan of the second most persisting degree-0 class.
 
     Essential classes outrank everything and their lifespan is measured to
     the end of the filtration, so a convex (single-component) diagram
-    scores 0 while any transient component scores its true lifespan.
+    scores 0 while any transient component scores its true lifespan. The
+    classes are ranked in (birth, death) order, which settles ties.
     """
-    pts = pd.in_dim(0)
-    if len(pts) < 2:
+    if len(births) < 2:
         return 0.0
-    finite = np.isfinite(pts[:, 1])
-    spans = np.where(finite, pts[:, 1] - pts[:, 0], np.maximum(end_value - pts[:, 0], 0.0))
+    order = np.lexsort((deaths, births))
+    births, deaths = births[order], deaths[order]
+    finite = np.isfinite(deaths)
+    spans = np.where(finite, deaths - births, np.maximum(end_value - births, 0.0))
     rank = np.argsort(np.where(finite, spans, np.inf))[::-1]
     return float(spans[rank[1]])
 
@@ -526,18 +529,23 @@ def concavity_features(
     value ties of lattice-aligned lines survive float rounding; the vector
     is invariant under translating or uniformly scaling the mask extent.
     ``normalize`` divides by the occupied-cell count (area-relative mode).
+    Each line's values fill the box of occupied cells, +inf elsewhere, and
+    ``sublevel_ph0`` reads the components off it.
     """
     lines = lines or default_lines(mask)
     cell = mask.cell_size
+    ix, iy = np.nonzero(mask.cells)
+    centers = mask.cell_centers()[ix, iy]
+    ix, iy = ix - ix.min(), iy - iy.min()
+    box = np.full((ix.max() + 1, iy.max() + 1), np.inf)
     out = np.empty(len(lines))
     for i, line in enumerate(lines.lines):
-        fn = tubular_filtration(line)
-        grid = cubical_complex(mask, lambda centers: np.round(fn(centers) / cell, 9))
-        pd = compute_ph0_unionfind(grid)
-        end = float(grid.top_values[np.isfinite(grid.top_values)].max())
-        out[i] = _second_persistence(pd, end)
+        values = np.round(tubular_distances(centers, line) / cell, 9)
+        box[ix, iy] = values
+        births, deaths = sublevel_ph0(box)
+        out[i] = _second_persistence(births, deaths, float(values.max()))
     if normalize:
-        out /= int(mask.cells.sum())
+        out /= len(ix)
     return out
 
 

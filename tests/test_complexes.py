@@ -228,13 +228,57 @@ def test_cubical_rejects_unit_direction_violation():
 
 def test_filtered_complex_validate_catches_bad_edge():
     # an edge below an endpoint would kill that vertex's class before its
-    # birth; the diagram rejects such an interval
-    cx = FilteredComplex(
-        np.array([0.0, 1.0]),
-        np.array([[0, 1]]),
-        np.array([0.5]),  # below the endpoint value 1.0
-        np.empty((0, 3)),
-        np.empty(0),
-    )
-    with pytest.raises(ValueError, match="death must be >= birth"):
-        compute_ph(cx)
+    # birth; the constructor rejects it and names the edge
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is valued below a vertex"):
+        FilteredComplex(
+            np.array([0.0, 1.0]),
+            np.array([[0, 1]]),
+            np.array([0.5]),  # below the endpoint value 1.0
+            np.empty((0, 3)),
+            np.empty(0),
+        )
+
+
+def _triangle(edges, edge_values, tris, tri_values):
+    return FilteredComplex(np.zeros(3), edges, edge_values, tris, tri_values)
+
+
+_SIDES = [[0, 1], [0, 2], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "edges, tris, message",
+    [
+        ([[0, -1]], [], r"edge \(0, -1\) has a vertex outside 0..2"),
+        ([[3, 0]], [], r"edge \(3, 0\) has a vertex outside 0..2"),
+        (_SIDES, [[0, 1, 5]], r"triangle \(0, 1, 5\) has a vertex outside 0..2"),
+        (_SIDES, [[-1, 0, 1]], r"triangle \(-1, 0, 1\) has a vertex outside 0..2"),
+    ],
+)
+def test_filtered_complex_rejects_vertex_out_of_range(edges, tris, message):
+    with pytest.raises(ValueError, match=message):
+        _triangle(edges, np.ones(len(edges)), tris, np.ones(len(tris)))
+
+
+@pytest.mark.parametrize(
+    "edges, tris, message",
+    [
+        ([[1, 1]], [], r"edge \(1, 1\) repeats a vertex"),
+        (_SIDES, [[0, 2, 0]], r"triangle \(0, 2, 0\) repeats a vertex"),
+    ],
+)
+def test_filtered_complex_rejects_self_loop(edges, tris, message):
+    with pytest.raises(ValueError, match=message):
+        _triangle(edges, np.ones(len(edges)), tris, np.ones(len(tris)))
+
+
+def test_filtered_complex_rejects_triangle_below_edge():
+    with pytest.raises(ValueError, match=r"triangle \(2, 1, 0\) is valued below an edge"):
+        _triangle(_SIDES, [1.0, 3.0, 2.0], [[2, 1, 0]], [2.5])
+    assert len(_triangle(_SIDES, [1.0, 3.0, 2.0], [[2, 1, 0]], [3.0]).triangles) == 1
+
+
+@pytest.mark.parametrize("edges", [[[0, 1], [0, 2]], []], ids=["one-missing", "no-edges"])
+def test_filtered_complex_rejects_triangle_without_edge(edges):
+    with pytest.raises(ValueError, match=r"triangle \(0, 1, 2\) has a missing edge"):
+        _triangle(edges, np.ones(len(edges)), [[0, 1, 2]], [1.0])

@@ -94,6 +94,9 @@ def test_mask_csv_rejects_bad_row(tmp_path, row, message):
         ("P1\n0 0\n", "width and height must be positive integers"),
         ("P1\n2 2\n1 x\n0 1\n", "pixels must be 0 or 1, got 'x'"),
         ("P1\n2 2\n1 0\n2 1\n", "pixels must be 0 or 1, got '2'"),
+        ("P1\n# extent 0 0 wide\n2 2\n1 0\n0 1\n", "extent must be finite 'x0 y0 width' with width > 0, got '0 0 wide'"),
+        ("P1\n# extent 0 nan 1\n2 2\n1 0\n0 1\n", "extent must be finite .* got '0 nan 1'"),
+        ("P1\n# extent 0 0 0\n2 2\n1 0\n0 1\n", "extent must be finite .* got '0 0 0'"),
     ],
 )
 def test_mask_pbm_rejects_bad_file(tmp_path, text, message):

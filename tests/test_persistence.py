@@ -6,6 +6,7 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+import tdalab.persistence as persistence
 from tdalab.complexes import (
     FilteredComplex,
     FilteredCubicalGrid,
@@ -14,8 +15,8 @@ from tdalab.complexes import (
     tubular_filtration,
     weighted_rips_complex,
 )
-from tdalab.datagen import gen_random_concave_polygon
-from tdalab.geometry import PointCloud, dtm, euclidean_distance_matrix, rasterize
+from tdalab.datagen import gen_convexity_dataset, gen_polygon_masks, gen_random_concave_polygon
+from tdalab.geometry import BinaryMask, PointCloud, dtm, euclidean_distance_matrix, fill_sampling_gaps, rasterize
 from tdalab.pipelines import default_lines
 from tdalab.persistence import (
     PersistenceDiagram,
@@ -25,6 +26,7 @@ from tdalab.persistence import (
     compute_ph,
     compute_ph0_unionfind,
     naive_reduction_oracle,
+    sublevel_ph0,
 )
 
 RNG = np.random.default_rng(99)
@@ -236,6 +238,108 @@ def test_unionfind_matches_reduction_on_mask_components():
 
 
 # ---------------------------------------------------------------------------
+# degree 0 of cubical grids: the level sweep against the union-find
+# ---------------------------------------------------------------------------
+
+
+def _tubular_grids(mask):
+    cell = mask.cell_size
+    for line in default_lines(mask).lines:
+        fn = tubular_filtration(line)
+        yield cubical_complex(mask, lambda c, fn=fn: np.round(fn(c) / cell, 9))
+
+
+def _tied_grids(rng, count):
+    """Random grids with values on a 0.5 step and about a third +inf."""
+    for _ in range(count):
+        side = int(rng.integers(1, 13))
+        vals = np.round(rng.uniform(0.0, 5.0, (side, side)) * 2.0) / 2.0
+        vals[rng.random((side, side)) < 0.3] = np.inf
+        if not np.isfinite(vals).any():
+            vals[0, 0] = 1.0
+        yield FilteredCubicalGrid(vals)
+
+
+def _assert_sweep_equals_union_find(grid):
+    # compute_ph at max_dim=1 reads degree 0 off the elder-rule union-find
+    for drop_zero in (True, False):
+        full = compute_ph(grid, 1, drop_zero=drop_zero).multiset()
+        assert compute_ph(grid, 0, drop_zero=drop_zero).multiset() == tuple(r for r in full if r[0] == 0)
+
+
+def test_sweep_equals_union_find_on_tubular_grids():
+    for mask in gen_polygon_masks(60, 30, 601).items:
+        for grid in _tubular_grids(mask):
+            _assert_sweep_equals_union_find(grid)
+
+
+def test_sweep_equals_union_find_on_cloud_rasters():
+    for kind in ("regular", "random"):
+        ds = gen_convexity_dataset(kind, seed=601, points_per_cloud=1000, clouds_per_shape=1, polygons_per_class=4)
+        for cloud in ds.items:
+            for grid in _tubular_grids(fill_sampling_gaps(rasterize(cloud, 20), 5)):
+                _assert_sweep_equals_union_find(grid)
+
+
+def test_sweep_equals_union_find_on_tied_grids():
+    for grid in _tied_grids(np.random.default_rng(602), 240):
+        _assert_sweep_equals_union_find(grid)
+
+
+def test_sweep_in_blocks_equals_one_stack(monkeypatch):
+    rng = np.random.default_rng(603)
+    grids = list(_tied_grids(rng, 40)) + list(_tubular_grids(rasterize(gen_random_concave_polygon(3), 30)))
+    whole = [compute_ph(g, 0, drop_zero=False).multiset() for g in grids]
+    for cells in (1, 30, 500):
+        monkeypatch.setattr(persistence, "_SWEEP_CELLS", cells)
+        assert [compute_ph(g, 0, drop_zero=False).multiset() for g in grids] == whole
+
+
+@pytest.mark.parametrize(
+    "top, expected",
+    [
+        ([[2.5]], [(0.0, 2.5, math.inf)]),  # a 1x1 grid
+        ([[np.inf, np.inf], [np.inf, 1.0]], [(0.0, 1.0, math.inf)]),  # one finite cell
+        ([[3.0, 3.0], [3.0, np.inf]], [(0.0, 3.0, math.inf)]),  # one level: no parents
+        ([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [2.0, np.inf, 0.5]],  # four islands
+         [(0.0, 0.5, math.inf), (0.0, 1.0, math.inf), (0.0, 2.0, math.inf), (0.0, 2.0, math.inf)]),
+        ([[1.0, 4.0, 2.0], [np.inf] * 3, [np.inf] * 3], [(0.0, 1.0, math.inf), (0.0, 2.0, 4.0)]),  # the elder lives on
+        ([[2.0, 4.0, 1.0], [np.inf] * 3, [np.inf] * 3], [(0.0, 1.0, math.inf), (0.0, 2.0, 4.0)]),
+        ([[1.0, 3.0], [3.0, 1.0]], [(0.0, 1.0, math.inf)]),  # diagonal cells touch at a corner
+    ],
+)
+def test_sweep_edge_cases(top, expected):
+    grid = FilteredCubicalGrid(np.array(top, dtype=float))
+    assert compute_ph(grid, 0).multiset() == tuple(expected)
+    births, deaths = sublevel_ph0(grid.top_values)
+    assert PersistenceDiagram(np.column_stack([np.zeros(len(births)), births, deaths])).multiset() == tuple(expected)
+    for drop_zero in (True, False):
+        oracle = naive_reduction_oracle(grid, 0, drop_zero=drop_zero).multiset()
+        assert compute_ph(grid, 0, drop_zero=drop_zero).multiset() == oracle
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[1.0, np.nan], [0.0, 1.0]], [[1.0, -np.inf], [0.0, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]], [1.0, 2.0]],
+    ids=["nan", "-inf", "no-finite-cell", "1-d"],
+)
+def test_sweep_rejects_bad_values(values):
+    with pytest.raises(ValueError, match="finite or \\+inf cells"):
+        sublevel_ph0(np.array(values))
+
+
+def test_sweep_on_disconnected_mask():
+    cells = np.zeros((12, 12), dtype=bool)
+    cells[1:4, 1:5] = True
+    cells[7:11, 6:10] = True
+    cells[0, 11] = True
+    grids = list(_tubular_grids(BinaryMask(cells, (0.0, 0.0), 12.0)))
+    for grid in grids:
+        _assert_sweep_equals_union_find(grid)
+        assert int(np.isinf(compute_ph(grid, 0).in_dim(0)[:, 1]).sum()) == 3
+
+
+# ---------------------------------------------------------------------------
 # degree-0 and edge-count checks beyond the oracle's size limit
 # ---------------------------------------------------------------------------
 
@@ -264,11 +368,7 @@ def test_dim0_classes_are_tubular_components():
     # cells at or below t, and it was born at the component's lowest cell
     # (the elder rule); checked on every tubular line of concave shapes
     for seed in range(3):
-        mask = rasterize(gen_random_concave_polygon(seed), 30)
-        cell = mask.cell_size
-        for line in default_lines(mask).lines:
-            fn = tubular_filtration(line)
-            grid = cubical_complex(mask, lambda c, fn=fn: np.round(fn(c) / cell, 9))
+        for grid in _tubular_grids(rasterize(gen_random_concave_polygon(seed), 30)):
             top = grid.top_values
             pts = compute_ph(grid, max_dim=0).in_dim(0)
             for t in np.unique(top[np.isfinite(top)]):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tdalab.complexes import rips_complex, weighted_rips_complex
+from tdalab.complexes import cubical_complex, rips_complex, weighted_rips_complex
 from tdalab.datagen import (
     gen_convexity_dataset,
     gen_curvature_dataset,
@@ -121,6 +121,33 @@ def test_concavity_features_translation_scale_invariance():
     assert np.allclose(concavity_features(moved, normalize=True), f0)
     scaled = BinaryMask(mask.cells, (0.0, 0.0), mask.width * 7.5)
     assert np.allclose(concavity_features(scaled, normalize=True), f0)
+
+
+def _union_find_concavity(mask):
+    """Concavity features the way the level sweep replaced: a cubical grid
+    per line, degree 0 by the elder-rule union-find that serves
+    compute_ph at max_dim=1, and the second class ranked in the diagram's
+    (birth, death) order."""
+    cell = mask.cell_size
+    out = []
+    for line in default_lines(mask).lines:
+        grid = cubical_complex(mask, lambda c, line=line: np.round(tubular_distances(c, line) / cell, 9))
+        pts = compute_ph(grid, 1).in_dim(0)
+        if len(pts) < 2:
+            out.append(0.0)
+            continue
+        end = grid.top_values[np.isfinite(grid.top_values)].max()
+        finite = np.isfinite(pts[:, 1])
+        spans = np.where(finite, pts[:, 1] - pts[:, 0], np.maximum(end - pts[:, 0], 0.0))
+        out.append(float(spans[np.argsort(np.where(finite, spans, np.inf))[::-1][1]]))
+    return np.array(out)
+
+
+def test_concavity_features_equal_union_find_route():
+    # the first 30 masks of seed 603 hold mask 24, which has two components
+    # and so two essential classes on every line
+    for mask in gen_polygon_masks(60, 30, 603).items[:30]:
+        assert np.array_equal(concavity_features(mask), _union_find_concavity(mask))
 
 
 def test_normalize_divides_by_occupied_count():
