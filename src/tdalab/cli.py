@@ -31,7 +31,7 @@ from .complexes import (
     weighted_rips_complex,
 )
 from .geometry import Line, dtm, euclidean_distance_matrix, farthest_point_subsample
-from .persistence import compute_flag_ph, compute_ph
+from .persistence import compute_ph
 from .pipelines import LINE_NAMES, default_lines
 
 DESK = {
@@ -194,7 +194,7 @@ def _cmd_ph(args) -> int:
             graph = weighted_rips_complex(dm, dtm(dm, args.m), max_dim=1, r_max=args.r_max)
         else:
             graph = rips_complex(dm, max_dim=1, r_max=args.r_max)
-        pd = compute_flag_ph(graph, max_dim=args.max_dim)
+        pd = compute_ph(graph, max_dim=args.max_dim)
     out = Path(args.out) if args.out else path.with_suffix(".diagram.csv")
     io.write_diagram_csv(out, pd)
     if args.svg:

@@ -3,28 +3,28 @@
 Degree 0 of a cubical grid comes from a level sweep (Wagner, Chen &
 Vuçini, 2012): one ``scipy.ndimage.label`` call over the sublevel sets
 stacked at the levels where components can start or merge, with each
-component's parent one level up and the elder rule applied per parent. Everything else runs through one engine, which serves
-explicit complexes (listed triangles, cubical squares) and flag complexes
-given by their 1-skeleton alone. Its degree-0 pairs come from an
-elder-rule union-find over the edges in filtration order, which gives the
-pairing of the vertex-edge boundary reduction; the edges it finds closing
-a cycle are the degree-1 creators. Degree-1 deaths come from
-the coboundary (cohomology) reduction of the edge-triangle block, after
-Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
-(skipped), apparent pairs -- an edge whose earliest cofacet has the edge as
-its latest facet -- are found for all edges at once with numpy, and only
-the few remaining columns are reduced. Explicit complexes read cofacets
-off their boundary rows; flag complexes enumerate them on demand from the
-edge-value matrix, keyed by one order-preserving int64, so their triangles
-are never built. A deliberately unoptimized textbook reduction of the
-whole boundary matrix is the reference oracle.
+component's parent one level up and the elder rule applied per parent.
+Everything else runs through one engine, which serves flag complexes,
+given by their 1-skeleton, and cubical grids. Its degree-0 pairs come from
+an elder-rule union-find over the edges in filtration order, which gives
+the pairing of the vertex-edge boundary reduction; the edges it finds
+closing a cycle are the degree-1 creators. Degree-1 deaths come from the
+coboundary (cohomology) reduction of the edge-triangle (or edge-square)
+block, after Ripser (Bauer, 2021): the edges that kill a degree-0 class are
+cleared (skipped), apparent pairs -- an edge whose earliest cofacet has the
+edge as its latest facet -- are found for all edges at once with numpy, and
+only the few remaining columns are reduced. Flag complexes enumerate an
+edge's cofacets on demand from the edge-value matrix, keyed by one
+order-preserving int64, so their triangles are never built; grids read
+them off the boundary rows of their squares. A deliberately unoptimized
+textbook reduction of the whole boundary matrix, with the flag triangles
+listed by brute force, is the reference oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import ndimage
@@ -86,34 +86,17 @@ def _diagram(rows) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _flag_cells(cx: FilteredComplex, max_dim: int):
-    """Per-dimension sorted values and boundary row indices for a flag complex.
+def _flag_cells(cx: FilteredComplex):
+    """Sorted vertex values and the edges' boundary rows of a flag complex.
 
-    Edges and triangles are already in filtration order, with sorted rows:
-    the ``FilteredComplex`` constructor puts them there.
+    The edges are already in filtration order, with sorted rows: the
+    ``FilteredComplex`` constructor puts them there.
     """
     n = cx.n_vertices
     v_order = np.lexsort((np.arange(n), cx.vertex_values))
     v_row = np.empty(n, dtype=np.int64)
     v_row[v_order] = np.arange(n)
-    edges = cx.edges
-    values = [cx.vertex_values[v_order], cx.edge_values]
-    boundaries = [None, v_row[edges]]
-
-    if max_dim >= 1 and len(cx.triangles):
-        e_index = np.full((n, n), -1, dtype=np.int64)
-        e_index[edges[:, 0], edges[:, 1]] = np.arange(len(edges))
-        tris = cx.triangles
-        rows = np.column_stack(
-            [
-                e_index[tris[:, 0], tris[:, 1]],
-                e_index[tris[:, 0], tris[:, 2]],
-                e_index[tris[:, 1], tris[:, 2]],
-            ]
-        )
-        values.append(cx.triangle_values)
-        boundaries.append(rows)
-    return values, boundaries
+    return cx.vertex_values[v_order], v_row[cx.edges]
 
 
 def _cubical_cells(grid: FilteredCubicalGrid):
@@ -167,15 +150,6 @@ def _cubical_cells(grid: FilteredCubicalGrid):
     values = [v_vals, e_vals, s_vals]
     boundaries = [None, e_bnd, s_bnd]
     return values, boundaries
-
-
-def _cells_of(cx, max_dim: int):
-    """Cells up to dimension 2; a flag complex lists no triangles when max_dim is 0."""
-    if isinstance(cx, FilteredComplex):
-        return _flag_cells(cx, max_dim)
-    if isinstance(cx, FilteredCubicalGrid):
-        return _cubical_cells(cx)
-    raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +319,10 @@ def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
 
 
 class _BoundaryCofacets:
-    """Cofacets of edges read off explicit boundary rows.
+    """Cofacets of edges read off the boundary rows of 2-cells (squares).
 
-    A cofacet's key is its position in the filtration order of triangles
-    (or squares), so keys sort in filtration order.
+    A cofacet's key is its position in the filtration order of the 2-cells,
+    so keys sort in filtration order.
     """
 
     def __init__(self, facets: Array, values: Array, n_edges: int):
@@ -381,8 +355,8 @@ _FLAG_BLOCK = 1 << 18
 class _FlagCofacets:
     """Triangles of the flag complex spanned by a graph, never stored.
 
-    Triangles are ordered by (value, sorted vertex tuple), the order a
-    ``FilteredComplex`` gives its listed triangles. A triangle's key packs
+    Triangles are ordered by (value, sorted vertex tuple), as edges are
+    within a ``FilteredComplex``. A triangle's key packs
     (value rank, i, j, k) with i < j < k into one int64 whose integer order
     is that filtration order; its value is the largest of its three edge
     values. For an edge (a, b), a < b, the sorted tuple of {a, b, k} is
@@ -478,8 +452,9 @@ def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool):
     Degree 0 and the degree-1 creators come from the elder-rule union-find.
     The edges it pairs with vertices are cleared: their coboundary columns
     reduce to zero. Of the cycle edges, apparent pairs are found at once
-    from ``cof.earliest``; only the rest are reduced. ``cof`` is None when
-    there are no 2-cells.
+    from ``cof.earliest``; only the rest are reduced. ``cof`` gives the
+    edges' cofacets (``_FlagCofacets`` or ``_BoundaryCofacets``); None
+    means no 2-cells.
     """
     pairs0, cycle = _elder_union_find(len(v_values), edge_rows)
     alive = np.ones(len(v_values), dtype=bool)
@@ -511,46 +486,28 @@ def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool):
     return PersistenceDiagram(np.concatenate(rows))
 
 
-def _ph_from_cells(values, boundaries, max_dim: int, drop_zero: bool):
-    """Intervals of explicit cells: per-dimension sorted values and boundary rows."""
-    cof = None
-    if max_dim >= 1 and len(values) > 2 and len(values[2]):
-        cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
-    return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
-
-
 def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
-    """Persistence diagram of an explicit complex in degrees 0..max_dim.
+    """Persistence diagram of a complex in degrees 0..max_dim.
 
-    ``cx`` is a ``FilteredComplex`` with its triangles listed, or a
-    ``FilteredCubicalGrid``. With max_dim=0 no triangles are extracted, and
-    a grid's diagram comes from ``sublevel_ph0``. Zero-length intervals are
-    dropped by default; pass drop_zero=False to keep them
-    (Euler-characteristic bookkeeping).
+    ``cx`` is a ``FilteredComplex``, whose triangles the reduction
+    enumerates from its edges and never builds, or a ``FilteredCubicalGrid``,
+    whose degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``.
+    Zero-length intervals are dropped by default; pass drop_zero=False to
+    keep them (Euler-characteristic bookkeeping).
     """
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
-    if max_dim == 0 and isinstance(cx, FilteredCubicalGrid):
-        return _grid_ph0(cx, drop_zero)
-    values, boundaries = _cells_of(cx, max_dim)
-    return _ph_from_cells(values, boundaries, max_dim, drop_zero)
-
-
-def compute_flag_ph(graph: FilteredComplex, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
-    """Persistence diagram of the flag complex spanned by a 1-skeleton.
-
-    ``graph`` is what ``rips_complex`` or ``weighted_rips_complex`` build at
-    ``max_dim=1``; the diagram equals ``compute_ph`` of the same builder at
-    ``max_dim=2`` and the same ``r_max``, but no triangle is ever built:
-    each edge enumerates its cofacets from the edge-value matrix.
-    """
-    if not 0 <= max_dim <= 1:
-        raise ValueError("max_dim must be 0 or 1")
-    if len(graph.triangles):
-        raise ValueError("compute_flag_ph takes a 1-skeleton; use compute_ph for explicit triangles")
-    values, boundaries = _flag_cells(graph, 0)
-    cof = _FlagCofacets(graph) if max_dim >= 1 else None
-    return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
+    if isinstance(cx, FilteredComplex):
+        v_values, edge_rows = _flag_cells(cx)
+        cof = _FlagCofacets(cx) if max_dim >= 1 else None
+        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero)
+    if isinstance(cx, FilteredCubicalGrid):
+        if max_dim == 0:
+            return _grid_ph0(cx, drop_zero)
+        values, boundaries = _cubical_cells(cx)
+        cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
+        return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
+    raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
 
 
 def compute_ph0_unionfind(cx) -> PersistenceDiagram:
@@ -564,14 +521,30 @@ def compute_ph0_unionfind(cx) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 
 
+def _oracle_flag_cells(cx: FilteredComplex):
+    """Vertices, edges and every triangle whose three edges are present, each
+    valued at its largest edge, as (key, dim, value, facet keys)."""
+    for i, v in enumerate(cx.vertex_values.tolist()):
+        yield (i,), 0, v, []
+    value = {}
+    for (a, b), v in zip(cx.edges.tolist(), cx.edge_values.tolist()):
+        a, b = min(a, b), max(a, b)
+        value[a, b] = v
+        yield (a, b), 1, v, [(a,), (b,)]
+    later = {}  # vertex -> its neighbours of higher index
+    for a, b in value:
+        later.setdefault(a, set()).add(b)
+    for a, b in value:
+        for c in sorted(later.get(a, set()) & later.get(b, set())):
+            faces = [(a, b), (a, c), (b, c)]
+            yield (a, b, c), 2, max(value[f] for f in faces), faces
+
+
 def _oracle_cells(cx):
     """Independent cell enumeration: (key, dim, value, facet keys)."""
-    cells = []
     if isinstance(cx, FilteredComplex):
-        for verts, dim, value in cx.simplices():
-            facets = [f for f in combinations(verts, dim)] if dim > 0 else []
-            cells.append((verts, dim, value, facets))
-        return cells
+        return _oracle_flag_cells(cx)
+    cells = []
     if isinstance(cx, FilteredCubicalGrid):
         top = cx.top_values
         c = cx.side
@@ -608,11 +581,11 @@ def _oracle_cells(cx):
 
 def naive_reduction_oracle(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
     """Textbook left-to-right reduction without optimizations. Tests only."""
-    cells = _oracle_cells(cx)
-    if len(cells) > ORACLE_MAX_SIMPLICES:
-        raise ValueError(
-            f"oracle limited to {ORACLE_MAX_SIMPLICES} simplices, got {len(cells)}"
-        )
+    cells = []
+    for cell in _oracle_cells(cx):
+        cells.append(cell)
+        if len(cells) > ORACLE_MAX_SIMPLICES:
+            raise ValueError(f"oracle limited to {ORACLE_MAX_SIMPLICES} simplices")
     cells.sort(key=lambda cell: (cell[2], cell[1], cell[0]))
     index = {cell[0]: i for i, cell in enumerate(cells)}
     columns = [set(index[f] for f in cell[3]) for cell in cells]

@@ -48,7 +48,7 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import PersistenceDiagram, compute_flag_ph, sublevel_ph0
+from .persistence import PersistenceDiagram, compute_ph, sublevel_ph0
 from .seeding import derive_seed, generator
 from .signatures import FinitePoints, ImageScheme, LandscapeScheme, finite_points, lifespans_matrix
 
@@ -233,7 +233,7 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     dm = euclidean_distance_matrix(cloud)
     graph = weighted_rips_complex(dm, dtm(dm, dtm_mass), max_dim=1)
     r_full = float(graph.edge_values.max()) if len(graph.edge_values) else 0.0
-    return _capped_dim1_pairs(compute_flag_ph(graph), cap_factor * r_full)
+    return _capped_dim1_pairs(compute_ph(graph), cap_factor * r_full)
 
 
 def _diagram_from_pairs(pairs: Array, dim: int) -> PersistenceDiagram:
@@ -350,7 +350,7 @@ def _curvature_worker(coords, kappa, cap_factor):
 
     cloud = PolarCloud(coords, kappa)
     dm = geodesic_distance_matrix(cloud)
-    pd = compute_flag_ph(rips_complex(dm, max_dim=1))
+    pd = compute_ph(rips_complex(dm, max_dim=1))
     return pd.finite_in_dim(0), _capped_dim1_pairs(pd, cap_factor * float(dm.values.max()))
 
 

@@ -165,6 +165,16 @@ def test_ph_malformed_file_reports_line(tmp_path, capsys):
     assert "bad.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("filtration", ["rips", "dtm"])
+def test_ph_nan_r_max_fails(tmp_path, capsys, filtration):
+    src = tmp_path / "cloud.csv"
+    io.write_cloud_csv(src, PointCloud(np.random.default_rng(0).random((30, 2))))
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, "--filtration", filtration, "--r-max", "nan", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: r_max must not be NaN")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from tdalab.complexes import (
     weighted_rips_complex,
 )
 from tdalab.geometry import BinaryMask, Line, PointCloud, euclidean_distance_matrix
-from tdalab.persistence import compute_ph
+from tdalab.persistence import _oracle_cells
 
 RNG = np.random.default_rng(11)
 
@@ -24,17 +24,16 @@ def _dm(points):
 
 
 def _assert_filtration(cx):
-    """Edges and triangles in (value, vertex tuple) order, each face present
-    and no later than its coface."""
+    """Edges in (value, vertex tuple) order, each no earlier than its vertices."""
     below = np.maximum(cx.vertex_values[cx.edges[:, 0]], cx.vertex_values[cx.edges[:, 1]])
     assert np.all(cx.edge_values >= below)
     edges = [(v, *map(int, e)) for e, v in zip(cx.edges, cx.edge_values)]
     assert edges == sorted(edges) and all(i < j for _, i, j in edges)
-    tris = [(v, *map(int, t)) for t, v in zip(cx.triangles, cx.triangle_values)]
-    assert tris == sorted(tris) and all(i < j < k for _, i, j, k in tris)
-    lookup = {(i, j): v for v, i, j in edges}
-    for v, a, b, c in tris:
-        assert all(lookup[face] <= v for face in ((a, b), (a, c), (b, c)))
+
+
+def _triangles(cx):
+    """(vertex tuple, value) of the triangles the oracle enumerates."""
+    return [(key, value) for key, dim, value, _ in _oracle_cells(cx) if dim == 2]
 
 
 # ---------------------------------------------------------------------------
@@ -47,14 +46,16 @@ def test_rips_two_points():
     assert np.allclose(cx.vertex_values, [0, 0])
     assert cx.edges.tolist() == [[0, 1]]
     assert cx.edge_values[0] == pytest.approx(3.0)
-    assert len(cx.triangles) == 0
+    assert cx.n_simplices == 3
 
 
 def test_rips_unit_square_triangle_values():
     cx = rips_complex(_dm([[0, 0], [1, 0], [1, 1], [0, 1]]))
     # every triangle contains a diagonal, so all 4 triangle values are sqrt(2)
-    assert len(cx.triangles) == 4
-    assert np.allclose(cx.triangle_values, math.sqrt(2))
+    assert cx.n_simplices == 4 + 6 + 4
+    triangles = _triangles(cx)
+    assert len(triangles) == 4
+    assert np.allclose([value for _, value in triangles], math.sqrt(2))
     # edge values: 4 sides at 1, 2 diagonals at sqrt(2)
     assert sorted(np.round(cx.edge_values, 12).tolist()) == pytest.approx(
         [1, 1, 1, 1, math.sqrt(2), math.sqrt(2)]
@@ -65,7 +66,8 @@ def test_rips_full_simplex_counts():
     n = 10
     cx = rips_complex(_dm(RNG.random((n, 2))))
     assert len(cx.edges) == math.comb(n, 2)
-    assert len(cx.triangles) == math.comb(n, 3)
+    assert cx.n_simplices == n + math.comb(n, 2) + math.comb(n, 3)
+    assert len(_triangles(cx)) == math.comb(n, 3)
     _assert_filtration(cx)
 
 
@@ -73,15 +75,16 @@ def test_rips_r_max_truncates():
     pts = [[0, 0], [1, 0], [0.5, 5.0]]
     cx = rips_complex(_dm(pts), r_max=2.0)
     assert len(cx.edges) == 1
-    assert len(cx.triangles) == 0
+    assert cx.n_simplices == 4
 
 
 def test_rips_monotonicity_random():
     cx = rips_complex(_dm(RNG.random((12, 3))))
     _assert_filtration(cx)
     lookup = {tuple(e): v for e, v in zip(map(tuple, cx.edges), cx.edge_values)}
-    for t, v in zip(cx.triangles, cx.triangle_values):
-        a, b, c = map(int, t)
+    triangles = _triangles(cx)
+    assert len(triangles) == math.comb(12, 3)
+    for (a, b, c), v in triangles:
         assert v == max(lookup[(a, b)], lookup[(a, c)], lookup[(b, c)])
 
 
@@ -97,7 +100,6 @@ def test_rips_guard_and_force():
 def test_rips_ordering_sorted():
     cx = rips_complex(_dm(RNG.random((8, 2))))
     assert np.all(np.diff(cx.edge_values) >= 0)
-    assert np.all(np.diff(cx.triangle_values) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,55 +232,37 @@ def test_filtered_complex_validate_catches_bad_edge():
     # an edge below an endpoint would kill that vertex's class before its
     # birth; the constructor rejects it and names the edge
     with pytest.raises(ValueError, match=r"edge \(0, 1\) is valued below a vertex"):
-        FilteredComplex(
-            np.array([0.0, 1.0]),
-            np.array([[0, 1]]),
-            np.array([0.5]),  # below the endpoint value 1.0
-            np.empty((0, 3)),
-            np.empty(0),
-        )
-
-
-def _triangle(edges, edge_values, tris, tri_values):
-    return FilteredComplex(np.zeros(3), edges, edge_values, tris, tri_values)
-
-
-_SIDES = [[0, 1], [0, 2], [1, 2]]
+        FilteredComplex(np.array([0.0, 1.0]), np.array([[0, 1]]), np.array([0.5]))  # below 1.0
 
 
 @pytest.mark.parametrize(
-    "edges, tris, message",
-    [
-        ([[0, -1]], [], r"edge \(0, -1\) has a vertex outside 0..2"),
-        ([[3, 0]], [], r"edge \(3, 0\) has a vertex outside 0..2"),
-        (_SIDES, [[0, 1, 5]], r"triangle \(0, 1, 5\) has a vertex outside 0..2"),
-        (_SIDES, [[-1, 0, 1]], r"triangle \(-1, 0, 1\) has a vertex outside 0..2"),
-    ],
+    "edge, message",
+    [([0, -1], r"edge \(0, -1\) has a vertex outside 0..2"), ([3, 0], r"edge \(3, 0\) has a vertex outside 0..2")],
+    ids=["negative", "too-large"],
 )
-def test_filtered_complex_rejects_vertex_out_of_range(edges, tris, message):
+def test_filtered_complex_rejects_vertex_out_of_range(edge, message):
     with pytest.raises(ValueError, match=message):
-        _triangle(edges, np.ones(len(edges)), tris, np.ones(len(tris)))
+        FilteredComplex(np.zeros(3), [[0, 1], edge], np.ones(2))
 
 
-@pytest.mark.parametrize(
-    "edges, tris, message",
-    [
-        ([[1, 1]], [], r"edge \(1, 1\) repeats a vertex"),
-        (_SIDES, [[0, 2, 0]], r"triangle \(0, 2, 0\) repeats a vertex"),
-    ],
-)
-def test_filtered_complex_rejects_self_loop(edges, tris, message):
-    with pytest.raises(ValueError, match=message):
-        _triangle(edges, np.ones(len(edges)), tris, np.ones(len(tris)))
+def test_filtered_complex_rejects_self_loop():
+    with pytest.raises(ValueError, match=r"edge \(1, 1\) repeats a vertex"):
+        FilteredComplex(np.zeros(3), [[0, 1], [1, 1]], np.ones(2))
 
 
-def test_filtered_complex_rejects_triangle_below_edge():
-    with pytest.raises(ValueError, match=r"triangle \(2, 1, 0\) is valued below an edge"):
-        _triangle(_SIDES, [1.0, 3.0, 2.0], [[2, 1, 0]], [2.5])
-    assert len(_triangle(_SIDES, [1.0, 3.0, 2.0], [[2, 1, 0]], [3.0]).triangles) == 1
+@pytest.mark.parametrize("r_max", [None, 0.3, 0.6, 2.0])
+def test_n_simplices_counts_flag_triangles(r_max):
+    # the count from the adjacency matrix against the oracle's enumeration
+    dm = _dm(np.random.default_rng(13).random((14, 2)))
+    for cx in (rips_complex(dm, r_max=r_max), weighted_rips_complex(dm, np.linspace(0.0, 0.2, 14), r_max=r_max)):
+        assert cx.n_simplices == cx.n_vertices + len(cx.edges) + len(_triangles(cx))
 
 
-@pytest.mark.parametrize("edges", [[[0, 1], [0, 2]], []], ids=["one-missing", "no-edges"])
-def test_filtered_complex_rejects_triangle_without_edge(edges):
-    with pytest.raises(ValueError, match=r"triangle \(0, 1, 2\) has a missing edge"):
-        _triangle(edges, np.ones(len(edges)), [[0, 1, 2]], [1.0])
+def test_rips_rejects_nan_r_max():
+    with pytest.raises(ValueError, match="r_max must not be NaN"):
+        rips_complex(_dm(RNG.random((5, 2))), r_max=math.nan)
+
+
+def test_weighted_rips_rejects_nan_r_max():
+    with pytest.raises(ValueError, match="r_max must not be NaN"):
+        weighted_rips_complex(_dm(RNG.random((5, 2))), np.zeros(5), r_max=math.nan)

@@ -1,7 +1,9 @@
-"""The README's quick start and the demos import only names that exist."""
+"""The README's quick start and the demos import only names that exist, and
+its library map names only what its modules define."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -37,4 +39,31 @@ def test_imported_tdalab_names_exist(source):
         f"{module}.{name}" for module, name in imports
         if not hasattr(importlib.import_module(module), name)
     ]
+    assert not missing
+
+
+def _library_map():
+    """(module, backticked bare names) for each row of the README library map."""
+    section = (ROOT / "README.md").read_text().split("## Library map", 1)[1].split("\n## ", 1)[0]
+    for line in section.splitlines():
+        row = re.match(r"\| `(tdalab\.\w+)` \| (.*) \|$", line)
+        if row:
+            yield row.group(1), re.findall(r"`([A-Za-z_]\w*)`", row.group(2))
+
+
+LIBRARY_MAP = list(_library_map())
+
+
+def test_library_map_lists_every_module():
+    modules = {f"tdalab.{path.stem}" for path in (ROOT / "src" / "tdalab").glob("*.py")}
+    assert {module for module, _ in LIBRARY_MAP} <= modules
+    assert len(LIBRARY_MAP) >= 8
+
+
+@pytest.mark.parametrize("module, names", LIBRARY_MAP, ids=[m for m, _ in LIBRARY_MAP])
+def test_library_map_names_exist(module, names):
+    # a name is an attribute of the module or of a class the module defines
+    mod = importlib.import_module(module)
+    classes = [c for c in vars(mod).values() if inspect.isclass(c) and c.__module__ == module]
+    missing = [n for n in names if not hasattr(mod, n) and not any(hasattr(c, n) for c in classes)]
     assert not missing

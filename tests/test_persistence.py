@@ -20,9 +20,6 @@ from tdalab.geometry import BinaryMask, PointCloud, dtm, euclidean_distance_matr
 from tdalab.pipelines import default_lines
 from tdalab.persistence import (
     PersistenceDiagram,
-    _cells_of,
-    _ph_from_cells,
-    compute_flag_ph,
     compute_ph,
     compute_ph0_unionfind,
     naive_reduction_oracle,
@@ -41,6 +38,36 @@ def _random_weighted_complex(rng, max_points=12):
     pts = rng.random((n, 2))
     f = rng.random(n)
     return weighted_rips_complex(_dm(pts), f)
+
+
+def _explicit_cells(cx):
+    """Per-dimension sorted values and boundary rows of a flag complex with
+    its triangles listed here: every vertex triple whose three edges are
+    present, valued at the largest of them, in (value, i, j, k) order."""
+    n = cx.n_vertices
+    a, b = cx.edges.T
+    e_index = np.full((n, n), -1)
+    e_index[a, b] = e_index[b, a] = np.arange(len(a))
+    common = (e_index[a] >= 0) & (e_index[b] >= 0) & (np.arange(n) > b[:, None])
+    at, c = np.nonzero(common)
+    a, b = a[at], b[at]
+    facets = np.column_stack([e_index[a, b], e_index[a, c], e_index[b, c]])
+    tri_values = cx.edge_values[facets].max(axis=1)
+    order = np.lexsort((c, b, a, tri_values))
+    v_order = np.lexsort((np.arange(n), cx.vertex_values))
+    v_row = np.empty(n, dtype=np.int64)
+    v_row[v_order] = np.arange(n)
+    values = [cx.vertex_values[v_order], cx.edge_values, tri_values[order]]
+    return values, [None, v_row[cx.edges], facets[order]]
+
+
+def _reduce_cells(values, boundaries, drop_zero=True):
+    """The engine on listed 2-cells: cofacets read off their boundary rows,
+    as for the squares of a cubical grid."""
+    cof = None
+    if len(values[2]):
+        cof = persistence._BoundaryCofacets(boundaries[2], values[2], len(values[1]))
+    return persistence._ph(values[0], values[1], boundaries[1], cof, 1, drop_zero)
 
 
 def _random_grid(rng, max_side=8):
@@ -154,8 +181,9 @@ def test_tie_permutation_invariance():
     # interval multiset; grid points produce plenty of exact ties
     pts = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), -1).reshape(-1, 2)
     cx = rips_complex(_dm(pts))
-    values, boundaries = _cells_of(cx, 1)
-    base = _ph_from_cells(values, boundaries, 1, True).multiset()
+    values, boundaries = _explicit_cells(cx)
+    base = _reduce_cells(values, boundaries).multiset()
+    assert base == compute_ph(cx).multiset()
     rng = np.random.default_rng(0)
     for _ in range(6):
         perm_values = [v.copy() for v in values]
@@ -173,9 +201,8 @@ def test_tie_permutation_invariance():
                 # renumber edge rows inside triangle boundaries
                 inverse = np.empty(len(order), dtype=np.int64)
                 inverse[order] = np.arange(len(order))
-                if perm_boundaries[2] is not None:
-                    perm_boundaries[2] = inverse[boundaries[2]]
-        got = _ph_from_cells(perm_values, perm_boundaries, 1, True).multiset()
+                perm_boundaries[2] = inverse[boundaries[2]]
+        got = _reduce_cells(perm_values, perm_boundaries).multiset()
         assert got == base
 
 
@@ -192,8 +219,9 @@ def test_euler_consistency_full_filtration():
         b0 = int(np.sum(np.isinf(d0[:, 1])))
         b1 = int(np.sum(np.isinf(d1[:, 1])))
         deaths1 = int(np.sum(np.isfinite(d1[:, 1])))
-        b2 = len(cx.triangles) - deaths1
-        chi = cx.n_vertices - len(cx.edges) + len(cx.triangles)
+        triangles = len(_explicit_cells(cx)[0][2])
+        b2 = triangles - deaths1
+        chi = cx.n_vertices - len(cx.edges) + triangles
         assert b0 - b1 + b2 == chi
 
 
@@ -203,11 +231,11 @@ def test_euler_consistency_at_intermediate_scales():
     pts = rng.random((n, 2))
     full = rips_complex(_dm(pts))
     pd = compute_ph(full, 1, drop_zero=False)
-    tri_deaths = pd.in_dim(1)
+    tri_values = _explicit_cells(full)[0][2]
     for r in np.quantile(full.edge_values, [0.3, 0.6, 0.9]):
         v = n
         e = int(np.sum(full.edge_values <= r))
-        t = int(np.sum(full.triangle_values <= r))
+        t = int(np.sum(tri_values <= r))
         d0, d1 = pd.in_dim(0), pd.in_dim(1)
         alive0 = int(np.sum((d0[:, 0] <= r) & (d0[:, 1] > r)))
         alive1 = int(np.sum((d1[:, 0] <= r) & (d1[:, 1] > r)))
@@ -385,7 +413,7 @@ def test_every_edge_pairs_once_on_large_capped_complex():
     theta = rng.uniform(0.0, 2.0 * math.pi, 100)
     pts = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.03, (100, 2))
     cx = rips_complex(_dm(pts), r_max=1.0)
-    assert len(cx.triangles) > 10_000
+    assert cx.n_simplices - cx.n_vertices - len(cx.edges) > 10_000
     pd = compute_ph(cx, max_dim=1, drop_zero=False)
     d1 = pd.in_dim(1)
     assert int(np.sum(np.isinf(d1[:, 1]))) == 1
@@ -398,19 +426,18 @@ def test_dim0_births_are_component_minima():
     dm = _dm(np.random.default_rng(152).random((150, 2)))
     f = dtm(dm, 0.03)
     graph = weighted_rips_complex(dm, f, max_dim=1)
-    for engine in (compute_ph, compute_flag_ph):
-        pts = engine(graph, max_dim=0).in_dim(0)
-        for t in np.quantile(graph.edge_values, np.linspace(0.0, 0.05, 20)):
-            alive = pts[(pts[:, 0] <= t) & (pts[:, 1] > t), 0]
-            born = np.nonzero(f <= t)[0]
-            keep = (graph.edge_values <= t)
-            sub = csr_matrix(
-                (np.ones(int(keep.sum())), tuple(graph.edges[keep].T)), shape=(150, 150)
-            )[born][:, born]
-            _, labels = connected_components(sub, directed=False)
-            minima = np.full(labels.max() + 1, np.inf)
-            np.minimum.at(minima, labels, f[born])
-            assert np.array_equal(np.sort(alive), np.sort(minima))
+    pts = compute_ph(graph, max_dim=0).in_dim(0)
+    for t in np.quantile(graph.edge_values, np.linspace(0.0, 0.05, 20)):
+        alive = pts[(pts[:, 0] <= t) & (pts[:, 1] > t), 0]
+        born = np.nonzero(f <= t)[0]
+        keep = (graph.edge_values <= t)
+        sub = csr_matrix(
+            (np.ones(int(keep.sum())), tuple(graph.edges[keep].T)), shape=(150, 150)
+        )[born][:, born]
+        _, labels = connected_components(sub, directed=False)
+        minima = np.full(labels.max() + 1, np.inf)
+        np.minimum.at(minima, labels, f[born])
+        assert np.array_equal(np.sort(alive), np.sort(minima))
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +449,26 @@ def _flag_builders(points, weighted):
     dm = _dm(points)
     if weighted:
         f = dtm(dm, 0.1)
-        return lambda max_dim, r_max=None: weighted_rips_complex(dm, f, max_dim, r_max)
-    return lambda max_dim, r_max=None: rips_complex(dm, max_dim, r_max)
+        return lambda r_max=None, max_dim=2: weighted_rips_complex(dm, f, max_dim, r_max)
+    return lambda r_max=None, max_dim=2: rips_complex(dm, max_dim, r_max)
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["rips", "dtm-rips"])
 @pytest.mark.parametrize("capped", [False, True], ids=["full", "capped"])
 def test_flag_ph_equals_explicit_at_scale(weighted, capped):
+    # compute_ph enumerates each edge's cofacets from the edge values; the
+    # reference lists the triangles and reads cofacets off boundary rows
     rng = np.random.default_rng(17)
     theta = rng.uniform(0.0, 2.0 * math.pi, 110 if capped else 70)
     points = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.1, (len(theta), 2))
     build = _flag_builders(points, weighted)
-    r_max = float(np.quantile(build(1).edge_values, 0.3)) if capped else None
-    explicit = build(2, r_max)
-    assert 10_000 <= len(explicit.triangles) <= 100_000
-    graph = build(1, r_max)
+    r_max = float(np.quantile(build().edge_values, 0.3)) if capped else None
+    graph = build(r_max)
+    values, boundaries = _explicit_cells(graph)
+    assert 10_000 <= len(values[2]) <= 100_000
     for drop_zero in (True, False):
-        flag = compute_flag_ph(graph, drop_zero=drop_zero).multiset()
-        assert flag == compute_ph(explicit, drop_zero=drop_zero).multiset()
+        explicit = _reduce_cells(values, boundaries, drop_zero).multiset()
+        assert compute_ph(graph, drop_zero=drop_zero).multiset() == explicit
 
 
 def test_flag_ph_equals_oracle_small():
@@ -448,32 +477,23 @@ def test_flag_ph_equals_oracle_small():
     for trial in range(12):
         points = lattice if trial < 2 else rng.random((12, 2))
         build = _flag_builders(points, weighted=trial % 2 == 1)
-        r_max = float(np.quantile(build(1).edge_values, 0.5)) if trial % 3 == 0 else None
-        explicit, graph = build(2, r_max), build(1, r_max)
+        r_max = float(np.quantile(build().edge_values, 0.5)) if trial % 3 == 0 else None
+        graph = build(r_max)
+        # max_dim 1 and 2 build the same complex
+        one = build(r_max, max_dim=1)
+        assert np.array_equal(one.edges, graph.edges) and np.array_equal(one.edge_values, graph.edge_values)
+        values, boundaries = _explicit_cells(graph)
         for drop_zero in (True, False):
-            oracle = naive_reduction_oracle(explicit, drop_zero=drop_zero).multiset()
-            assert compute_flag_ph(graph, drop_zero=drop_zero).multiset() == oracle
-            assert compute_ph(explicit, drop_zero=drop_zero).multiset() == oracle
-        assert compute_flag_ph(graph, max_dim=0).multiset() == naive_reduction_oracle(explicit, 0).multiset()
-
-
-def test_flag_ph_rejects_triangles():
-    cx = rips_complex(_dm(RNG.random((5, 2))))
-    with pytest.raises(ValueError, match="1-skeleton"):
-        compute_flag_ph(cx)
+            oracle = naive_reduction_oracle(graph, drop_zero=drop_zero).multiset()
+            assert compute_ph(graph, drop_zero=drop_zero).multiset() == oracle
+            assert _reduce_cells(values, boundaries, drop_zero).multiset() == oracle
+        assert compute_ph(graph, max_dim=0).multiset() == naive_reduction_oracle(graph, 0).multiset()
 
 
 def _scrambled(cx, rng):
-    """The same complex given with its edges and triangles shuffled and
-    every row reversed."""
-    pe, pt = rng.permutation(len(cx.edges)), rng.permutation(len(cx.triangles))
-    return FilteredComplex(
-        cx.vertex_values,
-        cx.edges[pe][:, ::-1],
-        cx.edge_values[pe],
-        cx.triangles[pt][:, ::-1],
-        cx.triangle_values[pt],
-    )
+    """The same complex given with its edges shuffled and every row reversed."""
+    order = rng.permutation(len(cx.edges))
+    return FilteredComplex(cx.vertex_values, cx.edges[order][:, ::-1], cx.edge_values[order])
 
 
 @pytest.mark.parametrize("weighted", [False, True], ids=["rips", "dtm-rips"])
@@ -481,17 +501,15 @@ def test_direct_complex_in_any_order_equals_builder(weighted):
     rng = np.random.default_rng(5)
     lattice = np.stack(np.meshgrid(np.arange(4.0), np.arange(3.0)), -1).reshape(-1, 2)
     for points in (lattice, rng.random((12, 2))):
-        build = _flag_builders(points, weighted)
-        explicit, graph = build(2), build(1)
+        graph = _flag_builders(points, weighted)()
         for drop_zero in (True, False):
-            oracle = naive_reduction_oracle(explicit, drop_zero=drop_zero).multiset()
-            assert compute_ph(explicit, drop_zero=drop_zero).multiset() == oracle
-            direct = _scrambled(explicit, rng)
-            for name in ("edges", "edge_values", "triangles", "triangle_values"):
-                assert np.array_equal(getattr(direct, name), getattr(explicit, name))
+            oracle = naive_reduction_oracle(graph, drop_zero=drop_zero).multiset()
+            assert compute_ph(graph, drop_zero=drop_zero).multiset() == oracle
+            direct = _scrambled(graph, rng)
+            for name in ("edges", "edge_values"):
+                assert np.array_equal(getattr(direct, name), getattr(graph, name))
             assert compute_ph(direct, drop_zero=drop_zero).multiset() == oracle
             assert naive_reduction_oracle(direct, drop_zero=drop_zero).multiset() == oracle
-            assert compute_flag_ph(_scrambled(graph, rng), drop_zero=drop_zero).multiset() == oracle
 
 
 def test_lifespans_sorted_descending():
