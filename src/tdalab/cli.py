@@ -2,7 +2,8 @@
 
 Subcommands:
   generate  write a labeled dataset (manifest + one file per item)
-  ph        persistence diagram of a single cloud CSV or mask PBM/CSV
+  ph        persistence diagram of a single cloud CSV or mask PBM/CSV (mask
+            diagrams in cell units, as the concavity features read them)
   run       one of the four experiments, emitting a report
 
 The master seed comes from --seed, falling back to the TDA_LAB_SEED
@@ -32,7 +33,7 @@ from .complexes import (
 )
 from .geometry import Line, dtm, euclidean_distance_matrix, farthest_point_subsample
 from .persistence import compute_ph
-from .pipelines import LINE_NAMES, default_lines
+from .pipelines import LINE_NAMES, cell_units, default_lines
 
 DESK = {
     "holes": {"clouds_per_shape": 10, "points": 300},
@@ -169,8 +170,7 @@ def _cmd_ph(args) -> int:
     if mask_mode:
         mask = io.read_mask(path)
         if args.filtration == "tubular":
-            line = _parse_line(args.line or "bottom", mask)
-            fn = tubular_filtration(line)
+            fn = tubular_filtration(_parse_line(args.line or "bottom", mask))
         else:
             v = np.array([float(p) for p in (args.vector or "0,1").split(",")])
             norm = float(np.linalg.norm(v))
@@ -178,7 +178,7 @@ def _cmd_ph(args) -> int:
                 raise SystemExit("--vector must be nonzero")
             v = v / norm
             fn = height_filtration(v) if args.filtration == "height" else absolute_height_filtration(v)
-        cx = cubical_complex(mask, fn)
+        cx = cubical_complex(mask, lambda centers: cell_units(fn(centers), mask.cell_size))
         pd = compute_ph(cx, max_dim=args.max_dim)
     else:
         cloud = io.read_cloud_csv(path)

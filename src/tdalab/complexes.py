@@ -35,7 +35,8 @@ class FilteredComplex:
     The constructor puts the edges in filtration order, whatever order they
     are given in: each row is sorted ascending and the rows are ordered by
     (value, i, j). It rejects, naming the edge, a vertex index out of range,
-    a repeated vertex and an edge valued below one of its vertices.
+    a repeated vertex, a repeated edge and an edge valued below one of its
+    vertices.
     """
 
     vertex_values: Array  # (n,)
@@ -54,6 +55,11 @@ class FilteredComplex:
         edges = np.sort(given_edges, axis=1)
         _reject(given_edges, (edges[:, 0] < 0) | (edges[:, 1] >= n), f"has a vertex outside 0..{n - 1}")
         _reject(given_edges, edges[:, 0] == edges[:, 1], "repeats a vertex")
+        # copies need not be adjacent in value order: compare the sorted rows
+        _, first = np.unique(edges[:, 0] * n + edges[:, 1], return_index=True)
+        repeat = np.ones(len(edges), dtype=bool)
+        repeat[first] = False
+        _reject(given_edges, repeat, "repeats an edge")
         below = edge_values < np.maximum(vertex_values[edges[:, 0]], vertex_values[edges[:, 1]])
         _reject(given_edges, below, "is valued below a vertex")
         order = np.lexsort((edges[:, 1], edges[:, 0], edge_values))
@@ -84,23 +90,25 @@ def _reject(given: Array, bad: Array, what: str) -> None:
         raise ValueError(f"edge {row} {what}")
 
 
-def _build_flag(vertex_values: Array, edge_value: Array, r_max: float) -> FilteredComplex:
-    """The graph of the edges valued at most r_max in a dense (n, n) matrix."""
-    if math.isnan(r_max):
-        raise ValueError("r_max must not be NaN")
-    n = len(vertex_values)
-    iu, ju = np.triu_indices(n, 1)
-    vals = edge_value[iu, ju]
-    keep = vals <= r_max
-    return FilteredComplex(vertex_values, np.column_stack([iu[keep], ju[keep]]), vals[keep])
-
-
-def _guard(n: int, max_dim: int, force: bool):
-    if max_dim >= 2 and n > MAX_FLAG_POINTS and not force:
+def _check_dim(n: int, max_dim: int, force: bool) -> None:
+    if not 0 <= max_dim <= 2:
+        raise ValueError("max_dim must be 0, 1 or 2")
+    if max_dim == 2 and n > MAX_FLAG_POINTS and not force:
         raise ValueError(
             f"{n} points exceed the {MAX_FLAG_POINTS}-point budget for a "
             "2-dimensional flag complex; pass force=True to override"
         )
+
+
+def _build_flag(vertex_values: Array, edge_value: Array, r_max: float, max_dim: int) -> FilteredComplex:
+    """The graph of the edges valued at most r_max in a dense (n, n) matrix;
+    at max_dim 0, the vertices alone."""
+    if math.isnan(r_max):
+        raise ValueError("r_max must not be NaN")
+    iu, ju = np.triu_indices(len(vertex_values), 1)
+    vals = edge_value[iu, ju]
+    keep = (vals <= r_max) & (max_dim > 0)
+    return FilteredComplex(vertex_values, np.column_stack([iu[keep], ju[keep]]), vals[keep])
 
 
 def rips_complex(
@@ -110,18 +118,14 @@ def rips_complex(
     truncated at r_max. At max_dim 1 and 2 it is the same complex, whose
     triangles take the maximum of their three edges; max_dim=0 keeps the
     vertices alone."""
-    if not 0 <= max_dim <= 2:
-        raise ValueError("max_dim must be 0, 1 or 2")
     n = matrix.n
-    _guard(n, max_dim, force)
+    _check_dim(n, max_dim, force)
     d = matrix.values
     if r_max is None:
         r_max = float(d.max()) if n > 1 else 0.0
     if n > 1 and r_max <= 0:
         raise ValueError("r_max must be positive")
-    if max_dim == 0:
-        return FilteredComplex(np.zeros(n), np.empty((0, 2), dtype=np.int64), np.empty(0))
-    return _build_flag(np.zeros(n), d, r_max)
+    return _build_flag(np.zeros(n), d, r_max, max_dim)
 
 
 def weighted_rips_complex(
@@ -137,6 +141,7 @@ def weighted_rips_complex(
     max(f(u), f(v)) when one growing ball swallows the other's birth
     (d <= |f(u) - f(v)|), else at (f(u) + f(v) + d) / 2, the radius at which
     the two balls first meet. Triangles take the maximum of their edges.
+    ``max_dim``, ``r_max`` and ``force`` read as in ``rips_complex``.
     """
     f = np.asarray(vertex_values, dtype=float).ravel()
     n = matrix.n
@@ -144,7 +149,7 @@ def weighted_rips_complex(
         raise ValueError("vertex_values length must match the matrix size")
     if not np.all(np.isfinite(f)):
         raise ValueError("vertex values must be finite")
-    _guard(n, max_dim, force)
+    _check_dim(n, max_dim, force)
     d = matrix.values
     fi = f[:, None]
     fj = f[None, :]
@@ -153,7 +158,7 @@ def weighted_rips_complex(
     np.fill_diagonal(w, np.inf)
     if r_max is None:
         r_max = float(w[np.isfinite(w)].max()) if n > 1 else float(f.max())
-    return _build_flag(f, w, r_max)
+    return _build_flag(f, w, r_max, max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +182,8 @@ class FilteredCubicalGrid:
             raise ValueError("top cell values must form a square grid")
         if np.any(np.isnan(v)):
             raise ValueError("top cell values must not be NaN")
+        if np.any(v == -np.inf):
+            raise ValueError("top cell values must be finite or +inf")
         if not np.any(np.isfinite(v)):
             raise ValueError("grid must contain at least one finite top cell")
         v = v.copy()

@@ -5,6 +5,11 @@ Each pipeline wires geometry -> complex -> persistence -> signature ->
 learner and emits an ExperimentReport that regenerates bit-identically
 from (config, seed). Per-item persistence computations fan out over
 processes when jobs > 1; results are always reduced in item order.
+
+Holes and curvature choose a diagram signature and the k of k-NN through
+one path, ``_fit_knn``: each mode is a table of (kind, params) signature
+candidates, ``_knn_search`` scores every (candidate, k) by k-fold CV, and
+the winner is refit on the training diagrams to predict the test ones.
 """
 
 from __future__ import annotations
@@ -140,56 +145,66 @@ def signature_grid() -> list:
     return grid
 
 
-def _vectorize(kind: str, params: dict, fit_on: FinitePoints, *batches) -> list:
-    """One signature matrix per batch of diagram points; data-driven ranges
-    are fit on ``fit_on``."""
+def _signature(kind: str, params: dict, fit_on: FinitePoints):
+    """The points -> matrix function of one signature, one row per diagram;
+    data-driven ranges are fit on ``fit_on``."""
     if kind == "lifespans":
-        return [lifespans_matrix(points, params["k"]) for points in batches]
+        return lambda points: lifespans_matrix(points, params["k"])
     if kind == "pi":
         scheme = ImageScheme(dim=fit_on.dim, sigma=params["sigma"], weight=params["weight"])
     elif kind == "pl":
         scheme = LandscapeScheme(dim=fit_on.dim, top=params["top"])
     else:
         raise ValueError(f"unknown signature kind: {kind!r}")
-    scheme = scheme.fit(fit_on)
-    return [scheme.matrix(points) for points in batches]
+    return scheme.fit(fit_on).matrix
 
 
-def _signature_features(points: FinitePoints, sig_configs):
-    """Featurizer for ``_knn_search``: per fold, every signature's training
-    and validation matrices, with ranges fit on the training fold."""
+def _knn_search(
+    points: FinitePoints, labels: Array, candidates, knn_grid, mode: str, seed: int, folds: int = 3
+):
+    """Joint k-fold CV over (signature candidate, k) for k-NN on standardized
+    signatures of ``points``, one diagram per label.
 
-    def featurize(tr, va):
-        fit_on, val = points.take(tr), points.take(va)
-        for kind, params in sig_configs:
-            yield _vectorize(kind, params, fit_on, fit_on, val)
-
-    return featurize
-
-
-def _knn_search(featurize, train_labels: Array, knn_grid, mode: str, seed: int, folds: int = 3):
-    """Joint k-fold CV over (candidate, k) for k-NN on standardized features.
-
-    ``featurize(train_idx, val_idx)`` yields one (train, validation) feature
-    pair per candidate, always in the same order. Each validation row's
-    neighbours are ranked once per (fold, candidate) and every k is scored
-    from that ranking. Returns (candidate index, k, mean score); ties keep
-    the earliest (candidate, k).
+    Each candidate, a (kind, params) pair, is vectorized once per fold with
+    its ranges fit on the training fold; each validation row's neighbours
+    are ranked once per (fold, candidate) and every k is scored from that
+    ranking. Returns (candidate index, k, mean score); ties keep the
+    earliest (candidate, k).
     """
-    labels = np.asarray(train_labels, dtype=float)
+    labels = np.asarray(labels, dtype=float)
     classify = mode == "classify"
     grid = list(knn_grid)
     fold_scores = []
     for tr, va in kfold_splits(len(labels), folds, seed, labels if classify else None):
+        fit_on, val = points.take(tr), points.take(va)
         row = []
-        for X_tr, X_va in featurize(tr, va):
+        for kind, params in candidates:
+            vectorize = _signature(kind, params, fit_on)
+            X_tr = vectorize(fit_on)
             std = Standardizer.fit(X_tr)
             row += knn_grid_scores(
-                std.transform(X_tr), labels[tr], std.transform(X_va), labels[va], grid, mode
+                std.transform(X_tr), labels[tr], std.transform(vectorize(val)), labels[va], grid, mode
             )
         fold_scores.append(row)
     best, score, _ = select_by_mean(fold_scores, maximize=classify)
     return best // len(grid), grid[best % len(grid)], score
+
+
+def _fit_knn(points: FinitePoints, labels: Array, candidates, knn_grid, mode: str, seed: int):
+    """Select (signature, k) by ``_knn_search``, then refit on all of
+    ``points``. Returns the chosen (kind, params), k, and ``predict``, which
+    maps the FinitePoints of test diagrams to k-NN predictions."""
+    best, k, _ = _knn_search(points, labels, candidates, knn_grid, mode, seed)
+    kind, params = candidates[best]
+    vectorize = _signature(kind, params, points)
+    X = vectorize(points)
+    std = Standardizer.fit(X)
+    X_std = std.transform(X)
+
+    def predict(test_points: FinitePoints) -> Array:
+        return knn_fit_predict(X_std, labels, std.transform(vectorize(test_points)), k, mode)
+
+    return (kind, params), k, predict
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +251,11 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     return _capped_dim1_pairs(compute_ph(graph), cap_factor * r_full)
 
 
-def _diagram_from_pairs(pairs: Array, dim: int) -> PersistenceDiagram:
-    if not len(pairs):
-        return PersistenceDiagram(np.empty((0, 3)))
-    rows = np.column_stack([np.full(len(pairs), float(dim)), pairs])
-    return PersistenceDiagram(rows)
+def _pair_points(pairs, dim: int) -> FinitePoints:
+    """The FinitePoints of diagrams given as arrays of finite (birth, death)
+    pairs in one dimension, one array per diagram."""
+    rows = [np.column_stack([np.full(len(p), float(dim)), p]) for p in pairs]
+    return finite_points([PersistenceDiagram(r) for r in rows], dim)
 
 
 def holes_pipeline(
@@ -264,6 +279,15 @@ def holes_pipeline(
     else:
         transforms = list(transform)
 
+    candidates = {
+        "lifespans": [("lifespans", {"k": config.topk})],
+        "pi": [("pi", {"sigma": 0.5, "weight": "y"})],
+        "pl": [("pl", {"top": 10})],
+        "auto": signature_grid(),
+    }.get(config.signature)
+    if candidates is None:
+        raise ValueError(f"unknown signature mode: {config.signature!r}")
+
     labels = np.asarray(dataset.labels, dtype=float)
     train_idx, test_idx = train_test_split_indices(labels, config.test_fraction, seed)
 
@@ -273,36 +297,12 @@ def holes_pipeline(
         for i in range(len(dataset))
     ]
     all_pairs = _map_items(_weighted_dim1_diagram, args, config.jobs)
-    diagrams = [_diagram_from_pairs(p, 1) for p in all_pairs]
 
-    train_diagrams = [diagrams[i] for i in train_idx]
-    train_labels = labels[train_idx]
-
-    if config.signature == "auto":
-        sig_configs = signature_grid()
-    elif config.signature == "lifespans":
-        sig_configs = [("lifespans", {"k": config.topk})]
-    elif config.signature == "pi":
-        sig_configs = [("pi", {"sigma": 0.5, "weight": "y"})]
-    elif config.signature == "pl":
-        sig_configs = [("pl", {"top": 10})]
-    else:
-        raise ValueError(f"unknown signature mode: {config.signature!r}")
-
-    train_points = finite_points(train_diagrams, 1)
-    best, best_k, _ = _knn_search(
-        _signature_features(train_points, sig_configs), train_labels, config.knn_grid, "classify", seed
+    train_points = _pair_points([all_pairs[i] for i in train_idx], 1)
+    (kind, params), best_k, predict = _fit_knn(
+        train_points, labels[train_idx], candidates, config.knn_grid, "classify", seed
     )
-    kind, params = sig_configs[best]
-    (X_train,) = _vectorize(kind, params, train_points, train_points)
-    std = Standardizer.fit(X_train)
-    X_train_std = std.transform(X_train)
-
-    def predict(diags):
-        (X,) = _vectorize(kind, params, train_points, finite_points(diags, 1))
-        return knn_fit_predict(X_train_std, train_labels, std.transform(X), best_k, "classify")
-
-    clean_preds = predict([diagrams[i] for i in test_idx])
+    clean_preds = predict(_pair_points([all_pairs[i] for i in test_idx], 1))
     regimes = [Regime("clean", "accuracy", accuracy(clean_preds, labels[test_idx]))]
 
     for t_idx, spec in enumerate(transforms):
@@ -314,7 +314,7 @@ def holes_pipeline(
                 (moved.points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
             )
         t_pairs = _map_items(_weighted_dim1_diagram, t_args, config.jobs)
-        t_preds = predict([_diagram_from_pairs(p, 1) for p in t_pairs])
+        t_preds = predict(_pair_points(t_pairs, 1))
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
     ids = [f"{i:04d}:{dataset.meta['shape_ids'][i]}" for i in test_idx]
@@ -380,35 +380,19 @@ def curvature_pipeline(
     regimes = []
     key_preds = None
     for dim in (0, 1):
-        points_tr = finite_points([_diagram_from_pairs(p[dim], dim) for p in train_pairs], dim)
-        points_te = finite_points([_diagram_from_pairs(p[dim], dim) for p in test_pairs], dim)
+        points_tr = _pair_points([p[dim] for p in train_pairs], dim)
+        points_te = _pair_points([p[dim] for p in test_pairs], dim)
         max_len = max(1, int(points_tr.counts.max(initial=0)))
+        tables = {
+            "simple": [("lifespans", {"k": max_len})],
+            "simple10": [("lifespans", {"k": 10})],
+            "auto": signature_grid(),
+        }
         for variant in config.variants:
-            if variant == "simple":
-                length = max_len
-            elif variant == "simple10":
-                length = 10
-            elif variant == "auto":
-                length = None
-            else:
+            if variant not in tables:
                 raise ValueError(f"unknown curvature variant: {variant!r}")
-            if length is not None:
-                X_tr = lifespans_matrix(points_tr, length)
-                X_te = lifespans_matrix(points_te, length)
-                _, best_k, _ = _knn_search(
-                    lambda t, v: [(X_tr[t], X_tr[v])], y_train, config.knn_grid, "regress", seed
-                )
-            else:
-                sigs = signature_grid()
-                best, best_k, _ = _knn_search(
-                    _signature_features(points_tr, sigs), y_train, config.knn_grid, "regress", seed
-                )
-                kind, params = sigs[best]
-                X_tr, X_te = _vectorize(kind, params, points_tr, points_tr, points_te)
-            std = Standardizer.fit(X_tr)
-            preds = knn_fit_predict(
-                std.transform(X_tr), y_train, std.transform(X_te), best_k, "regress"
-            )
+            _, _, predict = _fit_knn(points_tr, y_train, tables[variant], config.knn_grid, "regress", seed)
+            preds = predict(points_te)
             regimes.append(Regime(f"{dim}dim-{variant}", "mse", mse(preds, y_test)))
             if dim == 0 and variant == "simple":
                 key_preds = preds
@@ -502,6 +486,13 @@ def default_lines(mask: BinaryMask) -> LineSet:
     return LineSet(lines, LINE_NAMES)
 
 
+def cell_units(values: Array, cell: float) -> Array:
+    """Filtration values on a mask's cells, in units of the cell side and
+    rounded to 1e-9, so that the exact value ties of lattice-aligned lines
+    and directions survive float rounding."""
+    return np.round(values / cell, 9)
+
+
 def _second_persistence(births: Array, deaths: Array, end_value: float) -> float:
     """Lifespan of the second most persisting degree-0 class.
 
@@ -525,9 +516,8 @@ def concavity_features(
 ) -> Array:
     """Lifespan of the second most persisting tubular component, per line.
 
-    Lifespans are measured in cell units, rounded to 1e-9 so that the exact
-    value ties of lattice-aligned lines survive float rounding; the vector
-    is invariant under translating or uniformly scaling the mask extent.
+    Lifespans are measured in ``cell_units``; the vector is invariant under
+    translating or uniformly scaling the mask extent.
     ``normalize`` divides by the occupied-cell count (area-relative mode).
     Each line's values fill the box of occupied cells, +inf elsewhere, and
     ``sublevel_ph0`` reads the components off it.
@@ -540,7 +530,7 @@ def concavity_features(
     box = np.full((ix.max() + 1, iy.max() + 1), np.inf)
     out = np.empty(len(lines))
     for i, line in enumerate(lines.lines):
-        values = np.round(tubular_distances(centers, line) / cell, 9)
+        values = cell_units(tubular_distances(centers, line), cell)
         box[ix, iy] = values
         births, deaths = sublevel_ph0(box)
         out[i] = _second_persistence(births, deaths, float(values.max()))

@@ -9,8 +9,10 @@ import pytest
 from tdalab.cli import main
 from tdalab import io
 from tdalab.complexes import rips_complex, weighted_rips_complex
-from tdalab.geometry import PointCloud, dtm, euclidean_distance_matrix
+from tdalab.datagen import gen_random_convex_polygon
+from tdalab.geometry import BinaryMask, PointCloud, dtm, euclidean_distance_matrix, rasterize
 from tdalab.persistence import compute_ph
+from tdalab.pipelines import LINE_NAMES, concavity_features
 
 
 def run_cli(*args):
@@ -100,6 +102,32 @@ def test_ph_mask_tubular_single_component(tmp_path):
     pd = io.read_diagram_csv(out)
     assert len(pd.in_dim(0)) == 1
     assert math.isinf(pd.in_dim(0)[0, 1])
+
+
+def test_ph_mask_diag_line_convex_single_component(tmp_path):
+    # in physical units float rounding splits this convex mask into 8
+    # components along the diagonal line; in cell units it has one
+    src = tmp_path / "convex.pbm"
+    io.write_mask_pbm(src, rasterize(gen_random_convex_polygon(0), 40))
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, "--filtration", "tubular", "--line", "diag",
+                   "--out", out, "--max-dim", 0) == 0
+    assert len(io.read_diagram_csv(out).intervals) == 1
+
+
+def test_ph_mask_reads_what_concavity_features_read(tmp_path):
+    # the U-mask of the pipeline tests, on cells of side 2.5
+    cells = np.zeros((12, 12), dtype=bool)
+    cells[:, :3] = cells[:3, :] = cells[-3:, :] = True
+    mask = BinaryMask(cells, (1.0, -2.0), 30.0)
+    src = tmp_path / "u.pbm"
+    io.write_mask_pbm(src, mask)
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, "--filtration", "tubular", "--line", "top",
+                   "--out", out, "--max-dim", 0) == 0
+    spans = io.read_diagram_csv(out).lifespans(0)
+    longest = spans[np.isfinite(spans)].max()
+    assert longest == concavity_features(mask)[LINE_NAMES.index("top")] > 0
 
 
 def test_ph_mask_csv_bad_cell_fails(tmp_path, capsys):

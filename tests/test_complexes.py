@@ -266,3 +266,29 @@ def test_rips_rejects_nan_r_max():
 def test_weighted_rips_rejects_nan_r_max():
     with pytest.raises(ValueError, match="r_max must not be NaN"):
         weighted_rips_complex(_dm(RNG.random((5, 2))), np.zeros(5), r_max=math.nan)
+
+
+def test_filtered_complex_rejects_repeated_edge():
+    # (1, 0) copies (0, 1); the copies are not adjacent in value order
+    edges = [[0, 1], [1, 2], [0, 2], [1, 0]]
+    with pytest.raises(ValueError, match=r"edge \(1, 0\) repeats an edge"):
+        FilteredComplex(np.zeros(3), edges, [1.0, 1.0, 1.0, 2.0])
+
+
+def test_cubical_grid_rejects_minus_inf():
+    with pytest.raises(ValueError, match=r"top cell values must be finite or \+inf"):
+        FilteredCubicalGrid([[0.0, -np.inf], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda dm, **kw: rips_complex(dm, **kw), lambda dm, **kw: weighted_rips_complex(dm, np.zeros(dm.n), **kw)],
+    ids=["rips", "weighted"],
+)
+def test_builders_read_max_dim_alike(build):
+    dm = _dm(RNG.random((3, 2)))
+    assert len(build(dm, max_dim=0).edges) == 0
+    assert len(build(dm, max_dim=1).edges) == 3
+    for max_dim in (-1, 3, 7):
+        with pytest.raises(ValueError, match="max_dim must be 0, 1 or 2"):
+            build(dm, max_dim=max_dim)

@@ -1,13 +1,17 @@
-"""The README's quick start and the demos import only names that exist, and
-its library map names only what its modules define."""
+"""The README's quick start and the demos import only names that exist, its
+library map names only what its modules define, and the command lines of
+its CLI section parse."""
 
 import ast
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from tdalab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -67,3 +71,25 @@ def test_library_map_names_exist(module, names):
     classes = [c for c in vars(mod).values() if inspect.isclass(c) and c.__module__ == module]
     missing = [n for n in names if not hasattr(mod, n) and not any(hasattr(c, n) for c in classes)]
     assert not missing
+
+
+def _cli_lines():
+    """The ``tdalab`` command lines of the README's CLI block, comments dropped."""
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("tdalab ")]
+
+
+CLI_LINES = _cli_lines()
+
+
+def test_readme_cli_block_has_every_subcommand():
+    assert {argv[1] for argv in CLI_LINES} == {"generate", "ph", "run"}
+
+
+@pytest.mark.parametrize("argv", CLI_LINES, ids=[" ".join(argv[1:3]) for argv in CLI_LINES])
+def test_readme_cli_lines_parse(argv):
+    try:
+        cli.build_parser().parse_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"README CLI line does not parse: {' '.join(argv)}")

@@ -39,7 +39,6 @@ from tdalab.pipelines import (
     _curvature_worker,
     _gen_convexity,
     _knn_search,
-    _signature_features,
     _weighted_dim1_diagram,
     concavity_features,
     convexity_experiment,
@@ -320,28 +319,49 @@ def _search_diagrams(rng, count, dim, scale):
     return diagrams
 
 
+def _candidates(table, points):
+    """Holes' and curvature's "auto" grid, or a curvature table: "simple"
+    (k = the longest diagram), "simple10", or a k above every diagram."""
+    longest = int(points.counts.max())
+    ks = {"simple": longest, "simple10": 10, "above": longest + 15}
+    return signature_grid() if table == "grid" else [("lifespans", {"k": ks[table]})]
+
+
 @pytest.mark.parametrize(
-    "mode, scale, knn_grid",
+    "mode, scale, knn_grid, table",
     [
-        ("classify", 0.3, (1, 5, 9)),  # 9 exceeds every training fold of 8
-        ("regress", 0.3, (1, 5, 9)),
-        ("classify", 50.0, (1, 2, 3)),  # separable classes: many configs score 1.0
-        ("regress", 0.3, (3, 3, 1, 20)),  # a repeated k ties with itself
+        ("classify", 0.3, (1, 5, 9), "grid"),  # 9 exceeds every training fold of 8
+        ("regress", 0.3, (1, 5, 9), "grid"),
+        ("classify", 50.0, (1, 2, 3), "grid"),  # separable classes: many configs score 1.0
+        ("regress", 0.3, (3, 3, 1, 20), "grid"),  # a repeated k ties with itself
+        ("regress", 0.3, (1, 5, 9), "simple"),
+        ("regress", 0.3, (1, 5, 9), "simple10"),
+        ("regress", 0.3, (3, 3, 1, 20), "above"),
+        ("classify", 0.3, (1, 2, 3), "above"),
+    ],
+    ids=[
+        "classify-0.3-knn_grid0",
+        "regress-0.3-knn_grid1",
+        "classify-50.0-knn_grid2",
+        "regress-0.3-knn_grid3",
+        "regress-simple",
+        "regress-simple10",
+        "regress-above",
+        "classify-above",
     ],
 )
-def test_knn_search_matches_per_config_loop(mode, scale, knn_grid):
+def test_knn_search_matches_per_config_loop(mode, scale, knn_grid, table):
     rng = np.random.default_rng(8)
     diagrams = _search_diagrams(rng, 12, 1, scale)
     labels = np.array([label % 3 for label in range(12)], dtype=float)
     if mode == "regress":
         labels = labels + rng.random(12)
-    sigs = signature_grid()
+    points = finite_points(diagrams, 1)
+    sigs = _candidates(table, points)
     (sig, k), score, scores = _per_config_search(diagrams, labels, 1, sigs, knn_grid, mode, 5)
-    best, best_k, best_score = _knn_search(
-        _signature_features(finite_points(diagrams, 1), sigs), labels, knn_grid, mode, 5
-    )
+    best, best_k, best_score = _knn_search(points, labels, sigs, knn_grid, mode, 5)
     assert (sigs[best], best_k, best_score) == (sig, k, score)
-    if scale == 50.0 or knn_grid.count(3) == 2:
+    if (scale == 50.0 and table == "grid") or knn_grid.count(3) == 2:
         assert scores.count(score) > 1  # the tie the rule has to break
     if 9 in knn_grid or 20 in knn_grid:
         assert (-math.inf if mode == "classify" else math.inf) in scores
