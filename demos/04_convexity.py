@@ -29,7 +29,7 @@ cells[:3, :] = True
 cells[-3:, :] = True
 mask = BinaryMask(cells, (0.0, 0.0), 1.0)
 lines = default_lines(mask)
-feats = concavity_features(mask, lines)
+feats = concavity_features(mask)
 print("U-mask second-component lifespans (cell units) per line:")
 for name, value in zip(lines.names, feats):
     print(f"  {name:9s} {value:.2f}")

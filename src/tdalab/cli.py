@@ -6,6 +6,12 @@ Subcommands:
             diagrams in cell units, as the concavity features read them)
   run       one of the four experiments, emitting a report
 
+Only the options the user sets reach the library; an unset one takes the
+default of the generator or config it feeds. Corpora are desk-sized unless
+--paper-scale is given, which passes no size, so the generators' own
+defaults (the paper's sizes) apply. Zero counts are rejected, and
+`--subsample 0` keeps every point.
+
 The master seed comes from --seed, falling back to the TDA_LAB_SEED
 environment variable, then 0. Exit code is 0 iff no error occurred;
 warnings go to stderr, data goes to files.
@@ -35,15 +41,19 @@ from .geometry import Line, dtm, euclidean_distance_matrix, farthest_point_subsa
 from .persistence import compute_ph
 from .pipelines import LINE_NAMES, cell_units, default_lines
 
+# Desk-scale corpus sizes, keyed by the generators' parameter names. At
+# --paper-scale none is passed, so the generators' own defaults apply.
 DESK = {
-    "holes": {"clouds_per_shape": 10, "points": 300},
-    "curvature": {"clouds_per_kappa": 3, "points": 200, "test_kappas": 30},
-    "convexity": {"points": 1000},
+    "holes": {"clouds_per_shape": 10, "points_per_cloud": 300},
+    "curvature": {"clouds_per_kappa": 3, "points_per_cloud": 200, "test_count": 30},
+    "convexity": {"points_per_cloud": 1000},
 }
-PAPER = {
-    "holes": {"clouds_per_shape": 50, "points": 1000},
-    "curvature": {"clouds_per_kappa": 10, "points": 500, "test_kappas": 100},
-    "convexity": {"points": 5000},
+# per experiment, each dataset subdirectory and the generator its manifest names
+LAYOUT = {
+    "holes": {"": "holes"},
+    "curvature": {"train": "curvature", "test": "curvature"},
+    "convexity": {"regular": "convexity-regular", "random": "convexity-random"},
+    "convexity-measure": {"": "polygon-masks"},
 }
 
 
@@ -59,11 +69,42 @@ def _seed_from(args) -> int:
     return 0
 
 
-def _scale(args, kind: str, key: str, flag_value):
-    if flag_value is not None:
-        return flag_value
-    table = PAPER if getattr(args, "paper_scale", False) else DESK
-    return table[kind][key]
+def _given(args, *names) -> dict:
+    """The named options the user set; the library's defaults fill in the rest."""
+    values = vars(args)
+    return {name: values[name] for name in names if values.get(name) is not None}
+
+
+def _sizes(args, kind: str, *names) -> dict:
+    """The DESK sizes of a corpus (none at --paper-scale), under the size flags set."""
+    return {**({} if args.paper_scale else DESK[kind]), **_given(args, *names)}
+
+
+def _corpus(args, kind: str, seed: int) -> dict:
+    """An experiment's datasets keyed by subdirectory: read from --data, each
+    manifest naming the expected generator, or else generated from the seed."""
+    if vars(args).get("data"):
+        datasets = {}
+        for sub, generator in LAYOUT[kind].items():
+            ds = datasets[sub] = io.read_dataset(Path(args.data) / sub)
+            found = ds.meta.get("generator", "")
+            if not found.startswith(generator):
+                raise SystemExit(
+                    f"dataset at {args.data} was generated by {found!r}, expected {generator!r}"
+                )
+        return datasets
+    if kind == "holes":
+        sizes = _sizes(args, kind, "clouds_per_shape", "points_per_cloud")
+        return {"": datagen.gen_holes_dataset(seed=seed, **sizes)}
+    if kind == "curvature":
+        sizes = _sizes(args, kind, "clouds_per_kappa", "points_per_cloud", "test_count")
+        return dict(zip(("train", "test"), datagen.gen_curvature_dataset(seed=seed, **sizes)))
+    if kind == "convexity":
+        sizes = _sizes(args, kind, "clouds_per_shape", "points_per_cloud", "polygons_per_class")
+        shapes = ("regular", "random") if args.shape_kind == "both" else (args.shape_kind,)
+        return {shape: datagen.gen_convexity_dataset(shape, seed=seed, **sizes) for shape in shapes}
+    side = {} if args.grid_side is None else {"side": args.grid_side}
+    return {"": datagen.gen_polygon_masks(seed=seed, **side)}
 
 
 # ---------------------------------------------------------------------------
@@ -72,40 +113,10 @@ def _scale(args, kind: str, key: str, flag_value):
 
 
 def _cmd_generate(args) -> int:
-    seed = _seed_from(args)
     out = Path(args.out)
-    if args.kind == "holes":
-        ds = datagen.gen_holes_dataset(
-            clouds_per_shape=_scale(args, "holes", "clouds_per_shape", args.clouds_per_shape),
-            points_per_cloud=_scale(args, "holes", "points", args.points),
-            seed=seed,
-        )
-        io.write_dataset(ds, out)
-        print(f"holes dataset: {len(ds)} clouds -> {out}")
-    elif args.kind == "curvature":
-        train, test = datagen.gen_curvature_dataset(
-            seed=seed,
-            clouds_per_kappa=_scale(args, "curvature", "clouds_per_kappa", args.clouds_per_kappa),
-            points_per_cloud=_scale(args, "curvature", "points", args.points),
-            test_count=_scale(args, "curvature", "test_kappas", args.test_kappas),
-        )
-        io.write_dataset(train, out / "train")
-        io.write_dataset(test, out / "test")
-        print(f"curvature dataset: {len(train)} train / {len(test)} test -> {out}")
-    elif args.kind == "convexity":
-        kinds = ("regular", "random") if args.shape_kind == "both" else (args.shape_kind,)
-        for kind in kinds:
-            ds = datagen.gen_convexity_dataset(
-                kind,
-                seed=seed,
-                points_per_cloud=_scale(args, "convexity", "points", args.points),
-                clouds_per_shape=args.clouds_per_shape or 60,
-                polygons_per_class=args.polygons_per_class or 240,
-            )
-            io.write_dataset(ds, out / kind)
-            print(f"convexity dataset ({kind}): {len(ds)} clouds -> {out / kind}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown dataset kind {args.kind!r}")
+    for sub, ds in _corpus(args, args.kind, _seed_from(args)).items():
+        io.write_dataset(ds, out / sub)
+        print(f"{ds.meta['generator']} dataset: {len(ds)} items -> {out / sub}")
     return 0
 
 
@@ -114,20 +125,27 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _floats(flag: str, text: str, count: int, expected: str) -> np.ndarray:
+    """``count`` comma-separated finite numbers, else an error naming the flag."""
+    try:
+        values = np.array([float(p) for p in text.split(",")])
+    except ValueError:
+        values = np.empty(0)
+    if len(values) != count or not np.all(np.isfinite(values)):
+        raise ValueError(f"{flag} must be {expected}, got {text!r}")
+    return values
+
+
 def _parse_line(text: str, mask) -> Line:
     if text in LINE_NAMES:
         lines = default_lines(mask)
         return lines.lines[lines.names.index(text)]
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise SystemExit(
-            f"--line must be one of {', '.join(LINE_NAMES)} or 'ax,ay,dx,dy', got {text!r}"
-        )
-    d = np.array(parts[2:])
+    parts = _floats("--line", text, 4, f"one of {', '.join(LINE_NAMES)} or 'ax,ay,dx,dy'")
+    d = parts[2:]
     norm = float(np.hypot(d[0], d[1]))
     if norm == 0:
         raise SystemExit("--line direction must be nonzero")
-    return Line(np.array(parts[:2]), d / norm)
+    return Line(parts[:2], d / norm)
 
 
 def _diagram_svg(pd, width: int = 360) -> str:
@@ -172,7 +190,7 @@ def _cmd_ph(args) -> int:
         if args.filtration == "tubular":
             fn = tubular_filtration(_parse_line(args.line or "bottom", mask))
         else:
-            v = np.array([float(p) for p in (args.vector or "0,1").split(",")])
+            v = _floats("--vector", args.vector or "0,1", 2, "'vx,vy'")
             norm = float(np.linalg.norm(v))
             if norm == 0:
                 raise SystemExit("--vector must be nonzero")
@@ -210,14 +228,6 @@ def _cmd_ph(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_manifest(ds, expected_prefix: str, where):
-    gen = ds.meta.get("generator", "")
-    if not gen.startswith(expected_prefix):
-        raise SystemExit(
-            f"dataset at {where} was generated by {gen!r}, expected {expected_prefix!r}"
-        )
-
-
 def _print_regimes(report) -> None:
     width = max(len(r.name) for r in report.regimes)
     print(f"experiment: {report.experiment} (seed {report.seed}, {report.wall_time:.1f}s)")
@@ -240,64 +250,30 @@ def _cmd_run(args) -> int:
     seed = _seed_from(args)
     jobs = args.jobs
     if args.experiment == "holes":
-        if args.data:
-            ds = io.read_dataset(args.data)
-            _check_manifest(ds, "holes", args.data)
-        else:
-            sizes = PAPER["holes"] if args.paper_scale else DESK["holes"]
-            ds = datagen.gen_holes_dataset(
-                sizes["clouds_per_shape"], sizes["points"], seed=seed
-            )
-        config = pipelines.HolesConfig(
-            subsample=args.subsample or 150, signature=args.signature, jobs=jobs
-        )
-        report = pipelines.holes_pipeline(ds, None, config, seed)
+        config = pipelines.HolesConfig(**_given(args, "subsample", "signature"), jobs=jobs)
+        report = pipelines.holes_pipeline(_corpus(args, "holes", seed)[""], None, config, seed)
     elif args.experiment == "curvature":
-        if args.data:
-            train = io.read_dataset(Path(args.data) / "train")
-            test = io.read_dataset(Path(args.data) / "test")
-            _check_manifest(train, "curvature", args.data)
-            _check_manifest(test, "curvature", args.data)
-        else:
-            sizes = PAPER["curvature"] if args.paper_scale else DESK["curvature"]
-            train, test = datagen.gen_curvature_dataset(
-                seed=seed,
-                clouds_per_kappa=sizes["clouds_per_kappa"],
-                points_per_cloud=sizes["points"],
-                test_count=sizes["test_kappas"],
-            )
+        data = _corpus(args, "curvature", seed)
         variants = ("simple", "simple10", "auto") if args.signature == "auto" else ("simple", "simple10")
         config = pipelines.CurvatureConfig(variants=variants, jobs=jobs)
-        report = pipelines.curvature_pipeline(train, test, config, seed)
+        report = pipelines.curvature_pipeline(data["train"], data["test"], config, seed)
     elif args.experiment == "convexity":
-        datasets = None
-        if args.data:
-            datasets = {
-                "regular": io.read_dataset(Path(args.data) / "regular"),
-                "random": io.read_dataset(Path(args.data) / "random"),
-            }
-            for kind, ds in datasets.items():
-                _check_manifest(ds, f"convexity-{kind}", args.data)
-        points = PAPER["convexity"]["points"] if args.paper_scale else DESK["convexity"]["points"]
+        # without --data the experiment generates its corpus at these sizes,
+        # deriving one seed per shape family from the master seed
         config = pipelines.ConvexityConfig(
-            grid_side=args.grid_side or 20, points_per_cloud=points, jobs=jobs
+            **_sizes(args, "convexity"), **_given(args, "grid_side"), jobs=jobs
         )
+        datasets = _corpus(args, "convexity", seed) if args.data else None
         report = pipelines.convexity_experiment(config, seed, datasets)
     elif args.experiment == "convexity-measure":
-        side = args.grid_side or 30
-        if args.data:
-            root = Path(args.data)
-            if (root / "manifest.json").exists():
-                ds = io.read_dataset(root)
-                _check_manifest(ds, "polygon-masks", args.data)
-                masks = list(ds.items)
-            else:
-                files = sorted(root.glob("*.pbm")) + sorted(root.glob("*.csv"))
-                if not files:
-                    raise SystemExit(f"no .pbm or .csv masks under {root}")
-                masks = [io.read_mask(f) for f in files]
+        root = Path(args.data) if args.data else None
+        if root and not (root / "manifest.json").exists():
+            files = sorted(root.glob("*.pbm")) + sorted(root.glob("*.csv"))
+            if not files:
+                raise SystemExit(f"no .pbm or .csv masks under {root}")
+            masks = [io.read_mask(f) for f in files]
         else:
-            masks = list(datagen.gen_polygon_masks(200, side, seed).items)
+            masks = list(_corpus(args, "convexity-measure", seed)[""].items)
         config = pipelines.RegressionConfig(jobs=jobs)
         report = pipelines.convexity_regression(masks, seed, config)
     else:  # pragma: no cover - argparse restricts choices
@@ -325,9 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--paper-scale", action="store_true", help="full-size datasets")
     gen.add_argument("--clouds-per-shape", type=int, default=None)
-    gen.add_argument("--points", type=int, default=None, help="points per cloud")
+    gen.add_argument(
+        "--points", dest="points_per_cloud", type=int, default=None, help="points per cloud"
+    )
     gen.add_argument("--clouds-per-kappa", type=int, default=None)
-    gen.add_argument("--test-kappas", type=int, default=None)
+    gen.add_argument("--test-kappas", dest="test_count", type=int, default=None)
     gen.add_argument("--polygons-per-class", type=int, default=None)
     gen.add_argument(
         "--kind", dest="shape_kind", choices=("regular", "random", "both"), default="both",
@@ -346,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--svg", default=None, help="also write an SVG scatter")
     ph.add_argument("--line", default=None, help=f"tubular line: {', '.join(LINE_NAMES)} or ax,ay,dx,dy")
     ph.add_argument("--vector", default=None, help="height direction 'vx,vy'")
-    ph.add_argument("--m", type=float, default=0.03, help="DTM mass fraction")
+    ph.add_argument("--m", type=float, default=pipelines.HolesConfig.dtm_mass, help="DTM mass fraction")
     ph.add_argument("--max-dim", type=int, choices=(0, 1), default=1)
     ph.add_argument("--r-max", type=float, default=None)
     ph.add_argument("--subsample", type=int, default=None)
@@ -363,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", type=int, default=1, help="parallel workers for per-item stages")
     run.add_argument("--grid-side", type=int, default=None)
     run.add_argument("--subsample", type=int, default=None)
-    run.add_argument(
-        "--signature", choices=("lifespans", "pi", "pl", "auto"), default="lifespans"
-    )
+    run.add_argument("--signature", choices=("lifespans", "pi", "pl", "auto"), default=None)
     run.add_argument("--paper-scale", action="store_true")
     run.add_argument("--format", choices=("json", "csv"), default="json")
     run.set_defaults(func=_cmd_run)

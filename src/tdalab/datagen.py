@@ -19,6 +19,7 @@ from .geometry import (
     Polygon,
     convex_hull,
     points_in_polygon,
+    rasterize,
 )
 from .seeding import derive_seed, generator
 
@@ -226,6 +227,8 @@ def gen_curvature_dataset(
     Training curvatures run over the fixed 0.04-spaced grid; test curvatures
     are drawn uniformly from [-2, 2].
     """
+    if min(clouds_per_kappa, points_per_cloud, test_count) < 1:
+        raise ValueError("counts must be positive")
     grid = curvature_grid()
     items, labels, seeds = [], [], []
     for g_idx, kappa in enumerate(grid):
@@ -400,6 +403,8 @@ def gen_convexity_dataset(
     ``regular``: fixed catalog shapes, ``clouds_per_shape`` clouds each.
     ``random``: fresh convex hulls and indented polygons, one cloud each.
     """
+    if min(points_per_cloud, clouds_per_shape, polygons_per_class) < 1:
+        raise ValueError("counts must be positive")
     items, labels, seeds, ids = [], [], [], []
     if kind == "regular":
         for s_idx, spec in enumerate(regular_convexity_catalog()):
@@ -449,8 +454,6 @@ def gen_polygon_masks(
     Labels hold the source kind (1 convex, 0 concave); the area-ratio
     convexity measure is recomputed downstream from the masks themselves.
     """
-    from .geometry import rasterize  # local import to keep module deps one-way
-
     if count < 1:
         raise ValueError("count must be positive")
     n_concave = int(round(count * concave_fraction))

@@ -344,11 +344,8 @@ class CurvatureConfig:
     jobs: int = 1
 
 
-def _curvature_worker(coords, kappa, cap_factor):
+def _curvature_worker(cloud, cap_factor):
     """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud."""
-    from .geometry import PolarCloud  # local: workers receive plain arrays
-
-    cloud = PolarCloud(coords, kappa)
     dm = geodesic_distance_matrix(cloud)
     pd = compute_ph(rips_complex(dm, max_dim=1))
     return pd.finite_in_dim(0), _capped_dim1_pairs(pd, cap_factor * float(dm.values.max()))
@@ -369,7 +366,7 @@ def curvature_pipeline(
     config = config or CurvatureConfig()
 
     def extract(ds):
-        args = [(item.coords, item.curvature, config.cap_factor) for item in ds.items]
+        args = [(item, config.cap_factor) for item in ds.items]
         return _map_items(_curvature_worker, args, config.jobs)
 
     train_pairs = extract(train)
@@ -511,9 +508,7 @@ def _second_persistence(births: Array, deaths: Array, end_value: float) -> float
     return float(spans[rank[1]])
 
 
-def concavity_features(
-    mask: BinaryMask, lines: LineSet | None = None, normalize: bool = False
-) -> Array:
+def concavity_features(mask: BinaryMask, normalize: bool = False) -> Array:
     """Lifespan of the second most persisting tubular component, per line.
 
     Lifespans are measured in ``cell_units``; the vector is invariant under
@@ -522,7 +517,7 @@ def concavity_features(
     Each line's values fill the box of occupied cells, +inf elsewhere, and
     ``sublevel_ph0`` reads the components off it.
     """
-    lines = lines or default_lines(mask)
+    lines = default_lines(mask)
     cell = mask.cell_size
     ix, iy = np.nonzero(mask.cells)
     centers = mask.cell_centers()[ix, iy]
@@ -550,14 +545,14 @@ class ConvexityConfig:
     jobs: int = 1
 
 
-def _convexity_scalar_worker(points, grid_side, fill_neighbors=5):
-    mask = rasterize(PointCloud(points), grid_side)
+def _convexity_scalar_worker(cloud, grid_side, fill_neighbors):
+    mask = rasterize(cloud, grid_side)
     mask = fill_sampling_gaps(mask, fill_neighbors)
     return float(concavity_features(mask).max())
 
 
 def _convexity_scalars(dataset: LabeledDataset, config: ConvexityConfig) -> Array:
-    args = [(item.points, config.grid_side, config.fill_neighbors) for item in dataset.items]
+    args = [(item, config.grid_side, config.fill_neighbors) for item in dataset.items]
     return np.array(_map_items(_convexity_scalar_worker, args, config.jobs))
 
 
@@ -633,8 +628,7 @@ class RegressionConfig:
     jobs: int = 1
 
 
-def _mask_features_worker(cells, origin, width):
-    mask = BinaryMask(cells, origin, width)
+def _mask_features_worker(mask):
     return concavity_features(mask, normalize=True)
 
 
@@ -662,7 +656,7 @@ def convexity_regression(
         except ValueError:
             skipped.append(i)
     labels = np.array(labels)
-    args = [(masks[i].cells, masks[i].origin, masks[i].width) for i in kept]
+    args = [(masks[i],) for i in kept]
     X = np.stack(_map_items(_mask_features_worker, args, config.jobs))
 
     train_idx, test_idx = train_test_split_indices(

@@ -32,10 +32,9 @@ BLOCK_ROWS = 256
 
 @dataclass(frozen=True)
 class SignatureVector:
-    """Fixed-length feature vector plus the scheme that produced it."""
+    """Fixed-length feature vector of one diagram."""
 
     values: Array
-    scheme: dict
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float).ravel()
@@ -150,7 +149,7 @@ def lifespans_matrix(points: FinitePoints, k: int) -> Array:
 def lifespans_topk(pd: PersistenceDiagram, dim: int, k: int) -> SignatureVector:
     """The k largest finite lifespans, sorted descending and zero-padded."""
     values = lifespans_matrix(finite_points([pd], dim), k)[0]
-    return SignatureVector(values, {"kind": "lifespans", "dim": dim, "k": k})
+    return SignatureVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +273,14 @@ def persistence_image(
     """Sum of weighted Gaussian bumps on the (birth, lifespan) plane,
     integrated per grid cell by center-point evaluation times cell area.
     A missing range is fitted on the diagram itself."""
-    scheme = ImageScheme(dim, resolution, sigma, weight)
     if birth_range is None or life_range is None:
-        fitted = scheme.fit([pd])
+        fitted = ImageScheme(dim, resolution, sigma, weight).fit([pd])
         birth_range = birth_range or fitted.birth_range
         life_range = life_range or fitted.life_range
-    birth_range = tuple(map(float, birth_range))
-    life_range = tuple(map(float, life_range))
     values = image_matrix(
         finite_points([pd], dim), resolution, sigma, weight, birth_range, life_range
     )[0]
-    scheme = {
-        "kind": "image",
-        "dim": dim,
-        "resolution": resolution,
-        "sigma": sigma,
-        "weight": weight,
-        "birth_range": birth_range,
-        "life_range": life_range,
-    }
-    return SignatureVector(values, scheme)
+    return SignatureVector(values)
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +384,7 @@ def persistence_landscape(
     if t_range is None:
         t_range = LandscapeScheme(dim, resolution, top).fit(pts).t_range
     values = landscape_matrix(pts.longest(top), resolution, levels, t_range)[0]
-    scheme = {
-        "kind": "landscape",
-        "dim": dim,
-        "resolution": resolution,
-        "levels": levels,
-        "top": top,
-        "t_range": tuple(map(float, t_range)),
-    }
-    return SignatureVector(values, scheme)
+    return SignatureVector(values)
 
 
 def scalar_summaries(pd: PersistenceDiagram, dim: int) -> tuple:

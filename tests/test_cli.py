@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import warnings
@@ -6,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tdalab import cli, datagen, io
 from tdalab.cli import main
-from tdalab import io
 from tdalab.complexes import rips_complex, weighted_rips_complex
 from tdalab.datagen import gen_random_convex_polygon
 from tdalab.geometry import BinaryMask, PointCloud, dtm, euclidean_distance_matrix, rasterize
@@ -65,6 +66,98 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     run_cli("generate", "holes", "--out", b, "--clouds-per-shape", 1, "--points", 20,
             "--seed", 7)
     assert (a / "manifest.json").read_text() == (b / "manifest.json").read_text()
+
+
+# the corpus a recording generator returns instead of the requested one
+TINY = {
+    "gen_holes_dataset": {"clouds_per_shape": 1, "points_per_cloud": 5},
+    "gen_convexity_dataset": {"clouds_per_shape": 1, "points_per_cloud": 5, "polygons_per_class": 1},
+}
+
+
+class _Stop(Exception):
+    """Raised by a recording generator to end the command after the call."""
+
+
+def _record(monkeypatch, name, calls, stop=False):
+    """Replace ``datagen.<name>`` by a recorder of the arguments it is passed,
+    by parameter name, that returns a tiny real corpus (or stops the command)."""
+    real = getattr(datagen, name)
+
+    def recorder(*args, **kwargs):
+        calls.append(dict(inspect.signature(real).bind(*args, **kwargs).arguments))
+        if stop:
+            raise _Stop
+        return real(*args, **{**kwargs, **TINY[name]})
+
+    monkeypatch.setattr(datagen, name, recorder)
+
+
+@pytest.mark.parametrize("kind", sorted(cli.DESK))
+def test_desk_keys_are_generator_parameters(kind):
+    # the one size table names only what its generator takes
+    generator = {
+        "holes": datagen.gen_holes_dataset,
+        "curvature": datagen.gen_curvature_dataset,
+        "convexity": datagen.gen_convexity_dataset,
+    }[kind]
+    params = inspect.signature(generator).parameters
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    assert all(key in params and params[key].kind in keyword for key in cli.DESK[kind])
+
+
+def test_generate_desk_sizes_reach_generator(tmp_path, monkeypatch):
+    calls = []
+    _record(monkeypatch, "gen_holes_dataset", calls)
+    assert run_cli("generate", "holes", "--out", tmp_path / "h", "--seed", 4) == 0
+    assert calls == [{"seed": 4, **cli.DESK["holes"]}]
+
+
+def test_run_desk_sizes_reach_generator(tmp_path, monkeypatch):
+    calls = []
+    _record(monkeypatch, "gen_curvature_dataset", calls, stop=True)
+    with pytest.raises(_Stop):
+        run_cli("run", "curvature", "--out", tmp_path / "r.json", "--seed", 2)
+    assert calls == [{"seed": 2, **cli.DESK["curvature"]}]
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_paper_scale_passes_no_size(tmp_path, monkeypatch, command):
+    # the generators' own defaults are the paper's sizes
+    calls = []
+    _record(monkeypatch, "gen_holes_dataset", calls, stop=True)
+    with pytest.raises(_Stop):
+        run_cli(command, "holes", "--out", tmp_path / "out", "--paper-scale", "--seed", 1)
+    assert calls == [{"seed": 1}]
+
+
+def test_set_flag_overrides_desk_size(tmp_path, monkeypatch):
+    calls = []
+    _record(monkeypatch, "gen_convexity_dataset", calls)
+    assert run_cli("generate", "convexity", "--out", tmp_path / "c", "--kind", "random",
+                   "--clouds-per-shape", 2, "--seed", 0) == 0
+    assert calls == [{"kind": "random", "seed": 0, **cli.DESK["convexity"], "clouds_per_shape": 2}]
+    calls.clear()
+    assert run_cli("generate", "convexity", "--out", tmp_path / "p", "--kind", "random",
+                   "--paper-scale", "--points", 7, "--seed", 0) == 0
+    assert calls == [{"kind": "random", "seed": 0, "points_per_cloud": 7}]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "convexity", "--kind", "regular", "--clouds-per-shape", 0, "--points", 20),
+        ("generate", "curvature", "--test-kappas", 0, "--points", 10),
+        ("run", "convexity", "--grid-side", 0),
+        ("run", "convexity-measure", "--grid-side", 0),
+    ],
+    ids=["clouds-per-shape", "test-kappas", "convexity-grid-side", "measure-grid-side"],
+)
+def test_zero_counts_are_errors(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", out, "--seed", 0) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +240,25 @@ def test_ph_height_zero_vector_fails(tmp_path):
             run_cli("ph", src, "--filtration", "height", "--vector", "0,0")
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--filtration", "tubular", "--line", "foo"), "--line must be one of bottom, "),
+        (("--filtration", "tubular", "--line", "0,0,1"), "--line must be one of bottom, "),
+        (("--filtration", "height", "--vector", "1,x"), "--vector must be 'vx,vy', got '1,x'"),
+        (("--filtration", "height", "--vector", "1,2,3"), "--vector must be 'vx,vy', got '1,2,3'"),
+    ],
+    ids=["line-word", "line-count", "vector-word", "vector-count"],
+)
+def test_ph_bad_flag_names_it(tmp_path, capsys, flags, message):
+    src = tmp_path / "full.pbm"
+    src.write_text("P1\n2 2\n1 1\n1 1\n")
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, *flags, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_ph_svg_output(tmp_path):
     src = tmp_path / "two.csv"
     src.write_text("0.0,0.0\n2.0,0.0\n")
@@ -221,6 +333,17 @@ def test_run_holes_from_generated_dataset(tmp_path, capsys):
     assert len(names) == 7  # clean + six perturbations
     out = capsys.readouterr().out
     assert "clean" in out
+
+
+def test_run_holes_subsample_zero_keeps_every_point(tmp_path):
+    # 0 reaches HolesConfig, which then subsamples nothing
+    data = tmp_path / "holes"
+    run_cli("generate", "holes", "--out", data, "--clouds-per-shape", 1,
+            "--points", 25, "--seed", 2)
+    report_path = tmp_path / "report.json"
+    assert run_cli("run", "holes", "--data", data, "--out", report_path,
+                   "--subsample", 0, "--seed", 2) == 0
+    assert json.loads(report_path.read_text())["config"]["subsample"] == 0
 
 
 def test_run_rerun_identical_json(tmp_path):

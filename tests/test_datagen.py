@@ -279,6 +279,22 @@ def test_convexity_dataset_rejects_unknown_kind():
         gen_convexity_dataset("fancy", seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_convexity_dataset("regular", points_per_cloud=20, clouds_per_shape=0),
+        lambda: gen_convexity_dataset("random", points_per_cloud=20, polygons_per_class=0),
+        lambda: gen_curvature_dataset(clouds_per_kappa=0, points_per_cloud=10, test_count=0),
+        lambda: gen_curvature_dataset(clouds_per_kappa=1, points_per_cloud=10, test_count=0),
+    ],
+    ids=["convexity-clouds", "convexity-polygons", "curvature-both", "curvature-test"],
+)
+def test_generators_reject_zero_counts(make):
+    # an empty corpus is an error, as gen_holes_dataset and gen_polygon_masks have it
+    with pytest.raises(ValueError, match="counts must be positive"):
+        make()
+
+
 def test_polygon_masks_corpus():
     ds = gen_polygon_masks(count=40, side=30, seed=3)
     assert len(ds) == 40

@@ -243,7 +243,7 @@ def test_curvature_worker_matches_cap_then_retry(kappa, retries):
     )
     assert retried == retries
     expected0 = compute_ph(rips_complex(dm, max_dim=1), max_dim=0).finite_in_dim(0)
-    got0, got1 = _curvature_worker(cloud.coords, kappa, cap_factor)
+    got0, got1 = _curvature_worker(cloud, cap_factor)
     assert np.array_equal(got0, expected0)
     assert np.array_equal(got1, expected1)
 

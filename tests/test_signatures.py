@@ -337,7 +337,7 @@ def test_scalars_cardinality_exact():
 
 def test_signature_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
-        SignatureVector(np.array([1.0, math.nan]), {"kind": "x"})
+        SignatureVector(np.array([1.0, math.nan]))
 
 
 def test_all_signatures_reordering_invariant():
