@@ -102,7 +102,12 @@ def _corpus(args, kind: str, seed: int) -> dict:
     if kind == "convexity":
         sizes = _sizes(args, kind, "clouds_per_shape", "points_per_cloud", "polygons_per_class")
         shapes = ("regular", "random") if args.shape_kind == "both" else (args.shape_kind,)
-        return {shape: datagen.gen_convexity_dataset(shape, seed=seed, **sizes) for shape in shapes}
+        return {
+            shape: datagen.gen_convexity_dataset(
+                shape, seed=pipelines.convexity_seed(seed, shape), **sizes
+            )
+            for shape in shapes
+        }
     side = {} if args.grid_side is None else {"side": args.grid_side}
     return {"": datagen.gen_polygon_masks(seed=seed, **side)}
 
@@ -259,7 +264,7 @@ def _cmd_run(args) -> int:
         report = pipelines.curvature_pipeline(data["train"], data["test"], config, seed)
     elif args.experiment == "convexity":
         # without --data the experiment generates its corpus at these sizes,
-        # deriving one seed per shape family from the master seed
+        # as `generate convexity` does
         config = pipelines.ConvexityConfig(
             **_sizes(args, "convexity"), **_given(args, "grid_side"), jobs=jobs
         )

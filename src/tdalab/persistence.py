@@ -4,6 +4,8 @@ Degree 0 of a cubical grid comes from a level sweep (Wagner, Chen &
 Vuçini, 2012): one ``scipy.ndimage.label`` call over the sublevel sets
 stacked at the levels where components can start or merge, with each
 component's parent one level up and the elder rule applied per parent.
+``scipy.ndimage`` loads at the first sweep, not with this module, so
+flag-complex work never imports scipy.
 Everything else runs through one engine, which serves flag complexes,
 given by their 1-skeleton, and cubical grids. Its degree-0 pairs come from
 an elder-rule union-find over the edges in filtration order, which gives
@@ -23,11 +25,11 @@ listed by brute force, is the reference oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .complexes import FilteredComplex, FilteredCubicalGrid
 
@@ -164,18 +166,21 @@ _PLANES_8[1] = True
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
+@functools.cache
 def _changes_h0_table() -> Array:
     """Per subset of a cell's neighbours (bit k for ``_RING[k]``): False when
     they form exactly one 8-connected group, so that a cell entering after
-    just those joins one component without starting or merging any."""
+    just those joins one component without starting or merging any.
+    Built at the first sweep and shared read-only after that."""
+    from scipy import ndimage
+
     patches = np.zeros((256, 3, 3), dtype=bool)
     for k, (di, dj) in enumerate(_RING):
         patches[:, 1 + di, 1 + dj] = (np.arange(256) >> k) & 1
     eight = np.ones((3, 3), dtype=bool)
-    return np.array([ndimage.label(p, structure=eight)[1] != 1 for p in patches])
-
-
-_CHANGES_H0 = _changes_h0_table()
+    table = np.array([ndimage.label(p, structure=eight)[1] != 1 for p in patches])
+    table.setflags(write=False)
+    return table
 
 # cells of the (levels, h, w) stack labelled per ndimage.label call: the
 # stack and its int32 labels then take about 5 MB however many levels a
@@ -201,7 +206,7 @@ def _critical_levels(v: Array) -> Array:
         nb = pad[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
         earlier = nb <= v if k < 4 else nb < v
         code |= earlier.astype(np.uint8) << k
-    return np.unique(v[_CHANGES_H0[code] & np.isfinite(v)])
+    return np.unique(v[_changes_h0_table()[code] & np.isfinite(v)])
 
 
 def sublevel_ph0(values) -> tuple:
@@ -225,6 +230,8 @@ def sublevel_ph0(values) -> tuple:
     cells: small for distances to a line or heights over a shape, large for
     noise.
     """
+    from scipy import ndimage
+
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
     if v.ndim != 2 or not finite.any() or np.any(~finite & (v != math.inf)):

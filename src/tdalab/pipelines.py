@@ -5,6 +5,10 @@ Each pipeline wires geometry -> complex -> persistence -> signature ->
 learner and emits an ExperimentReport that regenerates bit-identically
 from (config, seed). Per-item persistence computations fan out over
 processes when jobs > 1; results are always reduced in item order.
+Importing the module loads numpy only: the Spearman correlation of the
+concavity-measure report is computed in numpy, equal to the last bit to
+``scipy.stats.spearmanr``, and ``scipy.ndimage`` loads at the first grid
+sweep.
 
 Holes and curvature choose a diagram signature and the k of k-NN through
 one path, ``_fit_knn``: each mode is a table of (kind, params) signature
@@ -16,11 +20,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import datagen
 from .complexes import rips_complex, weighted_rips_complex
@@ -105,6 +107,8 @@ def _map_items(func, args_list, jobs: int):
     """Apply func over argument tuples, preserving item order."""
     if jobs <= 1:
         return [func(*args) for args in args_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, *zip(*args_list), chunksize=4))
 
@@ -556,10 +560,16 @@ def _convexity_scalars(dataset: LabeledDataset, config: ConvexityConfig) -> Arra
     return np.array(_map_items(_convexity_scalar_worker, args, config.jobs))
 
 
+def convexity_seed(seed: int, kind: str) -> int:
+    """The seed that generates the ``kind`` shape family of the convexity
+    corpus under master seed ``seed``, one per family so they are independent."""
+    return derive_seed(seed, 0xC0, 0 if kind == "regular" else 1)
+
+
 def _gen_convexity(kind: str, config: ConvexityConfig, seed: int) -> LabeledDataset:
     return datagen.gen_convexity_dataset(
         kind,
-        seed=derive_seed(seed, 0xC0, 0 if kind == "regular" else 1),
+        seed=convexity_seed(seed, kind),
         points_per_cloud=config.points_per_cloud,
         clouds_per_shape=config.clouds_per_shape,
         polygons_per_class=config.polygons_per_class,
@@ -628,6 +638,21 @@ class RegressionConfig:
     jobs: int = 1
 
 
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation of two non-constant samples.
+
+    Pearson's r of the ranks 1..n, ties sharing the mean of their ranks, by
+    the ``np.corrcoef`` call that ``scipy.stats.spearmanr`` makes; the mean
+    ranks are exact halves, so the two agree to the last bit.
+    """
+    ranks = []
+    for sample in (x, y):
+        _, inverse, counts = np.unique(sample, return_inverse=True, return_counts=True)
+        ends = np.cumsum(counts)
+        ranks.append(((ends - counts + 1 + ends) / 2)[inverse])
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
+
+
 def _mask_features_worker(mask):
     return concavity_features(mask, normalize=True)
 
@@ -671,7 +696,7 @@ def convexity_regression(
     if np.ptp(concavity) == 0 or np.ptp(feature_sum) == 0:
         rho = 0.0  # rank correlation undefined on a constant input
     else:
-        rho = stats.spearmanr(concavity, feature_sum).statistic
+        rho = _spearman(concavity, feature_sum)
     regimes = (
         Regime("mse", "mse", test_mse),
         Regime("spearman", "spearman", float(rho)),

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdalab import cli, datagen, io
+from tdalab import cli, datagen, io, pipelines
 from tdalab.cli import main
 from tdalab.complexes import rips_complex, weighted_rips_complex
 from tdalab.datagen import gen_random_convex_polygon
@@ -136,11 +136,12 @@ def test_set_flag_overrides_desk_size(tmp_path, monkeypatch):
     _record(monkeypatch, "gen_convexity_dataset", calls)
     assert run_cli("generate", "convexity", "--out", tmp_path / "c", "--kind", "random",
                    "--clouds-per-shape", 2, "--seed", 0) == 0
-    assert calls == [{"kind": "random", "seed": 0, **cli.DESK["convexity"], "clouds_per_shape": 2}]
+    seed = pipelines.convexity_seed(0, "random")
+    assert calls == [{"kind": "random", "seed": seed, **cli.DESK["convexity"], "clouds_per_shape": 2}]
     calls.clear()
     assert run_cli("generate", "convexity", "--out", tmp_path / "p", "--kind", "random",
                    "--paper-scale", "--points", 7, "--seed", 0) == 0
-    assert calls == [{"kind": "random", "seed": 0, "points_per_cloud": 7}]
+    assert calls == [{"kind": "random", "seed": seed, "points_per_cloud": 7}]
 
 
 @pytest.mark.parametrize(
@@ -392,6 +393,21 @@ def test_run_convexity_from_disk(tmp_path):
     payload = json.loads(report_path.read_text())
     names = [r["name"] for r in payload["regimes"]]
     assert names == ["regular/regular", "random/random", "regular/random", "random/regular"]
+
+
+def test_run_convexity_from_generated_dataset_reproduces_run(tmp_path, monkeypatch):
+    # `generate convexity` seeds each shape family as the experiment does, so
+    # a run on the written corpus reports what a run generating it reports;
+    # `run` takes no size flags, so its desk sizes are set to the same ones
+    sizes = {"points_per_cloud": 50, "clouds_per_shape": 2, "polygons_per_class": 6}
+    monkeypatch.setitem(cli.DESK, "convexity", sizes)
+    data = tmp_path / "conv"
+    assert run_cli("generate", "convexity", "--out", data, "--points", 50,
+                   "--clouds-per-shape", 2, "--polygons-per-class", 6, "--seed", 3) == 0
+    fresh, read = tmp_path / "fresh.json", tmp_path / "read.json"
+    assert run_cli("run", "convexity", "--out", fresh, "--seed", 3) == 0
+    assert run_cli("run", "convexity", "--data", data, "--out", read, "--seed", 3) == 0
+    assert read.read_bytes() == fresh.read_bytes()
 
 
 def test_run_csv_format(tmp_path):

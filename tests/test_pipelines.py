@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from tdalab.complexes import cubical_complex, rips_complex, weighted_rips_complex
 from tdalab.datagen import (
@@ -39,6 +42,7 @@ from tdalab.pipelines import (
     _curvature_worker,
     _gen_convexity,
     _knn_search,
+    _spearman,
     _weighted_dim1_diagram,
     concavity_features,
     convexity_experiment,
@@ -500,6 +504,37 @@ def test_convexity_regression_all_convex_corpus():
     masks = list(gen_polygon_masks(24, 30, seed=1, concave_fraction=0.0).items)
     report = convexity_regression(masks, seed=0)
     assert report.regime("mse") <= 1e-4  # labels ~ 1, features ~ 0
+    # every feature sum is 0, so the rank correlation is reported as 0, not nan
+    assert report.regime("spearman") == 0.0
+
+
+def _sample(n, ties):
+    """n floats: drawn from four values when ``ties``, else all distinct."""
+    if ties:
+        return st.lists(st.sampled_from([-2.5, 0.0, 1.0, 7.25]), min_size=n, max_size=n)
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+    return st.lists(finite, min_size=n, max_size=n, unique=True)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_spearman_equals_scipy(data):
+    n = data.draw(st.integers(2, 40), label="n")
+    x = np.array(data.draw(_sample(n, data.draw(st.booleans())), label="x"))
+    y = np.array(data.draw(_sample(n, data.draw(st.booleans())), label="y"))
+    assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+    assert _spearman(x, y) == stats.spearmanr(x, y).statistic
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 60, 400])
+def test_spearman_equals_scipy_on_random_samples(n):
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        distinct = rng.permutation(n) + rng.random()
+        tied = rng.integers(0, max(2, n // 4), n).astype(float)
+        for x, y in ((distinct, rng.random(n)), (tied, rng.integers(0, 3, n) * 0.1), (tied, distinct)):
+            if np.ptp(x) > 0 and np.ptp(y) > 0:
+                assert _spearman(x, y) == stats.spearmanr(x, y).statistic
 
 
 def test_convexity_regression_requires_enough_masks():
