@@ -71,6 +71,20 @@ class FilteredComplex:
     def n_vertices(self) -> int:
         return self.vertex_values.size
 
+    def prefix(self, cap: float) -> FilteredComplex:
+        """The flag complex of the edges valued at most ``cap``, with every
+        vertex: a filtration prefix. The edges are already in filtration
+        order, so it is a slice of them and skips the constructor's sort
+        and checks."""
+        if math.isnan(cap):
+            raise ValueError("cap must not be NaN")
+        m = int(np.searchsorted(self.edge_values, cap, side="right"))
+        sub = object.__new__(FilteredComplex)
+        object.__setattr__(sub, "vertex_values", self.vertex_values)
+        object.__setattr__(sub, "edges", self.edges[:m])
+        object.__setattr__(sub, "edge_values", self.edge_values[:m])
+        return sub
+
     @property
     def n_simplices(self) -> int:
         """Vertices, edges and triangles, counted from the adjacency matrix."""

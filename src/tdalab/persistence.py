@@ -10,12 +10,18 @@ Everything else runs through one engine, which serves flag complexes,
 given by their 1-skeleton, and cubical grids. Its degree-0 pairs come from
 an elder-rule union-find over the edges in filtration order, which gives
 the pairing of the vertex-edge boundary reduction; the edges it finds
-closing a cycle are the degree-1 creators. Degree-1 deaths come from the
-coboundary (cohomology) reduction of the edge-triangle (or edge-square)
-block, after Ripser (Bauer, 2021): the edges that kill a degree-0 class are
-cleared (skipped), apparent pairs -- an edge whose earliest cofacet has the
-edge as its latest facet -- are found for all edges at once with numpy, and
-only the few remaining columns are reduced. Flag complexes enumerate an
+closing a cycle are the degree-1 creators. On a flag complex the minimum
+spanning forest comes first, by a dense numpy Prim over the edges'
+filtration positions: those positions are distinct, so the forest is
+exactly the set of edges that merge, and the union-find visits its at most
+n - 1 edges alone; every other edge closes a cycle. Grids, with (side+1)^2
+vertices, keep the loop over every edge and allocate nothing of size
+vertices^2. Degree-1 deaths come from the coboundary (cohomology)
+reduction of the edge-triangle (or edge-square) block, after Ripser
+(Bauer, 2021): the edges that kill a degree-0 class are cleared (skipped),
+apparent pairs -- an edge whose earliest cofacet has the edge as its
+latest facet -- are found for all edges at once with numpy, and only the
+few remaining columns are reduced. Flag complexes enumerate an
 edge's cofacets on demand from the edge-value matrix, keyed by one
 order-preserving int64, so their triangles are never built; grids read
 them off the boundary rows of their squares. A deliberately unoptimized
@@ -292,7 +298,35 @@ def _grid_ph0(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
+def _spanning_forest(n_vertices: int, edges: Array) -> Array:
+    """Ascending positions of the edges of the minimum spanning forest of a
+    graph whose edges are given in filtration order.
+
+    Dense Prim over the edges' positions, restarted at a vertex no edge
+    reaches from the trees grown so far. The positions are distinct, so the
+    forest is unique: it is exactly the set of edges on which Kruskal's
+    order, and so the elder-rule union-find, merges two components. Takes
+    (n, n) memory, so only flag complexes call it.
+    """
+    m = len(edges)
+    pos = np.full((n_vertices, n_vertices), m, dtype=np.int64)  # m: no edge
+    pos[edges[:, 0], edges[:, 1]] = pos[edges[:, 1], edges[:, 0]] = np.arange(m)
+    best = np.full(n_vertices, m, dtype=np.int64)  # least edge from the trees
+    forest = []
+    v = 0
+    for _ in range(n_vertices - 1):
+        # v joins a tree: m + 1 keeps it from being reached or picked again
+        pos[:, v] = m + 1
+        np.minimum(best, pos[v], out=best)
+        best[v] = m + 1
+        v = int(best.argmin())
+        edge = int(best[v])
+        if edge < m:
+            forest.append(edge)
+    return np.sort(np.array(forest, dtype=np.int64))
+
+
+def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array | None = None) -> tuple:
     """Elder-rule union-find over edges given in filtration order.
 
     Vertex rows are in filtration order too, so of two roots the smaller
@@ -300,6 +334,9 @@ def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
     Returns (pairs, cycle): the (k, 2) array of (vertex row, edge) death
     pairs and a mask of the edges that close a cycle. The pairs are exactly
     those of the left-to-right reduction of the vertex-edge boundary block.
+    ``forest``, the ascending positions of the minimum spanning forest's
+    edges, restricts the loop to them: only they merge, and in the same
+    order.
     """
     parent = list(range(n_vertices))
 
@@ -309,8 +346,9 @@ def _elder_union_find(n_vertices: int, edge_rows: Array) -> tuple:
             x = parent[x]
         return x
 
+    visit = np.arange(len(edge_rows)) if forest is None else forest
     dying, killing = [], []
-    for j, (a, b) in enumerate(edge_rows.tolist()):
+    for j, (a, b) in zip(visit.tolist(), edge_rows[visit].tolist()):
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
@@ -453,17 +491,18 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
     return pairs
 
 
-def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool):
+def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool, forest=None):
     """Assemble intervals from sorted vertex and edge values.
 
-    Degree 0 and the degree-1 creators come from the elder-rule union-find.
-    The edges it pairs with vertices are cleared: their coboundary columns
-    reduce to zero. Of the cycle edges, apparent pairs are found at once
-    from ``cof.earliest``; only the rest are reduced. ``cof`` gives the
-    edges' cofacets (``_FlagCofacets`` or ``_BoundaryCofacets``); None
-    means no 2-cells.
+    Degree 0 and the degree-1 creators come from the elder-rule union-find,
+    over the spanning ``forest``'s edges alone when it is given. The edges
+    it pairs with vertices are cleared: their coboundary columns reduce to
+    zero. Of the cycle edges, apparent pairs are found at once from
+    ``cof.earliest``; only the rest are reduced. ``cof`` gives the edges'
+    cofacets (``_FlagCofacets`` or ``_BoundaryCofacets``); None means no
+    2-cells.
     """
-    pairs0, cycle = _elder_union_find(len(v_values), edge_rows)
+    pairs0, cycle = _elder_union_find(len(v_values), edge_rows, forest)
     alive = np.ones(len(v_values), dtype=bool)
     alive[pairs0[:, 0]] = False
     blocks = [
@@ -507,7 +546,8 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     if isinstance(cx, FilteredComplex):
         v_values, edge_rows = _flag_cells(cx)
         cof = _FlagCofacets(cx) if max_dim >= 1 else None
-        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero)
+        forest = _spanning_forest(cx.n_vertices, cx.edges)
+        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero, forest)
     if isinstance(cx, FilteredCubicalGrid):
         if max_dim == 0:
             return _grid_ph0(cx, drop_zero)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import datagen
-from .complexes import rips_complex, weighted_rips_complex
+from .complexes import FilteredComplex, rips_complex, weighted_rips_complex
 from .datagen import LabeledDataset
 from .geometry import (
     BinaryMask,
@@ -227,21 +227,32 @@ class HolesConfig:
     cap_factor: float = 0.5
     jobs: int = 1
 
+    def __post_init__(self):
+        _check_cap_factor(self.cap_factor)
 
-def _capped_dim1_pairs(pd: PersistenceDiagram, cap: float) -> Array:
+
+def _check_cap_factor(cap_factor: float) -> None:
+    """Reject a cap factor that is NaN or not positive, naming the field."""
+    if not cap_factor > 0:
+        raise ValueError(f"cap_factor must be positive, got {cap_factor!r}")
+
+
+def _capped_dim1_pairs(graph: FilteredComplex, cap: float) -> Array:
     """Finite dim-1 (birth, death) pairs of the flag complex capped at ``cap``.
 
-    ``pd`` is the diagram of the complete flag complex, which has no
-    essential degree-1 class. The capped complex is a filtration prefix, so
-    its pairs are the full pairs born at or below the cap; one that dies
-    above the cap would turn essential there, and then all pairs are kept,
-    as the complex rebuilt at the full radius would give.
+    ``graph`` is the complete graph, whose flag complex has no essential
+    degree-1 class. Only its prefix of edges valued at most ``cap`` is
+    reduced. The prefix's finite pairs are the full pairs that die at or
+    below the cap, and its essential classes are the full pairs born at or
+    below the cap that die above it. With no essential class the finite
+    pairs are the answer; otherwise the complete graph is reduced and all
+    its pairs are kept, as the complex rebuilt at the full radius would
+    give.
     """
-    pairs = pd.finite_in_dim(1)
-    born = pairs[:, 0] <= cap
-    if np.any(born & (pairs[:, 1] > cap)):
-        return pairs
-    return pairs[born]
+    pd = compute_ph(graph.prefix(cap))
+    if np.all(np.isfinite(pd.in_dim(1)[:, 1])):
+        return pd.finite_in_dim(1)
+    return compute_ph(graph).finite_in_dim(1)
 
 
 def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_factor: float, fps_seed: int):
@@ -252,7 +263,7 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     dm = euclidean_distance_matrix(cloud)
     graph = weighted_rips_complex(dm, dtm(dm, dtm_mass), max_dim=1)
     r_full = float(graph.edge_values.max()) if len(graph.edge_values) else 0.0
-    return _capped_dim1_pairs(compute_ph(graph), cap_factor * r_full)
+    return _capped_dim1_pairs(graph, cap_factor * r_full)
 
 
 def _pair_points(pairs, dim: int) -> FinitePoints:
@@ -347,12 +358,16 @@ class CurvatureConfig:
     sign_threshold: float = 0.25
     jobs: int = 1
 
+    def __post_init__(self):
+        _check_cap_factor(self.cap_factor)
+
 
 def _curvature_worker(cloud, cap_factor):
     """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud."""
     dm = geodesic_distance_matrix(cloud)
-    pd = compute_ph(rips_complex(dm, max_dim=1))
-    return pd.finite_in_dim(0), _capped_dim1_pairs(pd, cap_factor * float(dm.values.max()))
+    graph = rips_complex(dm, max_dim=1)
+    pairs0 = compute_ph(graph, max_dim=0).finite_in_dim(0)
+    return pairs0, _capped_dim1_pairs(graph, cap_factor * float(dm.values.max()))
 
 
 def curvature_pipeline(

@@ -441,6 +441,99 @@ def test_dim0_births_are_component_minima():
 
 
 # ---------------------------------------------------------------------------
+# the union-find over the minimum spanning forest's edges
+# ---------------------------------------------------------------------------
+
+
+def _edge_loop_union_find(n, edge_rows):
+    """Reference: the elder rule over every edge in filtration order, with
+    no compression and no early exit. Returns (death pairs, cycle mask)."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    pairs, cycle = [], []
+    for j, (a, b) in enumerate(edge_rows.tolist()):
+        ra, rb = find(a), find(b)
+        cycle.append(ra == rb)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
+            pairs.append((max(ra, rb), j))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(cycle, dtype=bool)
+
+
+def _random_graph(rng, n, density, tied):
+    """A flag complex on a random subset of the n-vertex graph's edges; with
+    ``tied``, vertex and edge values on a coarse step."""
+    f = rng.random(n)
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < density
+    values = np.maximum(f[iu], f[ju])[keep] + rng.random(int(keep.sum()))
+    if tied:
+        f, values = np.floor(f * 3) / 3, np.ceil(values * 3) / 3
+    return FilteredComplex(f, np.column_stack([iu[keep], ju[keep]]), values)
+
+
+def _forest_graphs():
+    rng = np.random.default_rng(2021)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        yield _random_graph(rng, n, float(rng.choice([0.05, 0.15, 0.5, 1.0])), tied=trial % 2 == 0)
+    # disconnected: two Rips complexes side by side, plus isolated vertices
+    pts = np.vstack([rng.random((15, 2)), rng.random((12, 2)) + 10.0, [[50.0, 50.0], [-50.0, 0.0]]])
+    yield rips_complex(_dm(pts), max_dim=1, r_max=3.0)
+    yield FilteredComplex([0.5], np.empty((0, 2)), [])  # a single vertex
+    yield FilteredComplex([0.0, 1.0, 1.0, 0.0], np.empty((0, 2)), [])  # no edges
+
+
+def test_forest_union_find_equals_edge_loop():
+    for cx in _forest_graphs():
+        v_values, rows = persistence._flag_cells(cx)
+        forest = persistence._spanning_forest(cx.n_vertices, cx.edges)
+        pairs, cycle = persistence._elder_union_find(len(v_values), rows, forest)
+        ref_pairs, ref_cycle = _edge_loop_union_find(len(v_values), rows)
+        assert np.array_equal(pairs, ref_pairs)
+        assert np.array_equal(cycle, ref_cycle)
+        assert np.array_equal(forest, np.nonzero(~ref_cycle)[0])
+        # scipy agrees on the forest when each edge weighs its position + 1
+        n = cx.n_vertices
+        graph = csr_matrix((np.arange(1.0, len(rows) + 1), tuple(cx.edges.T)), shape=(n, n))
+        assert np.array_equal(np.sort(minimum_spanning_tree(graph).data) - 1, forest)
+
+
+def test_forest_union_find_keeps_the_diagrams():
+    for cx in list(_forest_graphs())[::4]:
+        if cx.n_simplices <= persistence.ORACLE_MAX_SIMPLICES:
+            for drop_zero in (True, False):
+                oracle = naive_reduction_oracle(cx, drop_zero=drop_zero).multiset()
+                assert compute_ph(cx, drop_zero=drop_zero).multiset() == oracle
+
+
+def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
+    # a grid has (side + 1)^2 vertices: a dense forest of a 200-side mask
+    # would take gigabytes, so grids keep the edge loop
+    def dense(*args):
+        raise AssertionError("dense spanning forest built")
+
+    monkeypatch.setattr(persistence, "_spanning_forest", dense)
+    with pytest.raises(AssertionError, match="dense spanning forest"):
+        compute_ph(rips_complex(_dm(RNG.random((5, 2)))), max_dim=0)
+    rng = np.random.default_rng(77)
+    for _ in range(10):
+        grid = _random_grid(rng)
+        assert compute_ph(grid, 1).multiset() == naive_reduction_oracle(grid, 1).multiset()
+    cells = np.zeros((200, 200), dtype=bool)
+    cells[20:180, 30:170] = True
+    cells[90:110, 90:110] = False
+    for grid in list(_tubular_grids(BinaryMask(cells, (0.0, 0.0), 200.0)))[:1]:
+        pd = compute_ph(grid, 1)
+        assert int(np.isinf(pd.in_dim(1)[:, 1]).sum()) == 1
+
+
+# ---------------------------------------------------------------------------
 # flag complexes from their 1-skeleton
 # ---------------------------------------------------------------------------
 

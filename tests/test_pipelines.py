@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tdalab.complexes import cubical_complex, rips_complex, weighted_rips_complex
+from tdalab.complexes import FilteredComplex, cubical_complex, rips_complex, weighted_rips_complex
 from tdalab.datagen import (
     gen_convexity_dataset,
     gen_curvature_dataset,
@@ -37,6 +37,7 @@ from tdalab.pipelines import (
     CurvatureConfig,
     HolesConfig,
     RegressionConfig,
+    _capped_dim1_pairs,
     _convexity_regime,
     _convexity_scalars,
     _curvature_worker,
@@ -250,6 +251,58 @@ def test_curvature_worker_matches_cap_then_retry(kappa, retries):
     got0, got1 = _curvature_worker(cloud, cap_factor)
     assert np.array_equal(got0, expected0)
     assert np.array_equal(got1, expected1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    weighted=st.booleans(),
+    tied=st.booleans(),
+    cap_at=st.sampled_from(["edge", "below", "top", "above"]),
+    pick=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_capped_prefix_matches_cap_then_retry(n, weighted, tied, cap_at, pick, seed):
+    rng = np.random.default_rng(seed)
+    if tied:  # lattice points: many distances tie
+        cells = rng.choice(49, n, replace=False)
+        points = np.column_stack([cells // 7, cells % 7]).astype(float)
+    else:
+        points = rng.random((n, 2))
+    dm = euclidean_distance_matrix(PointCloud(points))
+    if weighted:
+        f = dtm(dm, 0.1)
+        complete = weighted_rips_complex(dm, np.round(f * 2) / 2 if tied else f, max_dim=1)
+    else:
+        complete = rips_complex(dm, max_dim=1)
+    # scaled so that the full radius is exactly 1.0: the reference then
+    # builds at exactly the cap, and at the full radius on a retry
+    top = float(complete.edge_values.max())
+    vertices, edges, values = complete.vertex_values / top, complete.edges, complete.edge_values / top
+    graph = FilteredComplex(vertices, edges, values)
+    cap = {
+        "edge": float(values[int(pick * (len(values) - 1))]),
+        "below": float(np.nextafter(values.min(), -np.inf)),
+        "top": 1.0,
+        "above": 1.0 + pick,
+    }[cap_at]
+    expected, _ = _cap_then_retry(
+        lambda r_max: FilteredComplex(vertices, edges[values <= r_max], values[values <= r_max]), cap, 1.0
+    )
+    assert np.array_equal(_capped_dim1_pairs(graph, cap), expected)
+
+
+@pytest.mark.parametrize("config", [HolesConfig, CurvatureConfig])
+@pytest.mark.parametrize("cap_factor", [math.nan, 0.0, -0.5])
+def test_config_rejects_bad_cap_factor(config, cap_factor):
+    with pytest.raises(ValueError, match="cap_factor"):
+        config(cap_factor=cap_factor)
+
+
+def test_prefix_rejects_nan_cap():
+    graph = rips_complex(euclidean_distance_matrix(PointCloud(np.random.default_rng(0).random((6, 2)))), max_dim=1)
+    with pytest.raises(ValueError, match="cap must not be NaN"):
+        graph.prefix(math.nan)
 
 
 def test_holes_report_regenerates_bit_identically():
