@@ -1,11 +1,13 @@
 """Persistence diagrams in degrees 0 and 1 over Z/2.
 
-Degree 0 of a cubical grid comes from a level sweep (Wagner, Chen &
-Vuçini, 2012): one ``scipy.ndimage.label`` call over the sublevel sets
-stacked at the levels where components can start or merge, with each
-component's parent one level up and the elder rule applied per parent.
-``scipy.ndimage`` loads at the first sweep, not with this module, so
-flag-complex work never imports scipy.
+Degree 0 of cubical grids comes from a level sweep (Wagner, Chen &
+Vuçini, 2012) over a stack of grids: one ``scipy.ndimage.label`` call over
+every grid's sublevel sets at the levels where its components can start
+or merge, planes of one array grid after grid, with each component's
+parent one plane up within its own grid and the elder rule applied per
+parent. A single grid is a stack of one. ``scipy.ndimage`` loads at the
+first sweep, not with this module, so flag-complex work never imports
+scipy.
 Everything else runs through one engine, which serves flag complexes,
 given by their 1-skeleton, and cubical grids. Its degree-0 pairs come from
 an elder-rule union-find over the edges in filtration order, which gives
@@ -188,31 +190,117 @@ def _changes_h0_table() -> Array:
     table.setflags(write=False)
     return table
 
-# cells of the (levels, h, w) stack labelled per ndimage.label call: the
-# stack and its int32 labels then take about 5 MB however many levels a
-# noisy grid has
+# cells of the (planes, h, w) stack labelled per ndimage.label call: the
+# planes' values, the sublevel sets and their int32 labels then take about
+# 13 MB however many levels a noisy grid has
 _SWEEP_CELLS = 1 << 20
 
 
-def _critical_levels(v: Array) -> Array:
-    """Ascending levels at which the components of the sublevel sets can change.
+def _critical_levels(v: Array) -> tuple:
+    """(grid, level) of each plane of the sweep of a (g, h, w) stack:
+    ascending within each grid, grids in order.
 
-    Cells enter in the order (value, raster position). A cell starts a
-    component when none of its eight neighbours entered before it, and can
-    merge components only when those that did form two or more 8-connected
-    groups. At every other level each entering cell joins one existing
-    component, so the components one level down map one to one onto those
-    at the level.
+    A grid's levels are those at which the components of its sublevel sets
+    can change. Cells enter in the order (value, raster position). A cell
+    starts a component when none of its eight neighbours entered before it,
+    and can merge components only when those that did form two or more
+    8-connected groups. At every other level each entering cell joins one
+    existing component, so the components one level down map one to one
+    onto those at the level.
     """
-    h, w = v.shape
-    pad = np.full((h + 2, w + 2), np.inf)
-    pad[1:-1, 1:-1] = v
-    code = np.zeros((h, w), dtype=np.uint8)
+    g, h, w = v.shape
+    pad = np.full((g, h + 2, w + 2), np.inf)
+    pad[:, 1:-1, 1:-1] = v
+    code = np.zeros(v.shape, dtype=np.uint8)
     for k, (di, dj) in enumerate(_RING):
-        nb = pad[1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
+        nb = pad[:, 1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
         earlier = nb <= v if k < 4 else nb < v
         code |= earlier.astype(np.uint8) << k
-    return np.unique(v[_changes_h0_table()[code] & np.isfinite(v)])
+    critical = _changes_h0_table()[code] & np.isfinite(v)
+    grid = np.nonzero(critical)[0]  # ascending
+    level = v[critical]
+    order = np.lexsort((level, grid))
+    grid, level = grid[order], level[order]
+    new = np.ones(len(grid), dtype=bool)
+    new[1:] = (grid[1:] != grid[:-1]) | (level[1:] != level[:-1])
+    return grid[new], level[new]
+
+
+def sublevel_ph0_stack(values) -> tuple:
+    """Degree-0 persistence of the 8-connected sublevel sets of each grid
+    of a (g, h, w) stack.
+
+    Each grid holds top-cell values, +inf outside its shape, and at least
+    one finite cell. Returns (grid, births, deaths), one entry per class, in
+    no particular order: the index of the class's grid, and its birth and
+    death, +inf for the essential classes, with no zero-length pairs. The
+    classes of grid k are the degree-0 diagram of ``compute_ph`` on it.
+
+    Every grid's sublevel sets at each level where its components can
+    start or merge are planes of one (planes, h, w) boolean array over the
+    box of cells finite in some grid, grid after grid, labelled by one
+    ``scipy.ndimage.label`` call, 8-connected within a plane and unlinked
+    across planes, so labels grow plane by plane. A component's parent is
+    the label of any of its cells one plane up, when that plane belongs to
+    the same grid; of the children of one parent the earliest-born lives on
+    and the others die at the parent's level. The components of a grid's
+    last plane are essential. A stack of more than ``_SWEEP_CELLS`` cells
+    is labelled in blocks of planes, each block starting at the plane where
+    the previous one ended, wherever the grids begin and end. The work is
+    the number of planes times the box's cells: small for distances to a
+    line or heights over a shape, large for noise.
+    """
+    from scipy import ndimage
+
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 3 or len(v) == 0:
+        raise ValueError(f"values must be a 3-D stack of at least one grid, got shape {v.shape}")
+    finite = np.isfinite(v)
+    if np.any(~finite & (v != math.inf)):
+        raise ValueError("values must hold finite or +inf cells")
+    empty = np.flatnonzero(~finite.any(axis=(1, 2)))
+    if len(empty):
+        raise ValueError(f"grid {empty[0]} has no finite cell")
+    rows = np.flatnonzero(finite.any(axis=(0, 2)))
+    cols = np.flatnonzero(finite.any(axis=(0, 1)))
+    v = v[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    cells = v[0].size
+    grid, level = _critical_levels(v)
+    # a plane's components are essential when it is its grid's last
+    last_of_grid = np.ones(len(grid), dtype=bool)
+    last_of_grid[:-1] = grid[1:] != grid[:-1]
+    step = max(1, _SWEEP_CELLS // cells - 1)
+    out_grid, births, deaths = [], [], []
+    lo = 0
+    while True:
+        hi = min(lo + step, len(level) - 1)
+        block = v[grid[lo : hi + 1]]
+        labels, n = ndimage.label(block <= level[lo : hi + 1, None, None], structure=_PLANES_8)
+        flat = labels.ravel()
+        member = np.flatnonzero(flat)
+        comp = flat[member]
+        birth = np.full(n + 1, np.inf)
+        np.minimum.at(birth, comp, block.ravel()[member])
+        rep = np.empty(n + 1, dtype=np.int64)
+        rep[comp] = member
+        ids = np.arange(1, n + 1)
+        plane = lo + np.searchsorted(labels.reshape(hi + 1 - lo, -1).max(axis=1), np.arange(n + 1))
+        # the block's last plane waits for the next block, unless it ends the stack
+        done = (plane[ids] < hi) | (hi == len(level) - 1)
+        essential = done & last_of_grid[plane[ids]]
+        child = ids[done & ~essential]
+        parent = flat[rep[child] + cells]  # the same cell one plane up
+        order = np.lexsort((birth[child], parent))
+        elder = np.ones(len(order), dtype=bool)
+        elder[1:] = parent[order[1:]] != parent[order[:-1]]
+        dying = child[order[~elder]]
+        ending = np.concatenate([dying, ids[essential]])
+        out_grid.append(grid[plane[ending]])
+        births.append(birth[ending])
+        deaths.append(np.concatenate([level[plane[dying] + 1], np.full(int(essential.sum()), math.inf)]))
+        if hi == len(level) - 1:
+            return np.concatenate(out_grid), np.concatenate(births), np.concatenate(deaths)
+        lo = hi
 
 
 def sublevel_ph0(values) -> tuple:
@@ -222,59 +310,14 @@ def sublevel_ph0(values) -> tuple:
     with at least one finite cell. Returns (births, deaths), in no
     particular order, with +inf deaths for the essential classes and no
     zero-length pairs: the degree-0 diagram of ``compute_ph`` on the grid.
-
-    The sublevel sets at each level where components can start or merge
-    are stacked into a (levels, h, w) boolean array over the box of finite
-    cells and labelled by ``scipy.ndimage.label``, 8-connected within a
-    plane and unlinked across planes, so labels grow plane by plane. A
-    component's parent is the label of any of its cells one plane up; of
-    the children of one parent the earliest-born lives on and the others
-    die at the parent's level. The components of the last plane are
-    essential. A stack of more than ``_SWEEP_CELLS`` cells is labelled in
-    blocks of planes, each block starting at the plane where the previous
-    one ended. The work is the number of such levels times the box's
-    cells: small for distances to a line or heights over a shape, large for
-    noise.
+    ``sublevel_ph0_stack`` on a stack of this one grid computes it.
     """
-    from scipy import ndimage
-
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
     if v.ndim != 2 or not finite.any() or np.any(~finite & (v != math.inf)):
         raise ValueError("values must be a 2-D array of finite or +inf cells, at least one finite")
-    rows = np.flatnonzero(finite.any(axis=1))
-    cols = np.flatnonzero(finite.any(axis=0))
-    v = v[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    levels = _critical_levels(v)
-    step = max(1, _SWEEP_CELLS // v.size - 1)
-    births, deaths = [], []
-    lo = 0
-    while True:
-        hi = min(lo + step, len(levels) - 1)
-        labels, n = ndimage.label(v <= levels[lo : hi + 1, None, None], structure=_PLANES_8)
-        flat = labels.ravel()
-        cells = np.flatnonzero(flat)
-        comp = flat[cells]
-        birth = np.full(n + 1, np.inf)
-        np.minimum.at(birth, comp, v.ravel()[cells % v.size])
-        rep = np.empty(n + 1, dtype=np.int64)
-        rep[comp] = cells
-        ids = np.arange(1, n + 1)
-        plane = np.searchsorted(labels.reshape(len(labels), -1).max(axis=1), np.arange(n + 1))
-        last = plane[ids] == len(labels) - 1
-        child = ids[~last]
-        parent = flat[rep[child] + v.size]  # the same cell one plane up
-        order = np.lexsort((birth[child], parent))
-        elder = np.ones(len(order), dtype=bool)
-        elder[1:] = parent[order[1:]] != parent[order[:-1]]
-        dying = child[order[~elder]]
-        births.append(birth[dying])
-        deaths.append(levels[lo + plane[dying] + 1])
-        if hi == len(levels) - 1:
-            births.append(birth[ids[last]])
-            deaths.append(np.full(int(last.sum()), math.inf))
-            return np.concatenate(births), np.concatenate(deaths)
-        lo = hi
+    _, births, deaths = sublevel_ph0_stack(v[None])
+    return births, deaths
 
 
 def _grid_ph0(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:

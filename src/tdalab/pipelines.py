@@ -55,7 +55,7 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import PersistenceDiagram, compute_ph, sublevel_ph0
+from .persistence import PersistenceDiagram, compute_ph, sublevel_ph0_stack
 from .seeding import derive_seed, generator
 from .signatures import FinitePoints, ImageScheme, LandscapeScheme, finite_points, lifespans_matrix
 
@@ -533,21 +533,23 @@ def concavity_features(mask: BinaryMask, normalize: bool = False) -> Array:
     Lifespans are measured in ``cell_units``; the vector is invariant under
     translating or uniformly scaling the mask extent.
     ``normalize`` divides by the occupied-cell count (area-relative mode).
-    Each line's values fill the box of occupied cells, +inf elsewhere, and
-    ``sublevel_ph0`` reads the components off it.
+    Each line's values fill one grid of a stack over the box of occupied
+    cells, +inf elsewhere, and one ``sublevel_ph0_stack`` call reads the
+    components of all the lines off it.
     """
     lines = default_lines(mask)
     cell = mask.cell_size
     ix, iy = np.nonzero(mask.cells)
     centers = mask.cell_centers()[ix, iy]
     ix, iy = ix - ix.min(), iy - iy.min()
-    box = np.full((ix.max() + 1, iy.max() + 1), np.inf)
+    values = np.array([cell_units(tubular_distances(centers, line), cell) for line in lines.lines])
+    box = np.full((len(lines), ix.max() + 1, iy.max() + 1), np.inf)
+    box[:, ix, iy] = values
+    grid, births, deaths = sublevel_ph0_stack(box)
     out = np.empty(len(lines))
-    for i, line in enumerate(lines.lines):
-        values = cell_units(tubular_distances(centers, line), cell)
-        box[ix, iy] = values
-        births, deaths = sublevel_ph0(box)
-        out[i] = _second_persistence(births, deaths, float(values.max()))
+    for i, end_value in enumerate(values.max(axis=1).tolist()):
+        on = grid == i
+        out[i] = _second_persistence(births[on], deaths[on], end_value)
     if normalize:
         out /= len(ix)
     return out

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdalab.complexes import absolute_height_filtration, height_filtration
+from tdalab.datagen import gen_polygon_masks
 from tdalab.geometry import (
     BinaryMask,
     Line,
@@ -473,6 +474,18 @@ def test_convexity_measure_convex_rasterization_tolerance():
         hull = convex_hull(rng.random((10, 2)))
         mask = rasterize(hull, 40)
         assert convexity_measure(mask) >= 0.97
+
+
+def test_convexity_measure_equals_hull_of_every_center():
+    # the measure takes the hull of each row's end centers; the hull of all
+    # occupied centers gives the same float, also on masks with ragged rows
+    masks = list(gen_polygon_masks(60, 30, 811).items)
+    rng = np.random.default_rng(7)
+    masks += [BinaryMask(rng.random((9, 9)) < 0.4, (0.3, -1.7), 2.9) for _ in range(40)]
+    for mask in masks:
+        centers = mask.occupied_centers()
+        expected = min(1.0, len(centers) * mask.cell_size**2 / polygon_area(convex_hull(centers)))
+        assert convexity_measure(mask) == expected
 
 
 def test_convexity_measure_degenerate_mask():

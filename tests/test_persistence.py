@@ -24,6 +24,7 @@ from tdalab.persistence import (
     compute_ph0_unionfind,
     naive_reduction_oracle,
     sublevel_ph0,
+    sublevel_ph0_stack,
 )
 
 RNG = np.random.default_rng(99)
@@ -354,6 +355,68 @@ def test_sweep_edge_cases(top, expected):
 def test_sweep_rejects_bad_values(values):
     with pytest.raises(ValueError, match="finite or \\+inf cells"):
         sublevel_ph0(np.array(values))
+
+
+def _tied_stacks(rng, count):
+    """Random (g, side, side) stacks of 1 to 6 grids, sides 1 to 8, values
+    on a 0.5 step. Each grid has its own box of cells that may be finite,
+    with about a third of them +inf, and +inf outside it."""
+    for _ in range(count):
+        g, side = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        stack = np.full((g, side, side), np.inf)
+        for grid in stack:
+            r0, r1 = np.sort(rng.choice(side + 1, 2, replace=False))
+            c0, c1 = np.sort(rng.choice(side + 1, 2, replace=False))
+            box = np.round(rng.uniform(0.0, 5.0, (r1 - r0, c1 - c0)) * 2.0) / 2.0
+            box[rng.random(box.shape) < 0.3] = np.inf
+            box[rng.integers(r1 - r0), rng.integers(c1 - c0)] = 2.5
+            grid[r0:r1, c0:c1] = box
+        yield stack
+
+
+def _classes(births, deaths):
+    return sorted(zip(births.tolist(), deaths.tolist()))
+
+
+def test_stacked_sweep_equals_each_grid_alone(monkeypatch):
+    stacks = list(_tied_stacks(np.random.default_rng(604), 150))
+    assert any(stack.shape[1] == 1 for stack in stacks)
+    expected = []
+    for stack in stacks:
+        per_grid = []
+        for values in stack:
+            classes = _classes(*sublevel_ph0(values))
+            grid = FilteredCubicalGrid(values)
+            assert classes == sorted(map(tuple, compute_ph(grid, 1).in_dim(0).tolist()))
+            if len(values) <= 5:
+                assert classes == sorted(map(tuple, naive_reduction_oracle(grid, 0).in_dim(0).tolist()))
+            per_grid.append(classes)
+        expected.append(per_grid)
+    # 1 cell: two planes per block, so block edges fall on every grid boundary
+    for cells in (None, 1, 30, 500):
+        if cells is not None:
+            monkeypatch.setattr(persistence, "_SWEEP_CELLS", cells)
+        for stack, per_grid in zip(stacks, expected):
+            grid, births, deaths = sublevel_ph0_stack(stack)
+            assert len(grid) == sum(map(len, per_grid))
+            assert [_classes(births[grid == k], deaths[grid == k]) for k in range(len(stack))] == per_grid
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.ones((3, 3)), "3-D stack"),
+        (np.ones((1, 2, 2, 2)), "3-D stack"),
+        (np.ones((0, 2, 2)), "at least one grid"),
+        (np.array([[[1.0, np.nan]]]), "finite or \\+inf cells"),
+        (np.array([[[1.0, -np.inf]]]), "finite or \\+inf cells"),
+        (np.array([[[1.0, 2.0]], [[1.0, np.inf]], [[np.inf, np.inf]]]), "grid 2 has no finite cell"),
+    ],
+    ids=["2-d", "4-d", "no-grid", "nan", "-inf", "grid-2-empty"],
+)
+def test_stacked_sweep_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        sublevel_ph0_stack(values)
 
 
 def test_sweep_on_disconnected_mask():

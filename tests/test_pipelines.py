@@ -25,13 +25,15 @@ from tdalab.geometry import (
     dtm,
     euclidean_distance_matrix,
     farthest_point_subsample,
+    fill_sampling_gaps,
     geodesic_distance_matrix,
     rasterize,
     tubular_distances,
 )
 from tdalab.io import report_to_json
 from tdalab.learn import Standardizer, accuracy, kfold_splits, knn_fit_predict, mse
-from tdalab.persistence import PersistenceDiagram, compute_ph
+import tdalab.pipelines as pipelines
+from tdalab.persistence import PersistenceDiagram, compute_ph, sublevel_ph0, sublevel_ph0_stack
 from tdalab.pipelines import (
     ConvexityConfig,
     CurvatureConfig,
@@ -43,8 +45,10 @@ from tdalab.pipelines import (
     _curvature_worker,
     _gen_convexity,
     _knn_search,
+    _second_persistence,
     _spearman,
     _weighted_dim1_diagram,
+    cell_units,
     concavity_features,
     convexity_experiment,
     convexity_regression,
@@ -152,6 +156,67 @@ def test_concavity_features_equal_union_find_route():
     # and so two essential classes on every line
     for mask in gen_polygon_masks(60, 30, 603).items[:30]:
         assert np.array_equal(concavity_features(mask), _union_find_concavity(mask))
+
+
+def _per_line_concavity(mask, normalize):
+    """Concavity features with one ``sublevel_ph0`` call per line, each on
+    the box of occupied cells filled with that line's values alone."""
+    lines = default_lines(mask)
+    cell = mask.cell_size
+    ix, iy = np.nonzero(mask.cells)
+    centers = mask.cell_centers()[ix, iy]
+    ix, iy = ix - ix.min(), iy - iy.min()
+    box = np.full((ix.max() + 1, iy.max() + 1), np.inf)
+    out = np.empty(len(lines))
+    for i, line in enumerate(lines.lines):
+        values = cell_units(tubular_distances(centers, line), cell)
+        box[ix, iy] = values
+        births, deaths = sublevel_ph0(box)
+        out[i] = _second_persistence(births, deaths, float(values.max()))
+    if normalize:
+        out /= len(ix)
+    return out
+
+
+def _seed_601_rasters():
+    config = ConvexityConfig()
+    for kind in ("regular", "random"):
+        ds = gen_convexity_dataset(kind, seed=601, points_per_cloud=1000, clouds_per_shape=2, polygons_per_class=12)
+        for cloud in ds.items:
+            yield fill_sampling_gaps(rasterize(cloud, config.grid_side), config.fill_neighbors)
+
+
+def test_concavity_features_equal_per_line_sweeps():
+    polygons = gen_polygon_masks(60, 30, 811)
+    # convex mask 57 rasterizes its tip into a stray cell, so it scores above 0
+    assert polygons.labels[57] == 1 and concavity_features(polygons.items[57]).max() > 0
+    rasters = list(_seed_601_rasters())
+    scores = []
+    for mask in rasters + list(polygons.items):
+        for normalize in (False, True):
+            feats = concavity_features(mask, normalize)
+            assert np.array_equal(feats, _per_line_concavity(mask, normalize))
+        scores.append(feats.max())
+    assert min(scores[: len(rasters)]) == 0 < max(scores[: len(rasters)])
+
+
+def test_concavity_features_sweep_once_per_mask(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(np.shape(values))
+        return sublevel_ph0_stack(values)
+
+    monkeypatch.setattr(pipelines, "sublevel_ph0_stack", counted)
+    masks = gen_polygon_masks(12, 30, 811).items
+    for mask in masks:
+        concavity_features(mask)
+    assert [shape[0] for shape in calls] == [len(default_lines(m)) for m in masks]
+    calls.clear()
+    config = ConvexityConfig(points_per_cloud=1000, clouds_per_shape=1, polygons_per_class=4)
+    dataset = _gen_convexity("regular", config, 601)
+    _convexity_scalars(dataset, config)
+    assert len(calls) == len(dataset.items)
 
 
 def test_normalize_divides_by_occupied_count():
