@@ -184,8 +184,8 @@ def weighted_rips_complex(
 class FilteredCubicalGrid:
     """Square grid of top cells; unoccupied cells sit at +inf.
 
-    Lower cells (edges, vertices) take the minimum over their incident top
-    cells, derived on demand.
+    Lower cells take the minimum over their incident top cells;
+    ``vertex_values`` derives the corner vertices' on demand.
     """
 
     top_values: Array  # (c, c), +inf allowed
@@ -216,20 +216,6 @@ class FilteredCubicalGrid:
         return np.minimum.reduce(
             [padded[:-1, :-1], padded[1:, :-1], padded[:-1, 1:], padded[1:, 1:]]
         )
-
-    def edge_values_x(self) -> Array:
-        """(c, c+1) values of edges parallel to the x-axis: cells (i, j-1)|(i, j)."""
-        c = self.side
-        padded = np.full((c, c + 2), np.inf)
-        padded[:, 1:-1] = self.top_values
-        return np.minimum(padded[:, :-1], padded[:, 1:])
-
-    def edge_values_y(self) -> Array:
-        """(c+1, c) values of edges parallel to the y-axis: cells (i-1, j)|(i, j)."""
-        c = self.side
-        padded = np.full((c + 2, c), np.inf)
-        padded[1:-1, :] = self.top_values
-        return np.minimum(padded[:-1, :], padded[1:, :])
 
 
 def tubular_filtration(line: Line) -> Callable[[Array], Array]:

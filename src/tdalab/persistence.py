@@ -8,29 +8,33 @@ parent one plane up within its own grid and the elder rule applied per
 parent. A single grid is a stack of one. ``scipy.ndimage`` loads at the
 first sweep, not with this module, so flag-complex work never imports
 scipy.
-Everything else runs through one engine, which serves flag complexes,
-given by their 1-skeleton, and cubical grids. Its degree-0 pairs come from
-an elder-rule union-find over the edges in filtration order, which gives
-the pairing of the vertex-edge boundary reduction; the edges it finds
-closing a cycle are the degree-1 creators. On a flag complex the minimum
-spanning forest comes first, by a dense numpy Prim over the edges'
-filtration positions: those positions are distinct, so the forest is
-exactly the set of edges that merge, and the union-find visits its at most
-n - 1 edges alone; every other edge closes a cycle. Grids, with (side+1)^2
-vertices, keep the loop over every edge and allocate nothing of size
-vertices^2. Degree-1 deaths come from the coboundary (cohomology)
-reduction of the edge-triangle (or edge-square) block, after Ripser
-(Bauer, 2021): the edges that kill a degree-0 class are cleared (skipped),
-apparent pairs -- an edge whose earliest cofacet has the edge as its
-latest facet -- are found for all edges at once with numpy, and only the
-few remaining columns are reduced. Flag complexes enumerate an
-edge's cofacets on demand from the edge-value matrix, keyed by one
-order-preserving int64, so their triangles are never built; grids read
-them off the boundary rows of their squares. A deliberately unoptimized
-textbook reduction of the whole boundary matrix, with the flag triangles
-listed by brute force, is the reference oracle.
+Degree 1 of a grid comes from Alexander duality (Garin, Heiss, Maggs,
+Bleile & Robins, 2020): the degree-1 pairs of the 8-connected closed-pixel
+sublevel filtration are the degree-0 pairs, negated and swapped, of the
+4-connected superlevel filtration of its complement, with the outside of
+the grid as the eldest component. So at max_dim=1 both degrees of a grid
+are degree 0 of a pixel graph, and no cell beyond the pixels is built.
+Degree 0 of a graph, whether a pixel graph or the 1-skeleton of a flag
+complex, comes from an elder-rule union-find over the edges in filtration
+order, which gives the pairing of the vertex-edge boundary reduction; the
+edges it finds closing a cycle are the flag complex's degree-1 creators.
+On a flag complex the minimum spanning forest comes first, by a dense
+numpy Prim over the edges' filtration positions: those positions are
+distinct, so the forest is exactly the set of edges that merge, and the
+union-find visits its at most n - 1 edges alone; every other edge closes a
+cycle. Pixel graphs, with one vertex per pixel, keep the loop over every
+edge and allocate nothing of size vertices^2. Degree-1 deaths of a flag
+complex come from the coboundary (cohomology) reduction of the
+edge-triangle block, after Ripser (Bauer, 2021): the edges that kill a
+degree-0 class are cleared (skipped), apparent pairs -- an edge whose
+earliest cofacet has the edge as its latest facet -- are found for all
+edges at once with numpy, and only the few remaining columns are reduced.
+An edge's cofacets are enumerated on demand from the edge-value matrix,
+keyed by one order-preserving int64, so the triangles are never built. A
+deliberately unoptimized textbook reduction of the whole boundary matrix,
+with the flag triangles listed by brute force and a grid's vertices, edges
+and squares listed cell by cell, is the reference oracle.
 """
-
 from __future__ import annotations
 
 import functools
@@ -92,7 +96,7 @@ def _diagram(rows) -> PersistenceDiagram:
 
 
 # ---------------------------------------------------------------------------
-# cell extraction: one representation for both complex types
+# flag complexes: vertices in filtration order, edges as boundary rows
 # ---------------------------------------------------------------------------
 
 
@@ -107,59 +111,6 @@ def _flag_cells(cx: FilteredComplex):
     v_row = np.empty(n, dtype=np.int64)
     v_row[v_order] = np.arange(n)
     return cx.vertex_values[v_order], v_row[cx.edges]
-
-
-def _cubical_cells(grid: FilteredCubicalGrid):
-    """Per-dimension sorted values and boundary rows for a cubical grid.
-
-    Cells with +inf values never enter the filtration. Ties are broken by
-    cell coordinates, vertices-first within an edge family split.
-    """
-    c = grid.side
-    vv = grid.vertex_values()
-    ex = grid.edge_values_x()  # (c, c+1): vertex (i,j) -> (i+1,j)
-    ey = grid.edge_values_y()  # (c+1, c): vertex (i,j) -> (i,j+1)
-    top = grid.top_values
-
-    vi, vj = np.nonzero(np.isfinite(vv))
-    v_vals = vv[vi, vj]
-    order = np.lexsort((vj, vi, v_vals))
-    vi, vj, v_vals = vi[order], vj[order], v_vals[order]
-    v_row = -np.ones((c + 1, c + 1), dtype=np.int64)
-    v_row[vi, vj] = np.arange(len(vi))
-
-    # edge key: (value, v0_i, v0_j, family) with the y-family first on ties,
-    # matching lexicographic comparison of vertex pairs
-    xi, xj = np.nonzero(np.isfinite(ex))
-    yi, yj = np.nonzero(np.isfinite(ey))
-    e_vals = np.concatenate([ex[xi, xj], ey[yi, yj]])
-    e_i0 = np.concatenate([xi, yi])
-    e_j0 = np.concatenate([xj, yj])
-    e_fam = np.concatenate([np.ones(len(xi), dtype=np.int64), np.zeros(len(yi), dtype=np.int64)])
-    order = np.lexsort((e_fam, e_j0, e_i0, e_vals))
-    e_vals, e_i0, e_j0, e_fam = e_vals[order], e_i0[order], e_j0[order], e_fam[order]
-    e_end_i = np.where(e_fam == 1, e_i0 + 1, e_i0)
-    e_end_j = np.where(e_fam == 1, e_j0, e_j0 + 1)
-    e_bnd = np.column_stack([v_row[e_i0, e_j0], v_row[e_end_i, e_end_j]])
-
-    ex_row = -np.ones((c, c + 1), dtype=np.int64)
-    ey_row = -np.ones((c + 1, c), dtype=np.int64)
-    fam_x = e_fam == 1
-    ex_row[e_i0[fam_x], e_j0[fam_x]] = np.nonzero(fam_x)[0]
-    fam_y = ~fam_x
-    ey_row[e_i0[fam_y], e_j0[fam_y]] = np.nonzero(fam_y)[0]
-
-    si, sj = np.nonzero(np.isfinite(top))
-    s_vals = top[si, sj]
-    order = np.lexsort((sj, si, s_vals))
-    si, sj, s_vals = si[order], sj[order], s_vals[order]
-    s_bnd = np.column_stack(
-        [ex_row[si, sj], ex_row[si, sj + 1], ey_row[si, sj], ey_row[si + 1, sj]]
-    )
-
-    values = [v_vals, e_vals, s_vals]
-    boundaries = [None, e_bnd, s_bnd]
-    return values, boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +271,20 @@ def sublevel_ph0(values) -> tuple:
     return births, deaths
 
 
-def _grid_ph0(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
-    """Degree-0 diagram of a cubical grid from the level sweep.
+def _grid_ph0(grid: FilteredCubicalGrid, births: Array, deaths: Array, drop_zero: bool) -> Array:
+    """(k, 3) degree-0 rows of a cubical grid from its classes of positive
+    length, given by their births and deaths.
 
     With drop_zero=False, every corner vertex that enters at a level
     without starting a class there dies as it enters.
     """
-    births, deaths = sublevel_ph0(grid.top_values)
     if not drop_zero:
         vv = grid.vertex_values()
         levels, entering = np.unique(vv[np.isfinite(vv)], return_counts=True)
         starting = np.bincount(np.searchsorted(levels, births), minlength=len(levels))
         zero = np.repeat(levels, entering - starting)
         births, deaths = np.concatenate([births, zero]), np.concatenate([deaths, zero])
-    return PersistenceDiagram(np.column_stack([np.zeros(len(births)), births, deaths]))
+    return np.column_stack([np.zeros(len(births)), births, deaths])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +330,8 @@ def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array | None = 
     those of the left-to-right reduction of the vertex-edge boundary block.
     ``forest``, the ascending positions of the minimum spanning forest's
     edges, restricts the loop to them: only they merge, and in the same
-    order.
+    order. Flag complexes pass their forest; pixel graphs, both degrees of
+    a grid, loop over every edge.
     """
     parent = list(range(n_vertices))
 
@@ -406,34 +358,74 @@ def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array | None = 
     return np.array([dying, killing], dtype=np.int64).T, cycle
 
 
-class _BoundaryCofacets:
-    """Cofacets of edges read off the boundary rows of 2-cells (squares).
+# ---------------------------------------------------------------------------
+# both degrees of a grid: degree 0 of pixel graphs
+# ---------------------------------------------------------------------------
 
-    A cofacet's key is its position in the filtration order of the 2-cells,
-    so keys sort in filtration order.
+# a pixel's neighbours after it in raster order, so each link is listed once
+_EIGHT = ((0, 1), (1, -1), (1, 0), (1, 1))
+_FOUR = ((0, 1), (1, 0))
+
+
+def _pixel_pairs(values: Array, offsets) -> tuple:
+    """Elder-rule degree-0 pairs of the graph on the pixels of a 2-D array.
+
+    Pixels are linked at the given (row, column) offsets, and a link is
+    valued at the larger of its two pixels. A stable argsort puts the
+    pixels in filtration order, ties in raster order, and the links follow
+    their later pixel. Returns (births, deaths), one entry per class, with
+    zero-length pairs and classes born at +inf; an essential class dies at
+    +inf. The callers filter.
     """
+    h, w = values.shape
+    order = np.argsort(values, axis=None, kind="stable")
+    v_values = values.ravel()[order]
+    row = np.empty(h * w, dtype=np.int64)
+    row[order] = np.arange(h * w)
+    row = row.reshape(h, w)
+    links = []
+    for di, dj in offsets:
+        lo, hi = max(0, -dj), w - max(0, dj)
+        links.append(np.column_stack([row[: h - di, lo:hi].ravel(), row[di:, lo + dj : hi + dj].ravel()]))
+    links = np.concatenate(links)
+    later = links.max(axis=1)
+    order = np.argsort(later, kind="stable")
+    # links valued +inf are left out: a merge at +inf leaves the same
+    # (birth, +inf) pair as no merge
+    order = order[v_values[later[order]] < math.inf]
+    links, later = links[order], later[order]
+    pairs, _ = _elder_union_find(h * w, links)
+    alive = np.ones(h * w, dtype=bool)
+    alive[pairs[:, 0]] = False
+    births = np.concatenate([v_values[pairs[:, 0]], v_values[alive]])
+    deaths = np.concatenate([v_values[later[pairs[:, 1]]], np.full(int(alive.sum()), math.inf)])
+    return births, deaths
 
-    def __init__(self, facets: Array, values: Array, n_edges: int):
-        flat_e = facets.ravel()
-        flat_p = np.repeat(np.arange(len(facets)), facets.shape[1])
-        order = np.lexsort((flat_p, flat_e))
-        self._keys = flat_p[order]
-        self._starts = np.searchsorted(flat_e[order], np.arange(n_edges + 1))
-        self._latest_facet = facets.max(axis=1)
-        self._values = values
 
-    def cofacets(self, e: int) -> Array:
-        return self._keys[self._starts[e] : self._starts[e + 1]]
+def _grid_ph(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
+    """Degrees 0 and 1 of a cubical grid, each as degree 0 of a pixel graph
+    over the box of its finite cells.
 
-    def earliest(self, edges: Array) -> tuple:
-        """(key of each edge's earliest cofacet, mask of apparent pairs)."""
-        starts = self._starts[edges]
-        has = self._starts[edges + 1] > starts
-        keys = self._keys[np.minimum(starts, len(self._keys) - 1)]
-        return keys, has & (self._latest_facet[keys] == edges)
-
-    def values(self, keys: Array) -> Array:
-        return self._values[keys]
+    Degree 0 is the 8-connected graph of the box. Degree 1 is, by duality,
+    the 4-connected graph of the box ringed with +inf pixels, on negated
+    values: its pair (b, d) is the degree-1 pair (-d, -b). Each finite
+    pixel, a square, dies there once, so zero-length pairs come out with
+    the rest; a region of +inf pixels the shape encloses dies at -inf, an
+    essential hole. The dual's eldest class, the ring, and the pairs among
+    +inf pixels have no finite birth and are dropped.
+    """
+    finite = np.isfinite(grid.top_values)
+    rows = np.flatnonzero(finite.any(axis=1))
+    cols = np.flatnonzero(finite.any(axis=0))
+    top = grid.top_values[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    births, deaths = _pixel_pairs(top, _EIGHT)
+    keep = np.isfinite(births) & (deaths > births)
+    dim0 = _grid_ph0(grid, births[keep], deaths[keep], drop_zero)
+    dual_births, dual_deaths = _pixel_pairs(-np.pad(top, 1, constant_values=math.inf), _FOUR)
+    births, deaths = -dual_deaths, -dual_births
+    keep = np.isfinite(births) & ((deaths != births) | (not drop_zero))
+    dim1 = np.column_stack([np.ones(int(keep.sum())), births[keep], deaths[keep]])
+    return PersistenceDiagram(np.concatenate([dim0, dim1]))
 
 
 # elements of the (edges x vertices) arrays built per block in _FlagCofacets
@@ -535,15 +527,16 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
 
 
 def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool, forest=None):
-    """Assemble intervals from sorted vertex and edge values.
+    """Assemble the intervals of a flag complex from its sorted vertex and
+    edge values.
 
     Degree 0 and the degree-1 creators come from the elder-rule union-find,
     over the spanning ``forest``'s edges alone when it is given. The edges
     it pairs with vertices are cleared: their coboundary columns reduce to
     zero. Of the cycle edges, apparent pairs are found at once from
     ``cof.earliest``; only the rest are reduced. ``cof`` gives the edges'
-    cofacets (``_FlagCofacets`` or ``_BoundaryCofacets``); None means no
-    2-cells.
+    cofacets through ``cofacets``, ``earliest`` and ``values``, as
+    ``_FlagCofacets`` does; None means no 2-cells.
     """
     pairs0, cycle = _elder_union_find(len(v_values), edge_rows, forest)
     alive = np.ones(len(v_values), dtype=bool)
@@ -579,8 +572,10 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     """Persistence diagram of a complex in degrees 0..max_dim.
 
     ``cx`` is a ``FilteredComplex``, whose triangles the reduction
-    enumerates from its edges and never builds, or a ``FilteredCubicalGrid``,
-    whose degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``.
+    enumerates from its edges and never builds, or a ``FilteredCubicalGrid``.
+    A grid's degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``; at
+    max_dim=1 both degrees are degree 0 of a pixel graph, the degree-1
+    one by duality, and no coboundary is reduced.
     Zero-length intervals are dropped by default; pass drop_zero=False to
     keep them (Euler-characteristic bookkeeping).
     """
@@ -593,10 +588,8 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
         return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero, forest)
     if isinstance(cx, FilteredCubicalGrid):
         if max_dim == 0:
-            return _grid_ph0(cx, drop_zero)
-        values, boundaries = _cubical_cells(cx)
-        cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
-        return _ph(values[0], values[1], boundaries[1], cof, max_dim, drop_zero)
+            return PersistenceDiagram(_grid_ph0(cx, *sublevel_ph0(cx.top_values), drop_zero))
+        return _grid_ph(cx, drop_zero)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
 
 

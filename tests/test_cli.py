@@ -9,7 +9,7 @@ import pytest
 
 from tdalab import cli, datagen, io, pipelines
 from tdalab.cli import main
-from tdalab.complexes import rips_complex, weighted_rips_complex
+from tdalab.complexes import cubical_complex, rips_complex, tubular_filtration, weighted_rips_complex
 from tdalab.datagen import gen_random_convex_polygon
 from tdalab.geometry import BinaryMask, PointCloud, dtm, euclidean_distance_matrix, rasterize
 from tdalab.persistence import compute_ph
@@ -222,6 +222,24 @@ def test_ph_mask_reads_what_concavity_features_read(tmp_path):
     spans = io.read_diagram_csv(out).lifespans(0)
     longest = spans[np.isfinite(spans)].max()
     assert longest == concavity_features(mask)[LINE_NAMES.index("top")] > 0
+
+
+def test_ph_mask_dim1_annulus_one_essential_hole(tmp_path):
+    y, x = np.mgrid[:24, :24] - 11.5
+    r = np.hypot(x, y)
+    mask = BinaryMask((r > 4) & (r < 10), (0.0, 0.0), 24.0)
+    src = tmp_path / "annulus.pbm"
+    io.write_mask_pbm(src, mask)
+    out = tmp_path / "pd.csv"
+    assert run_cli("ph", src, "--filtration", "tubular", "--line", "bottom",
+                   "--out", out, "--max-dim", 1) == 0
+    pd = io.read_diagram_csv(out)
+    holes = pd.in_dim(1)
+    assert int(np.isinf(holes[:, 1]).sum()) == 1
+    read = io.read_mask(src)
+    line = pipelines.default_lines(read).lines[LINE_NAMES.index("bottom")]
+    cx = cubical_complex(read, lambda c: pipelines.cell_units(tubular_filtration(line)(c), read.cell_size))
+    assert pd.multiset() == compute_ph(cx, max_dim=1).multiset()
 
 
 def test_ph_mask_csv_bad_cell_fails(tmp_path, capsys):

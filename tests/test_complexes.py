@@ -14,7 +14,7 @@ from tdalab.complexes import (
     weighted_rips_complex,
 )
 from tdalab.geometry import BinaryMask, Line, PointCloud, euclidean_distance_matrix
-from tdalab.persistence import _oracle_cells
+from tdalab.persistence import _oracle_cells, compute_ph
 
 RNG = np.random.default_rng(11)
 
@@ -175,15 +175,16 @@ def test_cubical_single_cell_t_construction():
     v = grid.top_values[1, 1]
     assert np.isfinite(v)
     assert np.isinf(grid.top_values[0, 0])
-    # the four corner vertices and four edges inherit exactly v
+    # the four corner vertices inherit exactly v
     vv = grid.vertex_values()
     assert np.count_nonzero(np.isfinite(vv)) == 4
     assert np.allclose(vv[np.isfinite(vv)], v)
-    ex = grid.edge_values_x()
-    ey = grid.edge_values_y()
-    finite_edges = np.concatenate([ex[np.isfinite(ex)], ey[np.isfinite(ey)]])
-    assert len(finite_edges) == 4
-    assert np.allclose(finite_edges, v)
+    # one class; with zero-length pairs kept, three corners merge into it
+    # and the square fills the cycle its four edges close, all at v
+    assert compute_ph(grid, 1).multiset() == ((0.0, v, math.inf),)
+    assert compute_ph(grid, 1, drop_zero=False).multiset() == (
+        (0.0, v, v), (0.0, v, v), (0.0, v, v), (0.0, v, math.inf), (1.0, v, v)
+    )
 
 
 def test_cubical_lower_cells_are_min_of_tops():

@@ -11,6 +11,7 @@ from tdalab.complexes import (
     FilteredComplex,
     FilteredCubicalGrid,
     cubical_complex,
+    height_filtration,
     rips_complex,
     tubular_filtration,
     weighted_rips_complex,
@@ -26,6 +27,8 @@ from tdalab.persistence import (
     sublevel_ph0,
     sublevel_ph0_stack,
 )
+
+Array = np.ndarray
 
 RNG = np.random.default_rng(99)
 
@@ -62,12 +65,42 @@ def _explicit_cells(cx):
     return values, [None, v_row[cx.edges], facets[order]]
 
 
+class _BoundaryCofacets:
+    """Cofacets of edges read off the boundary rows of 2-cells (squares).
+
+    A cofacet's key is its position in the filtration order of the 2-cells,
+    so keys sort in filtration order.
+    """
+
+    def __init__(self, facets: Array, values: Array, n_edges: int):
+        flat_e = facets.ravel()
+        flat_p = np.repeat(np.arange(len(facets)), facets.shape[1])
+        order = np.lexsort((flat_p, flat_e))
+        self._keys = flat_p[order]
+        self._starts = np.searchsorted(flat_e[order], np.arange(n_edges + 1))
+        self._latest_facet = facets.max(axis=1)
+        self._values = values
+
+    def cofacets(self, e: int) -> Array:
+        return self._keys[self._starts[e] : self._starts[e + 1]]
+
+    def earliest(self, edges: Array) -> tuple:
+        """(key of each edge's earliest cofacet, mask of apparent pairs)."""
+        starts = self._starts[edges]
+        has = self._starts[edges + 1] > starts
+        keys = self._keys[np.minimum(starts, len(self._keys) - 1)]
+        return keys, has & (self._latest_facet[keys] == edges)
+
+    def values(self, keys: Array) -> Array:
+        return self._values[keys]
+
+
 def _reduce_cells(values, boundaries, drop_zero=True):
-    """The engine on listed 2-cells: cofacets read off their boundary rows,
-    as for the squares of a cubical grid."""
+    """The engine on listed 2-cells: cofacets read off their boundary rows
+    by ``_BoundaryCofacets``, not enumerated from the edges."""
     cof = None
     if len(values[2]):
-        cof = persistence._BoundaryCofacets(boundaries[2], values[2], len(values[1]))
+        cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
     return persistence._ph(values[0], values[1], boundaries[1], cof, 1, drop_zero)
 
 
@@ -431,6 +464,95 @@ def test_sweep_on_disconnected_mask():
 
 
 # ---------------------------------------------------------------------------
+# both degrees of a grid: degree 0 of pixel graphs, degree 1 by duality
+# ---------------------------------------------------------------------------
+
+
+def _pixel_flag_complex(grid):
+    """Flag complex of a grid's finite pixels: a vertex per pixel at its
+    value, an edge per 8-adjacent pair at the larger of the two. Pixels that
+    are pairwise 8-adjacent share a corner, so by the persistent nerve lemma
+    its diagram is the grid's."""
+    top = grid.top_values
+    i, j = np.nonzero(np.isfinite(top))
+    near = (np.abs(i[:, None] - i) <= 1) & (np.abs(j[:, None] - j) <= 1)
+    a, b = np.nonzero(np.triu(near, 1))
+    values = top[i, j]
+    return FilteredComplex(values, np.column_stack([a, b]), np.maximum(values[a], values[b]))
+
+
+def _cell_counts(grid):
+    """Finite corner vertices, edges and squares of a grid: a cell is finite
+    when one of its incident pixels is."""
+    f = np.pad(np.isfinite(grid.top_values), 1)
+    vertices = f[:-1, :-1] | f[1:, :-1] | f[:-1, 1:] | f[1:, 1:]
+    edges = int(np.sum(f[1:-1, :-1] | f[1:-1, 1:])) + int(np.sum(f[:-1, 1:-1] | f[1:, 1:-1]))
+    return int(vertices.sum()), edges, int(f.sum())
+
+
+def _nerve_grids():
+    """Tied random grids of sides 1 to 15 with up to half their cells +inf,
+    then the tubular and height grids of ten polygon masks."""
+    rng = np.random.default_rng(611)
+    for _ in range(110):
+        side = int(rng.integers(1, 16))
+        vals = np.round(rng.uniform(0.0, 5.0, (side, side)) * 2.0) / 2.0
+        vals[rng.random((side, side)) < rng.uniform(0.0, 0.5)] = np.inf
+        if not np.isfinite(vals).any():
+            vals[0, 0] = 1.0
+        yield FilteredCubicalGrid(vals)
+    for mask in gen_polygon_masks(10, 30, 611).items:
+        yield from _tubular_grids(mask)
+        for v in ((0.0, 1.0), (1.0, 0.0), (0.6, 0.8), (-0.8, 0.6)):
+            fn = height_filtration(v)
+            yield cubical_complex(mask, lambda c, fn=fn: np.round(fn(c) / mask.cell_size, 9))
+
+
+def test_grid_ph_equals_pixel_flag_complex_and_counts_cells():
+    sizes = []
+    for grid in _nerve_grids():
+        pd = compute_ph(grid, 1)
+        flag = _pixel_flag_complex(grid)
+        sizes.append(flag.n_vertices)
+        assert pd.multiset() == compute_ph(flag, 1).multiset()
+        # every vertex starts a class; every edge kills a degree-0 class or
+        # starts a degree-1 one; every square kills a degree-1 class
+        raw = compute_ph(grid, 1, drop_zero=False)
+        v, e, s = _cell_counts(grid)
+        assert len(raw.in_dim(0)) == v
+        assert len(raw.finite_in_dim(0)) + len(raw.in_dim(1)) == e
+        assert len(raw.finite_in_dim(1)) == s
+        assert len(pd) <= len(raw)
+    assert max(sizes) > 600  # far beyond the oracle's reach
+
+
+_I = np.inf
+
+
+@pytest.mark.parametrize(
+    "top, holes",
+    [
+        ([[2.5]], []),
+        ([[1.0, 2.0], [3.0, 4.0]], []),
+        # closed pixels touching at corners enclose the +inf center
+        ([[_I, 1.0, _I], [2.0, _I, 3.0], [_I, 4.0, _I]], [(4.0, math.inf)]),
+        ([[1.0, 1.0, 1.0], [1.0, _I, 1.0], [1.0, _I, 1.0]], []),
+        # the hole's one pixel enters at 2, the level that closes it
+        ([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 1.0, 1.0]], []),
+        # the pixel at 2 splits one hole in two: (2, 4) dies first
+        ([[_I] * 5, [1.0] * 5, [1.0, 5.0, 2.0, 4.0, 1.0], [1.0] * 5, [_I] * 5], [(1.0, 5.0), (2.0, 4.0)]),
+    ],
+    ids=["1x1", "no-hole", "corners-enclose", "open-to-border", "fills-as-it-closes", "two-holes-merge"],
+)
+def test_grid_dim1_duality_edge_cases(top, holes):
+    grid = FilteredCubicalGrid(np.array(top, dtype=float))
+    for drop_zero in (True, False):
+        oracle = naive_reduction_oracle(grid, 1, drop_zero=drop_zero).multiset()
+        assert compute_ph(grid, 1, drop_zero=drop_zero).multiset() == oracle
+    assert list(map(tuple, compute_ph(grid, 1).in_dim(1).tolist())) == holes
+
+
+# ---------------------------------------------------------------------------
 # degree-0 and edge-count checks beyond the oracle's size limit
 # ---------------------------------------------------------------------------
 
@@ -576,8 +698,9 @@ def test_forest_union_find_keeps_the_diagrams():
 
 
 def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
-    # a grid has (side + 1)^2 vertices: a dense forest of a 200-side mask
-    # would take gigabytes, so grids keep the edge loop
+    # both degrees of a grid are degree 0 of a pixel graph, one vertex per
+    # pixel: a dense forest of a 200-side mask would take gigabytes, so
+    # pixel graphs keep the edge loop
     def dense(*args):
         raise AssertionError("dense spanning forest built")
 
