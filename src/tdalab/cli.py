@@ -23,6 +23,7 @@ import argparse
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,22 @@ def _write_report(report, args) -> None:
     print(f"report -> {out}")
 
 
+def _convexity_sizes(datasets: dict) -> dict:
+    """The sizes a convexity corpus was generated at, read off its items and
+    manifests, for the report to echo."""
+    points = {sub: ds.meta.get("points_per_cloud") for sub, ds in datasets.items()}
+    if points["regular"] != points["random"]:
+        raise SystemExit(f"the convexity manifests disagree on points_per_cloud: {points}")
+    per_shape = set(Counter(datasets["regular"].meta["shape_ids"]).values())
+    if len(per_shape) != 1:
+        raise SystemExit(f"the regular convexity shapes hold unequal cloud counts: {sorted(per_shape)}")
+    return {
+        "points_per_cloud": points["regular"],
+        "clouds_per_shape": per_shape.pop(),
+        "polygons_per_class": len(datasets["random"]) // 2,
+    }
+
+
 def _cmd_run(args) -> int:
     seed = _seed_from(args)
     jobs = args.jobs
@@ -265,10 +282,11 @@ def _cmd_run(args) -> int:
     elif args.experiment == "convexity":
         # without --data the experiment generates its corpus at these sizes,
         # as `generate convexity` does
-        config = pipelines.ConvexityConfig(
-            **_sizes(args, "convexity"), **_given(args, "grid_side"), jobs=jobs
-        )
-        datasets = _corpus(args, "convexity", seed) if args.data else None
+        datasets, sizes = None, _sizes(args, "convexity")
+        if args.data:
+            datasets = _corpus(args, "convexity", seed)
+            sizes = _convexity_sizes(datasets)
+        config = pipelines.ConvexityConfig(**sizes, **_given(args, "grid_side"), jobs=jobs)
         report = pipelines.convexity_experiment(config, seed, datasets)
     elif args.experiment == "convexity-measure":
         root = Path(args.data) if args.data else None

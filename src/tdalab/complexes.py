@@ -11,6 +11,7 @@ which makes diagonally adjacent cells connected (8-connectivity).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -67,23 +68,45 @@ class FilteredComplex:
         object.__setattr__(self, "edges", edges[order])
         object.__setattr__(self, "edge_values", edge_values[order])
 
+    @classmethod
+    def _in_order(cls, vertex_values: Array, edges: Array, edge_values: Array, forest=None) -> FilteredComplex:
+        """A complex of arrays already as the constructor leaves them: float
+        values, edges with sorted rows in filtration order. It skips the
+        constructor's checks and sort. ``forest``, when given, is its
+        spanning forest."""
+        cx = object.__new__(cls)
+        object.__setattr__(cx, "vertex_values", vertex_values)
+        object.__setattr__(cx, "edges", edges)
+        object.__setattr__(cx, "edge_values", edge_values)
+        if forest is not None:
+            cx.__dict__["forest"] = forest
+        return cx
+
     @property
     def n_vertices(self) -> int:
         return self.vertex_values.size
 
+    @functools.cached_property
+    def forest(self) -> Array:
+        """Ascending positions of the edges of the minimum spanning forest,
+        computed at the first read (``persistence._spanning_forest``)."""
+        from . import persistence  # which imports this module
+
+        return persistence._spanning_forest(self.n_vertices, self.edges)
+
     def prefix(self, cap: float) -> FilteredComplex:
         """The flag complex of the edges valued at most ``cap``, with every
         vertex: a filtration prefix. The edges are already in filtration
-        order, so it is a slice of them and skips the constructor's sort
-        and checks."""
+        order, so it is a slice of them. Its spanning forest is the part of
+        this complex's forest among them: Kruskal's order merges on the same
+        edges of a prefix."""
         if math.isnan(cap):
             raise ValueError("cap must not be NaN")
         m = int(np.searchsorted(self.edge_values, cap, side="right"))
-        sub = object.__new__(FilteredComplex)
-        object.__setattr__(sub, "vertex_values", self.vertex_values)
-        object.__setattr__(sub, "edges", self.edges[:m])
-        object.__setattr__(sub, "edge_values", self.edge_values[:m])
-        return sub
+        forest = self.forest
+        return FilteredComplex._in_order(
+            self.vertex_values, self.edges[:m], self.edge_values[:m], forest[forest < m]
+        )
 
     @property
     def n_simplices(self) -> int:
@@ -116,13 +139,22 @@ def _check_dim(n: int, max_dim: int, force: bool) -> None:
 
 def _build_flag(vertex_values: Array, edge_value: Array, r_max: float, max_dim: int) -> FilteredComplex:
     """The graph of the edges valued at most r_max in a dense (n, n) matrix;
-    at max_dim 0, the vertices alone."""
+    at max_dim 0, the vertices alone.
+
+    The upper-triangle edges are distinct, in range and in (i, j) order, so
+    one stable sort by value puts them in the constructor's (value, i, j)
+    order, and only the check on values is left to make.
+    """
     if math.isnan(r_max):
         raise ValueError("r_max must not be NaN")
     iu, ju = np.triu_indices(len(vertex_values), 1)
     vals = edge_value[iu, ju]
     keep = (vals <= r_max) & (max_dim > 0)
-    return FilteredComplex(vertex_values, np.column_stack([iu[keep], ju[keep]]), vals[keep])
+    edges, vals = np.column_stack([iu[keep], ju[keep]]), vals[keep]
+    below = vals < np.maximum(vertex_values[edges[:, 0]], vertex_values[edges[:, 1]])
+    _reject(edges, below, "is valued below a vertex")
+    order = np.argsort(vals, kind="stable")
+    return FilteredComplex._in_order(vertex_values, edges[order], vals[order])
 
 
 def rips_complex(

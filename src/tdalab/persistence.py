@@ -22,15 +22,21 @@ On a flag complex the minimum spanning forest comes first, by a dense
 numpy Prim over the edges' filtration positions: those positions are
 distinct, so the forest is exactly the set of edges that merge, and the
 union-find visits its at most n - 1 edges alone; every other edge closes a
-cycle. Pixel graphs, with one vertex per pixel, keep the loop over every
-edge and allocate nothing of size vertices^2. Degree-1 deaths of a flag
-complex come from the coboundary (cohomology) reduction of the
-edge-triangle block, after Ripser (Bauer, 2021): the edges that kill a
-degree-0 class are cleared (skipped), apparent pairs -- an edge whose
-earliest cofacet has the edge as its latest facet -- are found for all
-edges at once with numpy, and only the few remaining columns are reduced.
-An edge's cofacets are enumerated on demand from the edge-value matrix,
-keyed by one order-preserving int64, so the triangles are never built. A
+cycle. The complex computes its forest once, at the first read, and a
+filtration prefix inherits the part of it among the prefix's edges, so a
+complete graph and its capped prefix share one Prim. The builders hand
+over their edges already in filtration order. Pixel graphs, with one
+vertex per pixel, keep the loop over every edge and allocate nothing of
+size vertices^2. Degree-1 deaths of a flag complex come from the
+coboundary (cohomology) reduction of the edge-triangle block, after
+Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
+(skipped), apparent pairs -- an edge whose earliest cofacet has the edge
+as its latest facet -- are found for all edges at once with numpy, and
+only the few remaining columns are reduced. An edge's cofacets are
+enumerated on demand from the edge-value ranks, keyed by one
+order-preserving int64, value rank times n^3 plus the code of the sorted
+vertex triple, read as the sum of two (n, n) code tables built once per
+complex; so the triangles are never built. A
 deliberately unoptimized textbook reduction of the whole boundary matrix,
 with the flag triangles listed by brute force and a grid's vertices, edges
 and squares listed cell by cell, is the reference oracle.
@@ -103,8 +109,8 @@ def _diagram(rows) -> PersistenceDiagram:
 def _flag_cells(cx: FilteredComplex):
     """Sorted vertex values and the edges' boundary rows of a flag complex.
 
-    The edges are already in filtration order, with sorted rows: the
-    ``FilteredComplex`` constructor puts them there.
+    The edges are already in filtration order, with sorted rows, as every
+    ``FilteredComplex`` holds them.
     """
     n = cx.n_vertices
     v_order = np.lexsort((np.arange(n), cx.vertex_values))
@@ -437,20 +443,27 @@ class _FlagCofacets:
 
     Triangles are ordered by (value, sorted vertex tuple), as edges are
     within a ``FilteredComplex``. A triangle's key packs
-    (value rank, i, j, k) with i < j < k into one int64 whose integer order
-    is that filtration order; its value is the largest of its three edge
-    values. For an edge (a, b), a < b, the sorted tuple of {a, b, k} is
-    monotone in k, so its earliest cofacet is the least k of least value
+    (value rank, i, j, k) with i < j < k into one int64,
+    rank·n³ + i·n² + j·n + k, whose integer order is that filtration order;
+    its value is the largest of its three edge values. For an edge (a, b),
+    a < b, the code i·n² + j·n + k of the sorted triple {a, b, k} is
+    ``U[a, k] + V[b, k]`` of two (n, n) tables built once, and it is
+    monotone in k, so the earliest cofacet is the least k of least value
     rank. The graph's edges are in filtration order with sorted rows, as
-    every ``FilteredComplex`` holds them.
+    every ``FilteredComplex`` holds them, so the value ranks come from one
+    pass over the sorted edge values.
     """
 
     def __init__(self, graph: FilteredComplex):
         n = graph.n_vertices
-        self._levels, rank = np.unique(graph.edge_values, return_inverse=True)
+        values = graph.edge_values
+        new = np.ones(len(values), dtype=bool)
+        new[1:] = values[1:] != values[:-1]
+        self._levels = values[new]
+        rank = np.cumsum(new) - 1
         if len(self._levels) * n**3 >= 2**63:
             raise ValueError(f"{n} vertices and {len(self._levels)} edge values overflow a triangle key")
-        self._n = n
+        self._n, self._n3 = n, n**3
         self._a, self._b = graph.edges.T
         # value rank and filtration position of each edge; an absent edge
         # ranks above every present one; int32 holds both, as keys only fit
@@ -461,17 +474,21 @@ class _FlagCofacets:
         for i, j in ((self._a, self._b), (self._b, self._a)):
             self._rank[i, j] = rank
             self._pos[i, j] = np.arange(len(rank))
-
-    def _key(self, rank: Array, a, b, k: Array) -> Array:
-        n = self._n
-        lo, hi = np.minimum(a, k), np.maximum(b, k)
-        return ((rank.astype(np.int64) * n + lo) * n + (a + b + k - lo - hi)) * n + hi
+        # the code of {a, b, k}, a < b, split as U[a, k] + V[b, k]: k below a
+        # gives (k, a, b), k between them (a, k, b), k above b (a, b, k)
+        row, k = np.arange(n, dtype=np.int64)[:, None], np.arange(n, dtype=np.int64)
+        self._u = np.where(k <= row, (k * n + row) * n, (row * n + k) * n)
+        self._v = np.where(k <= row, row, (row - k) * n + k)
 
     def cofacets(self, e: int) -> Array:
-        a, b = self._a[e], self._b[e]
+        # one call per reduced column: Python ints and row views keep the
+        # numpy calls few and cheap
+        a, b = int(self._a[e]), int(self._b[e])
         rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b])
-        k = np.nonzero(rank < self._absent)[0]
-        return np.sort(self._key(rank[k], a, b, k))
+        k = (rank < self._absent).nonzero()[0]
+        keys = rank[k].astype(np.int64) * self._n3 + self._u[a][k] + self._v[b][k]
+        keys.sort()
+        return keys
 
     def earliest(self, edges: Array) -> tuple:
         """(key of each edge's earliest cofacet, mask of apparent pairs).
@@ -488,14 +505,14 @@ class _FlagCofacets:
             rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b][:, None])
             k = rank.argmin(axis=1)  # the first minimum: the least k among ties
             rank = rank[np.arange(len(e)), k]
-            keys[s : s + step] = self._key(rank, a, b, k)
+            keys[s : s + step] = rank.astype(np.int64) * self._n3 + self._u[a, k] + self._v[b, k]
             apparent[s : s + step] = (
                 (rank < self._absent) & (self._pos[a, k] < e) & (self._pos[b, k] < e)
             )
         return keys, apparent
 
     def values(self, keys: Array) -> Array:
-        return self._levels[keys // self._n**3]
+        return self._levels[keys // self._n3]
 
 
 def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
@@ -572,7 +589,9 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     """Persistence diagram of a complex in degrees 0..max_dim.
 
     ``cx`` is a ``FilteredComplex``, whose triangles the reduction
-    enumerates from its edges and never builds, or a ``FilteredCubicalGrid``.
+    enumerates from its edges and never builds, keyed through two code
+    tables, and whose union-find visits only its ``forest``, computed once
+    per complex and inherited by its prefixes; or a ``FilteredCubicalGrid``.
     A grid's degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``; at
     max_dim=1 both degrees are degree 0 of a pixel graph, the degree-1
     one by duality, and no coboundary is reduced.
@@ -584,8 +603,7 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     if isinstance(cx, FilteredComplex):
         v_values, edge_rows = _flag_cells(cx)
         cof = _FlagCofacets(cx) if max_dim >= 1 else None
-        forest = _spanning_forest(cx.n_vertices, cx.edges)
-        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero, forest)
+        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero, cx.forest)
     if isinstance(cx, FilteredCubicalGrid):
         if max_dim == 0:
             return PersistenceDiagram(_grid_ph0(cx, *sublevel_ph0(cx.top_values), drop_zero))

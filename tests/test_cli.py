@@ -428,6 +428,29 @@ def test_run_convexity_from_generated_dataset_reproduces_run(tmp_path, monkeypat
     assert read.read_bytes() == fresh.read_bytes()
 
 
+def test_run_convexity_from_data_echoes_its_sizes(tmp_path):
+    # the report echoes the sizes the corpus was generated at, not the desk's
+    data = tmp_path / "conv"
+    assert run_cli("generate", "convexity", "--out", data, "--points", 50,
+                   "--clouds-per-shape", 2, "--polygons-per-class", 6, "--seed", 3) == 0
+    out = tmp_path / "read.json"
+    assert run_cli("run", "convexity", "--data", data, "--out", out, "--seed", 3) == 0
+    config = json.loads(out.read_text())["config"]
+    sizes = {name: config[name] for name in ("points_per_cloud", "clouds_per_shape", "polygons_per_class")}
+    assert sizes == {"points_per_cloud": 50, "clouds_per_shape": 2, "polygons_per_class": 6}
+
+
+def test_run_convexity_rejects_manifests_that_disagree(tmp_path):
+    data = tmp_path / "conv"
+    for kind, points in (("regular", 50), ("random", 40)):
+        assert run_cli("generate", "convexity", "--out", data, "--kind", kind, "--points", points,
+                       "--clouds-per-shape", 1, "--polygons-per-class", 2) == 0
+    out = tmp_path / "read.json"
+    with pytest.raises(SystemExit, match="disagree on points_per_cloud"):
+        run_cli("run", "convexity", "--data", data, "--out", out)
+    assert not out.exists()
+
+
 def test_run_csv_format(tmp_path):
     data = tmp_path / "holes"
     run_cli("generate", "holes", "--out", data, "--clouds-per-shape", 1,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tdalab.persistence as persistence
 from tdalab.complexes import (
     FilteredComplex,
     FilteredCubicalGrid,
@@ -12,8 +13,9 @@ from tdalab.complexes import (
     rips_complex,
     tubular_filtration,
     weighted_rips_complex,
+    _build_flag,
 )
-from tdalab.geometry import BinaryMask, Line, PointCloud, euclidean_distance_matrix
+from tdalab.geometry import BinaryMask, Line, PointCloud, dtm, euclidean_distance_matrix
 from tdalab.persistence import _oracle_cells, compute_ph
 
 RNG = np.random.default_rng(11)
@@ -293,3 +295,67 @@ def test_builders_read_max_dim_alike(build):
     for max_dim in (-1, 3, 7):
         with pytest.raises(ValueError, match="max_dim must be 0, 1 or 2"):
             build(dm, max_dim=max_dim)
+
+
+# ---------------------------------------------------------------------------
+# builder output and prefixes against the checked constructor
+# ---------------------------------------------------------------------------
+
+
+def _flag_inputs():
+    """Tied lattice points and random points, unweighted and DTM-weighted,
+    the weights of the lattice rounded so that they tie too."""
+    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), -1).reshape(-1, 2)
+    for points, tied in ((lattice, True), (np.random.default_rng(21).random((25, 2)), False)):
+        dm = _dm(points)
+        f = dtm(dm, 0.1)
+        yield dm, None
+        yield dm, np.round(f * 2) / 2 if tied else f
+
+
+def _build(dm, weights, r_max=None):
+    if weights is None:
+        return rips_complex(dm, max_dim=1, r_max=r_max)
+    return weighted_rips_complex(dm, weights, max_dim=1, r_max=r_max)
+
+
+@pytest.mark.parametrize("capped", [False, True], ids=["full", "capped"])
+def test_builder_output_equals_checked_constructor(capped):
+    # the builders sort their edges by one stable argsort and skip the
+    # constructor; handing the constructor the same edges shuffled, with
+    # rows reversed, gives the same arrays
+    rng = np.random.default_rng(3)
+    ties = 0
+    for dm, weights in _flag_inputs():
+        r_max = float(np.median(_build(dm, weights).edge_values)) if capped else None
+        built = _build(dm, weights, r_max)
+        order = rng.permutation(len(built.edges))
+        checked = FilteredComplex(built.vertex_values, built.edges[order][:, ::-1], built.edge_values[order])
+        for name in ("vertex_values", "edges", "edge_values"):
+            got, want = getattr(built, name), getattr(checked, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        _assert_filtration(built)
+        ties += len(built.edge_values) - len(np.unique(built.edge_values))
+    assert ties > 100
+
+
+def test_builder_keeps_the_vertex_check():
+    values = np.array([[math.inf, 0.5], [0.5, math.inf]])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is valued below a vertex"):
+        _build_flag(np.array([0.0, 1.0]), values, 1.0, 1)
+
+
+def test_prefix_forest_is_its_own_forest():
+    # the prefix inherits the complex's forest cut at its edge count: the
+    # same as the forest computed on the prefix alone
+    for dm, weights in _flag_inputs():
+        graph = _build(dm, weights)
+        values = graph.edge_values
+        ties = np.flatnonzero(values[1:] == values[:-1])
+        caps = [np.nextafter(values[0], -np.inf), values[0], values[len(values) // 3], values[-1], values[-1] + 1.0]
+        if len(ties):
+            caps.append(values[ties[len(ties) // 2]])
+        for cap in caps:
+            sub = graph.prefix(float(cap))
+            assert np.array_equal(sub.forest, persistence._spanning_forest(sub.n_vertices, sub.edges))
+        assert np.array_equal(graph.prefix(float(values[-1])).forest, graph.forest)

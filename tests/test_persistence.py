@@ -724,6 +724,70 @@ def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+# ---------------------------------------------------------------------------
+# triangle keys from the code tables
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_code_tables_give_the_sorted_triple(n):
+    iu, ju = np.triu_indices(n, 1)
+    cof = persistence._FlagCofacets(FilteredComplex(np.zeros(n), np.column_stack([iu, ju]), np.ones(len(iu))))
+    for a in range(n):
+        for b in range(a + 1, n):
+            for k in set(range(n)) - {a, b}:
+                lo, mid, hi = sorted((a, b, k))
+                assert cof._u[a, k] + cof._v[b, k] == (lo * n + mid) * n + hi
+
+
+def test_value_ranks_equal_unique_on_ties():
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        cx = _random_graph(rng, int(rng.integers(2, 30)), 0.5, tied=trial % 2 == 0)
+        cof = persistence._FlagCofacets(cx)
+        levels, rank = np.unique(cx.edge_values, return_inverse=True)
+        assert np.array_equal(cof._levels, levels)
+        a, b = cx.edges.T
+        assert np.array_equal(cof._rank[a, b], rank) and np.array_equal(cof._rank[b, a], rank)
+
+
+def _old_keys(cx, e):
+    """Reference keys of edge e's cofacets, one per third vertex k, by the
+    packed (rank, lo, mid, hi) formula on np.unique ranks; and the filtration
+    position of each cofacet's latest facet."""
+    n = cx.n_vertices
+    _, rank = np.unique(cx.edge_values, return_inverse=True)
+    at = {tuple(edge): i for i, edge in enumerate(cx.edges.tolist())}
+    a, b = (int(x) for x in cx.edges[e])
+    keys, latest = [], []
+    for k in range(n):
+        facets = [at.get(tuple(sorted(pair))) for pair in ((a, b), (a, k), (b, k))]
+        if k in (a, b) or None in facets:
+            continue
+        lo, hi = min(a, k), max(b, k)
+        top = max(int(rank[f]) for f in facets)
+        keys.append(((top * n + lo) * n + (a + b + k - lo - hi)) * n + hi)
+        latest.append(max(facets))
+    return keys, latest
+
+
+def test_cofacet_keys_equal_the_packed_formula():
+    rng = np.random.default_rng(31)
+    for trial in range(24):
+        cx = _random_graph(rng, int(rng.integers(3, 25)), float(rng.choice([0.3, 0.7, 1.0])), tied=trial % 2 == 0)
+        cof = persistence._FlagCofacets(cx)
+        edges = np.arange(len(cx.edges))
+        first, apparent = cof.earliest(edges)
+        for e in edges.tolist():
+            keys, latest = _old_keys(cx, e)
+            assert cof.cofacets(e).tolist() == sorted(keys)
+            if keys:
+                j = int(np.argmin(keys))
+                assert first[e] == keys[j] and apparent[e] == (latest[j] == e)
+            else:
+                assert not apparent[e]
+
+
 def _flag_builders(points, weighted):
     dm = _dm(points)
     if weighted:

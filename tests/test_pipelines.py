@@ -32,6 +32,7 @@ from tdalab.geometry import (
 )
 from tdalab.io import report_to_json
 from tdalab.learn import Standardizer, accuracy, kfold_splits, knn_fit_predict, mse
+import tdalab.persistence as persistence
 import tdalab.pipelines as pipelines
 from tdalab.persistence import PersistenceDiagram, compute_ph, sublevel_ph0, sublevel_ph0_stack
 from tdalab.pipelines import (
@@ -318,6 +319,34 @@ def test_curvature_worker_matches_cap_then_retry(kappa, retries):
     assert np.array_equal(got1, expected1)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record each call of ``module.name`` in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("falls_back", [False, True], ids=["capped", "fallback"])
+def test_one_spanning_forest_per_cloud(monkeypatch, falls_back):
+    # the complete graph computes its forest once: its prefix inherits it,
+    # and the fallback on the complete graph reuses it
+    forests = _count_calls(monkeypatch, persistence, "_spanning_forest")
+    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    _curvature_worker(sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0), CurvatureConfig().cap_factor)
+    assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
+    forests.clear()
+    reductions.clear()
+    points = sample_holes_shape(holes_catalog()[4 if falls_back else 0], 300, 5).points
+    _weighted_dim1_diagram(points, 100, HolesConfig().dtm_mass, HolesConfig().cap_factor, 3)
+    assert (len(forests), len(reductions)) == (1, 2 if falls_back else 1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(8, 40),
@@ -553,6 +582,32 @@ def test_jobs_match_serial(run):
     assert parallel.config["jobs"] == 2
     parallel = dataclasses.replace(parallel, config={**parallel.config, "jobs": 1})
     assert report_to_json(parallel) == report_to_json(serial)
+
+
+def test_jobs_match_serial_through_fallbacks(monkeypatch):
+    """Corpora where clouds fall back to the complete graph: each worker
+    process builds and caches its own complexes, so two workers give the
+    report of one."""
+    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    holes = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=300, seed=5)
+    train, test = gen_curvature_dataset(seed=1, clouds_per_kappa=1, points_per_cloud=40, test_count=4)
+    runs = {
+        "holes": (
+            lambda jobs: holes_pipeline(holes, [], HolesConfig(subsample=100, knn_grid=(1,), jobs=jobs), seed=0),
+            len(holes),
+        ),
+        "curvature": (
+            lambda jobs: curvature_pipeline(train, test, CurvatureConfig(knn_grid=(1, 3), jobs=jobs), seed=0),
+            2 * (len(train) + len(test)),
+        ),
+    }
+    for name, (run, without_fallback) in runs.items():
+        reductions.clear()
+        serial = run(1)
+        assert len(reductions) > without_fallback, name
+        parallel = run(2)
+        parallel = dataclasses.replace(parallel, config={**parallel.config, "jobs": 1})
+        assert report_to_json(parallel) == report_to_json(serial), name
 
 
 # ---------------------------------------------------------------------------
