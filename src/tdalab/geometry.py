@@ -330,20 +330,33 @@ def tubular_distances(points: Array, line: Line) -> Array:
 
 
 def farthest_point_subsample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
-    """Greedy maximin subsample of k points; the first point is drawn by seed."""
+    """Greedy maximin subsample of k points; the first point is drawn by seed.
+
+    The cloud is held coordinate-major, one contiguous row per coordinate,
+    and each step's distances go into one preallocated buffer. The squares
+    are summed left to right, (dx² + dy²) + dz², as
+    ``np.linalg.norm(pts - p, axis=1)`` sums the rows of an (n, d) array,
+    so the subsample is that of the norm loop, bit for bit.
+    """
     n = cloud.n
     if not 1 <= k <= n:
         raise ValueError(f"subsample size must lie in [1, {n}], got {k}")
     rng = generator(seed)
-    pts = cloud.points
+    coords = np.ascontiguousarray(cloud.points.T)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    best = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+    best = np.full(n, math.inf)
+    diff = np.empty_like(coords)
     for i in range(1, k):
-        nxt = int(np.argmax(best))  # argmax takes the first max: deterministic ties
-        chosen[i] = nxt
-        best = np.minimum(best, np.linalg.norm(pts - pts[nxt], axis=1))
-    return PointCloud(pts[chosen])
+        j = chosen[i - 1]
+        np.subtract(coords, coords[:, j : j + 1], out=diff)
+        np.multiply(diff, diff, out=diff)
+        dist = np.add(diff[0], diff[1], out=diff[0])
+        if len(diff) == 3:
+            dist += diff[2]
+        np.minimum(best, np.sqrt(dist, out=dist), out=best)
+        chosen[i] = np.argmax(best)  # argmax takes the first max: deterministic ties
+    return PointCloud(cloud.points[chosen])
 
 
 def apply_transform(cloud: PointCloud, spec: TransformSpec, seed: int) -> PointCloud:
@@ -396,44 +409,36 @@ def _signed_area(vertices: Array) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    """Proper or improper intersection of open segments (shared endpoints excluded)."""
-
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-
-    def on_open_segment(a, b, c):
-        if orient(a, b, c) != 0:
-            return False
-        return (
-            min(a[0], b[0]) < c[0] < max(a[0], b[0])
-            or min(a[1], b[1]) < c[1] < max(a[1], b[1])
-        )
-
-    return (
-        on_open_segment(p1, p2, q1)
-        or on_open_segment(p1, p2, q2)
-        or on_open_segment(q1, q2, p1)
-        or on_open_segment(q1, q2, p2)
-    )
+# pairs of polygon edges tested per block in _is_simple
+_EDGE_PAIR_BLOCK = 1 << 16
 
 
 def _is_simple(vertices: Array) -> bool:
+    """No two edges of the closed chain meet, but adjacent ones at their
+    shared vertex. Every pair of non-adjacent edges p, q is tested at once,
+    a block of pairs at a time: p and q cross properly when each edge's
+    ends lie strictly on opposite sides of the other, and they touch when
+    an end of one is collinear with the other and strictly inside its x or
+    y span."""
     m = len(vertices)
-    segs = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            if j == i + 1 or (i == 0 and j == m - 1):
-                continue  # adjacent edges share an endpoint by construction
-            if _segments_cross(*segs[i], *segs[j]):
-                return False
+    step = max(1, _EDGE_PAIR_BLOCK // m)
+    cols = np.arange(m)
+    for s in range(0, m, step):
+        rows = np.arange(s, min(s + step, m))[:, None]
+        # j >= i + 2 skips adjacent edges; j - i = m - 1 is the closing pair (0, m - 1)
+        i, j = np.nonzero((cols >= rows + 2) & (cols - rows < m - 1))
+        i += s
+        i2, j2 = (i + 1) % m, (j + 1) % m
+        # the orientation of p's ends against q, then of q's ends against p
+        a = vertices[np.stack([j, j, i, i])]
+        b = vertices[np.stack([j2, j2, i2, i2])]
+        c = vertices[np.stack([i, i2, j, j2])]
+        d = (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+        above = d > 0
+        proper = (above[0] != above[1]) & (above[2] != above[3]) & (d != 0).all(axis=0)
+        inside = ((np.minimum(a, b) < c) & (c < np.maximum(a, b))).any(axis=2)
+        if np.any(proper | ((d == 0) & inside).any(axis=0)):
+            return False
     return True
 
 

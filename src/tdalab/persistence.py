@@ -32,14 +32,16 @@ coboundary (cohomology) reduction of the edge-triangle block, after
 Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
 (skipped), apparent pairs -- an edge whose earliest cofacet has the edge
 as its latest facet -- are found for all edges at once with numpy, and
-only the few remaining columns are reduced. An edge's cofacets are
-enumerated on demand from the edge-value ranks, keyed by one
-order-preserving int64, value rank times n^3 plus the code of the sorted
-vertex triple, read as the sum of two (n, n) code tables built once per
-complex; so the triangles are never built. A
-deliberately unoptimized textbook reduction of the whole boundary matrix,
-with the flag triangles listed by brute force and a grid's vertices, edges
-and squares listed cell by cell, is the reference oracle.
+only the few remaining columns are reduced. A column is an ascending
+array of distinct keys, and adding two columns is one stable merge: a
+timsort of their concatenation, which finds the two sorted runs, keeping
+the keys that occur once. An edge's cofacets are enumerated on demand from
+the edge-value ranks, keyed by one order-preserving int64, value rank
+times n^3 plus the code of the sorted vertex triple, read as the sum of
+two (n, n) code tables built once per complex; so the triangles are never
+built. A deliberately unoptimized textbook reduction of the whole boundary
+matrix, with the flag triangles listed by brute force and a grid's
+vertices, edges and squares listed cell by cell, is the reference oracle.
 """
 from __future__ import annotations
 
@@ -484,7 +486,10 @@ class _FlagCofacets:
         # one call per reduced column: Python ints and row views keep the
         # numpy calls few and cheap
         a, b = int(self._a[e]), int(self._b[e])
-        rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b])
+        # the rows are views of the table: only the first maximum's own
+        # result is written in place
+        rank = np.maximum(self._rank[a], self._rank[b])
+        np.maximum(rank, self._rank[a, b], out=rank)
         k = (rank < self._absent).nonzero()[0]
         keys = rank[k].astype(np.int64) * self._n3 + self._u[a][k] + self._v[b][k]
         keys.sort()
@@ -502,7 +507,9 @@ class _FlagCofacets:
         for s in range(0, len(edges), step):
             e = edges[s : s + step]
             a, b = self._a[e], self._b[e]
-            rank = np.maximum(np.maximum(self._rank[a], self._rank[b]), self._rank[a, b][:, None])
+            rank = self._rank[a]  # a fancy-indexed copy, maxed in place
+            np.maximum(rank, self._rank[b], out=rank)
+            np.maximum(rank, self._rank[a, b][:, None], out=rank)
             k = rank.argmin(axis=1)  # the first minimum: the least k among ties
             rank = rank[np.arange(len(e)), k]
             keys[s : s + step] = rank.astype(np.int64) * self._n3 + self._u[a, k] + self._v[b, k]
@@ -515,13 +522,29 @@ class _FlagCofacets:
         return self._levels[keys // self._n3]
 
 
+def _add_columns(col: Array, other: Array) -> Array:
+    """Sum over Z/2 of two ascending columns of distinct keys: one stable
+    sort of their concatenation, which timsort merges as two sorted runs in
+    linear time, keeping the keys unequal to both neighbours. It equals
+    ``np.setxor1d(col, other, assume_unique=True)``."""
+    keys = np.concatenate((col, other))
+    keys.sort(kind="stable")
+    single = np.ones(len(keys), dtype=bool)
+    differ = keys[1:] != keys[:-1]
+    single[1:] = differ
+    single[:-1] &= differ
+    return keys[single]
+
+
 def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
     """Reduce edge coboundary columns, latest edge first.
 
     ``cofacets(e)`` gives the ascending cofacet keys of edge e, so a
-    column's pivot is its first key. ``pivots`` maps the pivot of each
-    apparent pair to its edge; those columns need no reduction, are not in
-    ``columns``, and are enumerated only when a column collides with one.
+    column's pivot is its first key. Adding two columns is one stable
+    merge of their sorted keys (``_add_columns``). ``pivots`` maps the
+    pivot of each apparent pair to its edge; those columns need no
+    reduction, are not in ``columns``, and are enumerated only when a
+    column collides with one.
     Returns the (edge, pivot key) pairs of ``columns``; an edge with no pair
     is essential.
     """
@@ -539,7 +562,7 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
                     pairs.append((j, low))
                     break
                 other = reduced[low] = cofacets(holder)
-            col = np.setxor1d(col, other, assume_unique=True)
+            col = _add_columns(col, other)
     return pairs
 
 

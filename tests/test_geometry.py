@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdalab import geometry
 from tdalab.complexes import absolute_height_filtration, height_filtration
-from tdalab.datagen import gen_polygon_masks
+from tdalab.datagen import gen_holes_dataset, gen_polygon_masks
 from tdalab.geometry import (
     BinaryMask,
     Line,
@@ -14,6 +15,7 @@ from tdalab.geometry import (
     PolarCloud,
     Polygon,
     TransformSpec,
+    _is_simple,
     apply_transform,
     convex_hull,
     convexity_measure,
@@ -27,6 +29,7 @@ from tdalab.geometry import (
     rasterize,
     tubular_distances,
 )
+from tdalab.seeding import generator
 
 RNG = np.random.default_rng(20240817)
 
@@ -264,6 +267,48 @@ def test_fps_deterministic_and_bounds():
         farthest_point_subsample(PointCloud(pts), 21, seed=0)
 
 
+def _fps_norm_loop(cloud, k, seed):
+    """Reference: the greedy rule with one np.linalg.norm per step."""
+    pts = cloud.points
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = generator(seed).integers(cloud.n)
+    best = np.linalg.norm(pts - pts[chosen[0]], axis=1)
+    for i in range(1, k):
+        chosen[i] = int(np.argmax(best))
+        best = np.minimum(best, np.linalg.norm(pts - pts[chosen[i]], axis=1))
+    return pts[chosen]
+
+
+def _fps_clouds():
+    rng = np.random.default_rng(404)
+    for dim in (2, 3):
+        yield np.stack(np.meshgrid(*[np.arange(5.0)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        dup = rng.random((40, dim))
+        yield np.vstack([dup, dup[:15], dup[:3]])  # duplicate points
+        yield rng.normal(size=(120, dim)) * 10.0 ** rng.integers(-8, 9, size=dim)  # widely scaled axes
+        yield np.round(rng.random((150, dim)) * 4.0) / 4.0  # exact lattice ties
+        # ties in exact arithmetic that rounding breaks by the order of the sum
+        for _ in range(6):
+            yield np.round(rng.random((int(rng.integers(10, 60)), dim)) * 5.0) / 3.0
+        yield rng.random((200, dim))
+    yield np.zeros((6, 2))  # one point, six times
+
+
+def test_fps_equals_the_norm_loop_bit_for_bit():
+    for i, pts in enumerate(_fps_clouds()):
+        cloud = PointCloud(pts)
+        for k in sorted({1, 2, max(1, cloud.n // 3), cloud.n}):
+            got = farthest_point_subsample(cloud, k, seed=i)
+            assert np.array_equal(got.points, _fps_norm_loop(cloud, k, i)), (i, k)
+
+
+def test_fps_equals_the_norm_loop_on_holes_clouds():
+    for seed in range(2):
+        for i, cloud in enumerate(gen_holes_dataset(2, 300, seed).items):
+            got = farthest_point_subsample(cloud, 100, seed=i)
+            assert np.array_equal(got.points, _fps_norm_loop(cloud, 100, i)), (seed, i)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
@@ -371,6 +416,112 @@ def test_hull_matches_bruteforce_on_random_points():
     assert {tuple(v) for v in hull.vertices} == _bruteforce_hull_vertices(pts)
     inside = points_in_polygon(pts, hull)
     assert inside.all()
+
+
+def _segments_cross_loop(p1, p2, q1, q2) -> bool:
+    """Reference: the scalar test of two open segments for an intersection."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(q1, q2, p1)
+    d2 = orient(q1, q2, p2)
+    d3 = orient(p1, p2, q1)
+    d4 = orient(p1, p2, q2)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+
+    def on_open_segment(a, b, c):
+        if orient(a, b, c) != 0:
+            return False
+        return min(a[0], b[0]) < c[0] < max(a[0], b[0]) or min(a[1], b[1]) < c[1] < max(a[1], b[1])
+
+    return (
+        on_open_segment(p1, p2, q1)
+        or on_open_segment(p1, p2, q2)
+        or on_open_segment(q1, q2, p1)
+        or on_open_segment(q1, q2, p2)
+    )
+
+
+def _is_simple_loop(vertices) -> bool:
+    """Reference: every pair of non-adjacent edges, one pair at a time."""
+    m = len(vertices)
+    segs = [(vertices[i], vertices[(i + 1) % m]) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 2, m):
+            if not (i == 0 and j == m - 1) and _segments_cross_loop(*segs[i], *segs[j]):
+                return False
+    return True
+
+
+def _polygon_inputs(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "tied":
+        return rng.integers(0, 4, size=(n, 2)).astype(float)
+    # near-collinear: a line with a few points nudged off it by ~1e-9
+    x = rng.random(n)
+    nudge = rng.normal(0.0, 1e-9, n) * (rng.random(n) < 0.3)
+    return np.column_stack([x, 0.3 * x + 0.1 + nudge])
+
+
+def _polygons(kind, n, seed):
+    """The points in their drawn order (mostly self-intersecting), in angular
+    order about their mean (often simple), and their hull when it exists."""
+    pts = _polygon_inputs(kind, n, seed)
+    yield pts
+    rel = pts - pts.mean(axis=0)
+    yield pts[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
+    try:
+        yield convex_hull(pts).vertices
+    except ValueError:
+        pass
+
+
+# the monotone-chain hull of _polygon_inputs("near-collinear", 5, 382): each
+# turn of the chain is a left turn, yet by the rounded orientation test its
+# edges 0 and 2 meet
+_SLIVER_HULL = np.array(
+    [
+        [0.2663534143994054, 0.1799060243198216],
+        [0.8420023371519494, 0.35260070114558484],
+        [0.8223510653216209, 0.3467053195964863],
+        [0.5252267308448616, 0.2575680192534585],
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["random", "tied", "near-collinear"]),
+    n=st.integers(3, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(kind="near-collinear", n=5, seed=382)
+def test_is_simple_equals_the_segment_loop(kind, n, seed):
+    for vertices in _polygons(kind, n, seed):
+        assert _is_simple(vertices) == _is_simple_loop(vertices)
+
+
+def test_is_simple_in_blocks_equals_the_segment_loop(monkeypatch):
+    monkeypatch.setattr(geometry, "_EDGE_PAIR_BLOCK", 7)  # a few edge pairs per block
+    rng = np.random.default_rng(55)
+    for trial in range(60):
+        kind = ("random", "tied", "near-collinear")[trial % 3]
+        for vertices in _polygons(kind, int(rng.integers(3, 30)), trial):
+            assert _is_simple(vertices) == _is_simple_loop(vertices)
+
+
+def test_hull_of_a_sliver_keeps_the_simplicity_test():
+    # a hull is not simple by construction in floating point: convex_hull
+    # rejects this one as the segment loop does
+    assert not _is_simple_loop(_SLIVER_HULL) and not _is_simple(_SLIVER_HULL)
+    with pytest.raises(ValueError, match="simple"):
+        convex_hull(_SLIVER_HULL)
+    with pytest.raises(ValueError, match="simple"):
+        convex_hull(_polygon_inputs("near-collinear", 5, 382))
 
 
 def test_hull_rejects_collinear():

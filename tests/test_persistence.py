@@ -788,6 +788,84 @@ def test_cofacet_keys_equal_the_packed_formula():
                 assert not apparent[e]
 
 
+@pytest.mark.parametrize(
+    "col, other",
+    [
+        ([], []),
+        ([], [3, 7]),
+        ([2, 5, 9], []),
+        ([1, 4, 6], [1, 4, 6]),  # identical: the sum is empty
+        ([1, 2, 3], [10, 11]),  # disjoint
+        ([10, 11], [1, 2, 3]),
+        ([0, 2, 4, 6, 8], [1, 2, 5, 6, 9, 12]),  # interleaved, two shared
+        ([-(2**62), 0, 2**62], [-(2**62), 5, 2**62 + 1]),
+    ],
+    ids=["empty", "empty-left", "empty-right", "identical", "disjoint", "disjoint-reversed", "interleaved", "wide-keys"],
+)
+def test_column_addition_equals_setxor1d(col, other):
+    col, other = np.array(col, dtype=np.int64), np.array(other, dtype=np.int64)
+    got = persistence._add_columns(col, other)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.setxor1d(col, other, assume_unique=True))
+
+
+def test_column_addition_equals_setxor1d_on_long_columns():
+    rng = np.random.default_rng(23)
+    for shared in (0.0, 0.3, 1.0):
+        col = np.unique(rng.integers(0, 10**12, 15_000))
+        common = rng.choice(col, int(shared * len(col)), replace=False)
+        other = np.unique(np.concatenate([common, rng.integers(0, 10**12, 15_000 - len(common))]))
+        assert len(col) == 15_000
+        want = np.setxor1d(col, other, assume_unique=True)
+        assert np.array_equal(persistence._add_columns(col, other), want)
+        assert np.array_equal(persistence._add_columns(other, col), want)
+
+
+def _enumeration_graphs():
+    rng = np.random.default_rng(47)
+    for trial in range(16):
+        n = int(rng.integers(3, 30))
+        yield _random_graph(rng, n, float(rng.choice([0.3, 0.7, 1.0])), tied=trial % 2 == 0)
+
+
+def test_cofacet_ranks_equal_the_nested_maximum():
+    # the ranks as np.maximum(np.maximum(...), ...) formed them, out of place
+    for cx in _enumeration_graphs():
+        cof = persistence._FlagCofacets(cx)
+        table, n3 = cof._rank, cx.n_vertices**3
+        for e, (a, b) in enumerate(cx.edges.tolist()):
+            rank = np.maximum(np.maximum(table[a], table[b]), table[a, b])
+            k = np.nonzero(rank < cof._absent)[0]
+            keys = np.sort(rank[k].astype(np.int64) * n3 + cof._u[a][k] + cof._v[b][k])
+            assert np.array_equal(cof.cofacets(e), keys)
+        edges = np.arange(len(cx.edges))
+        a, b = cx.edges.T
+        rank = np.maximum(np.maximum(table[a], table[b]), table[a, b][:, None])
+        k = rank.argmin(axis=1)
+        rank = rank[edges, k]
+        keys = rank.astype(np.int64) * n3 + cof._u[a, k] + cof._v[b, k]
+        apparent = (rank < cof._absent) & (cof._pos[a, k] < edges) & (cof._pos[b, k] < edges)
+        first, got_apparent = cof.earliest(edges)
+        assert np.array_equal(first, keys) and np.array_equal(got_apparent, apparent)
+
+
+def test_enumeration_leaves_the_rank_table_unchanged(monkeypatch):
+    # cofacets takes rows of the table as views: a maximum written into one
+    # would change the table
+    monkeypatch.setattr(persistence, "_FLAG_BLOCK", 64)  # several blocks per earliest call
+    for cx in _enumeration_graphs():
+        cof = persistence._FlagCofacets(cx)
+        tables = {name: getattr(cof, name).copy() for name in ("_rank", "_pos", "_u", "_v")}
+        edges = np.arange(len(cx.edges))
+        for _ in range(3):
+            for e in edges.tolist()[::-1]:
+                cof.cofacets(e)
+            cof.earliest(edges)
+            cof.earliest(edges[::2])
+        for name, table in tables.items():
+            assert np.array_equal(getattr(cof, name), table), name
+
+
 def _flag_builders(points, weighted):
     dm = _dm(points)
     if weighted:
