@@ -69,17 +69,17 @@ class FilteredComplex:
         object.__setattr__(self, "edge_values", edge_values[order])
 
     @classmethod
-    def _in_order(cls, vertex_values: Array, edges: Array, edge_values: Array, forest=None) -> FilteredComplex:
+    def _in_order(cls, vertex_values: Array, edges: Array, edge_values: Array, elder_pairs=None) -> FilteredComplex:
         """A complex of arrays already as the constructor leaves them: float
         values, edges with sorted rows in filtration order. It skips the
-        constructor's checks and sort. ``forest``, when given, is its
-        spanning forest."""
+        constructor's checks and sort. ``elder_pairs``, when given, are its
+        union-find pairs."""
         cx = object.__new__(cls)
         object.__setattr__(cx, "vertex_values", vertex_values)
         object.__setattr__(cx, "edges", edges)
         object.__setattr__(cx, "edge_values", edge_values)
-        if forest is not None:
-            cx.__dict__["forest"] = forest
+        if elder_pairs is not None:
+            cx.__dict__["elder_pairs"] = elder_pairs
         return cx
 
     @property
@@ -87,25 +87,35 @@ class FilteredComplex:
         return self.vertex_values.size
 
     @functools.cached_property
-    def forest(self) -> Array:
-        """Ascending positions of the edges of the minimum spanning forest,
-        computed at the first read (``persistence._spanning_forest``)."""
+    def elder_pairs(self) -> Array:
+        """(k, 2) degree-0 death pairs (vertex row, edge position) of the
+        elder-rule union-find, in edge order, computed at the first read. A
+        vertex's row is its position in (value, index) order. The
+        union-find visits only the edges of the minimum spanning forest
+        (``persistence._spanning_forest``)."""
         from . import persistence  # which imports this module
 
-        return persistence._spanning_forest(self.n_vertices, self.edges)
+        n, (_, rows) = self.n_vertices, persistence._flag_cells(self)
+        return persistence._elder_union_find(n, rows, persistence._spanning_forest(n, self.edges))[0]
+
+    @property
+    def forest(self) -> Array:
+        """Ascending positions of the edges of the minimum spanning forest:
+        the edges on which the union-find merges."""
+        return self.elder_pairs[:, 1]
 
     def prefix(self, cap: float) -> FilteredComplex:
         """The flag complex of the edges valued at most ``cap``, with every
         vertex: a filtration prefix. The edges are already in filtration
-        order, so it is a slice of them. Its spanning forest is the part of
-        this complex's forest among them: Kruskal's order merges on the same
-        edges of a prefix."""
+        order, so it is a slice of them. Kruskal's order reaches the same
+        state on a prefix, so its union-find pairs are this complex's pairs
+        whose edge is among them, and its forest their edges."""
         if math.isnan(cap):
             raise ValueError("cap must not be NaN")
         m = int(np.searchsorted(self.edge_values, cap, side="right"))
-        forest = self.forest
+        pairs = self.elder_pairs
         return FilteredComplex._in_order(
-            self.vertex_values, self.edges[:m], self.edge_values[:m], forest[forest < m]
+            self.vertex_values, self.edges[:m], self.edge_values[:m], pairs[pairs[:, 1] < m]
         )
 
     @property

@@ -354,12 +354,15 @@ def gen_random_concave_polygon(seed: int, retries: int = 100) -> Polygon:
 
     A random subset of edge midpoints moves toward the centroid by a factor
     in [0.3, 0.8]; the result must be simple with at least one reflex vertex,
-    else the construction retries.
+    else the construction retries, as it does when ``convex_hull`` rejects
+    the hull.
     """
     rng = generator(seed)
     for _ in range(retries):
-        hull = convex_hull(rng.uniform(0.0, 1.0, size=(10, 2)))
-        verts = hull.vertices
+        try:
+            verts = convex_hull(rng.uniform(0.0, 1.0, size=(10, 2))).vertices
+        except ValueError:
+            continue
         m = len(verts)
         centroid = verts.mean(axis=0)
         count = int(rng.integers(1, math.ceil(m / 2) + 1))

@@ -22,9 +22,9 @@ On a flag complex the minimum spanning forest comes first, by a dense
 numpy Prim over the edges' filtration positions: those positions are
 distinct, so the forest is exactly the set of edges that merge, and the
 union-find visits its at most n - 1 edges alone; every other edge closes a
-cycle. The complex computes its forest once, at the first read, and a
-filtration prefix inherits the part of it among the prefix's edges, so a
-complete graph and its capped prefix share one Prim. The builders hand
+cycle. The complex runs its Prim and union-find once, at the first read,
+and a filtration prefix inherits the pairs whose edge is among its own, so
+a complete graph and its capped prefix share one of each. The builders hand
 over their edges already in filtration order. Pixel graphs, with one
 vertex per pixel, keep the loop over every edge and allocate nothing of
 size vertices^2. Degree-1 deaths of a flag complex come from the
@@ -37,8 +37,9 @@ array of distinct keys, and adding two columns is one stable merge: a
 timsort of their concatenation, which finds the two sorted runs, keeping
 the keys that occur once. An edge's cofacets are enumerated on demand from
 the edge-value ranks, keyed by one order-preserving int64, value rank
-times n^3 plus the code of the sorted vertex triple, read as the sum of
-two (n, n) code tables built once per complex; so the triangles are never
+times n^3 plus the code of the sorted vertex triple: rows of an (n, n)
+table of rank times n^3, built once per complex, plus rows of two (n, n)
+code tables built once per vertex count; so the triangles are never
 built. A deliberately unoptimized textbook reduction of the whole boundary
 matrix, with the flag triangles listed by brute force and a grid's
 vertices, edges and squares listed cell by cell, is the reference oracle.
@@ -440,6 +441,27 @@ def _grid_ph(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
 _FLAG_BLOCK = 1 << 18
 
 
+@functools.lru_cache(maxsize=16)
+def _code_tables(n: int) -> tuple:
+    """(U, V): the code i·n² + j·n + k of the sorted triple {a, b, k},
+    a < b, is ``U[a, k] + V[b, k]``. k below a gives (k, a, b), k between
+    them (a, k, b), k above b (a, b, k). Built once per vertex count and
+    shared read-only."""
+    row, k = np.arange(n, dtype=np.int64)[:, None], np.arange(n, dtype=np.int64)
+    u = np.where(k <= row, (k * n + row) * n, (row * n + k) * n)
+    v = np.where(k <= row, row, (row - k) * n + k)
+    u.setflags(write=False)
+    v.setflags(write=False)
+    return u, v
+
+
+def _check_key_range(n: int, n_levels: int) -> None:
+    """Reject a complex whose triangle keys, the absent cofacets' too, can
+    reach 2**63: they lie below (n_levels + 1)·n³."""
+    if (n_levels + 1) * n**3 >= 2**63:
+        raise ValueError(f"{n} vertices and {n_levels} edge values overflow a triangle key")
+
+
 class _FlagCofacets:
     """Triangles of the flag complex spanned by a graph, never stored.
 
@@ -447,13 +469,16 @@ class _FlagCofacets:
     within a ``FilteredComplex``. A triangle's key packs
     (value rank, i, j, k) with i < j < k into one int64,
     rank·n³ + i·n² + j·n + k, whose integer order is that filtration order;
-    its value is the largest of its three edge values. For an edge (a, b),
+    its value is the largest of its three edge values. Two (n, n) tables
+    hold each edge's rank, an absent edge's one above every present one's:
+    an int32 one, whose smaller rows ``earliest`` scans, and an int64 one
+    of rank·n³, from which ``cofacets`` adds up keys. For an edge (a, b),
     a < b, the code i·n² + j·n + k of the sorted triple {a, b, k} is
-    ``U[a, k] + V[b, k]`` of two (n, n) tables built once, and it is
-    monotone in k, so the earliest cofacet is the least k of least value
-    rank. The graph's edges are in filtration order with sorted rows, as
-    every ``FilteredComplex`` holds them, so the value ranks come from one
-    pass over the sorted edge values.
+    ``U[a, k] + V[b, k]`` of the two code tables of n (``_code_tables``),
+    and it is monotone in k, so the earliest cofacet is the least k of
+    least value rank. The graph's edges are in filtration order with sorted
+    rows, as every ``FilteredComplex`` holds them, so the value ranks come
+    from one pass over the sorted edge values.
     """
 
     def __init__(self, graph: FilteredComplex):
@@ -462,9 +487,7 @@ class _FlagCofacets:
         new = np.ones(len(values), dtype=bool)
         new[1:] = values[1:] != values[:-1]
         self._levels = values[new]
-        rank = np.cumsum(new) - 1
-        if len(self._levels) * n**3 >= 2**63:
-            raise ValueError(f"{n} vertices and {len(self._levels)} edge values overflow a triangle key")
+        _check_key_range(n, len(self._levels))
         self._n, self._n3 = n, n**3
         self._a, self._b = graph.edges.T
         # value rank and filtration position of each edge; an absent edge
@@ -473,27 +496,27 @@ class _FlagCofacets:
         self._absent = len(self._levels)
         self._rank = np.full((n, n), self._absent, dtype=np.int32)
         self._pos = np.full((n, n), -1, dtype=np.int32)
+        rank = np.cumsum(new) - 1
         for i, j in ((self._a, self._b), (self._b, self._a)):
             self._rank[i, j] = rank
             self._pos[i, j] = np.arange(len(rank))
-        # the code of {a, b, k}, a < b, split as U[a, k] + V[b, k]: k below a
-        # gives (k, a, b), k between them (a, k, b), k above b (a, b, k)
-        row, k = np.arange(n, dtype=np.int64)[:, None], np.arange(n, dtype=np.int64)
-        self._u = np.where(k <= row, (k * n + row) * n, (row * n + k) * n)
-        self._v = np.where(k <= row, row, (row - k) * n + k)
+        # every key of a cofacet with an absent edge is at least _absent_key
+        self._key = self._rank * np.int64(self._n3)
+        self._absent_key = self._absent * self._n3
+        self._u, self._v = _code_tables(n)
 
     def cofacets(self, e: int) -> Array:
         # one call per reduced column: Python ints and row views keep the
         # numpy calls few and cheap
         a, b = int(self._a[e]), int(self._b[e])
-        # the rows are views of the table: only the first maximum's own
+        # the rows are views of the tables: only the first maximum's own
         # result is written in place
-        rank = np.maximum(self._rank[a], self._rank[b])
-        np.maximum(rank, self._rank[a, b], out=rank)
-        k = (rank < self._absent).nonzero()[0]
-        keys = rank[k].astype(np.int64) * self._n3 + self._u[a][k] + self._v[b][k]
+        keys = np.maximum(self._key[a], self._key[b])
+        np.maximum(keys, self._key[a, b], out=keys)
+        keys += self._u[a]
+        keys += self._v[b]
         keys.sort()
-        return keys
+        return keys[: keys.searchsorted(self._absent_key)]
 
     def earliest(self, edges: Array) -> tuple:
         """(key of each edge's earliest cofacet, mask of apparent pairs).
@@ -566,19 +589,18 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
     return pairs
 
 
-def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool, forest=None):
+def _ph(v_values, e_values, pairs0, cof, max_dim: int, drop_zero: bool):
     """Assemble the intervals of a flag complex from its sorted vertex and
     edge values.
 
-    Degree 0 and the degree-1 creators come from the elder-rule union-find,
-    over the spanning ``forest``'s edges alone when it is given. The edges
-    it pairs with vertices are cleared: their coboundary columns reduce to
-    zero. Of the cycle edges, apparent pairs are found at once from
-    ``cof.earliest``; only the rest are reduced. ``cof`` gives the edges'
-    cofacets through ``cofacets``, ``earliest`` and ``values``, as
-    ``_FlagCofacets`` does; None means no 2-cells.
+    Degree 0 comes from ``pairs0``, the (vertex row, edge) death pairs of
+    the elder-rule union-find. The edges it pairs with vertices are
+    cleared: their coboundary columns reduce to zero. Every other edge
+    closes a cycle and creates a degree-1 class. Of those, apparent pairs
+    are found at once from ``cof.earliest``; only the rest are reduced.
+    ``cof`` gives the edges' cofacets through ``cofacets``, ``earliest``
+    and ``values``, as ``_FlagCofacets`` does; None means no 2-cells.
     """
-    pairs0, cycle = _elder_union_find(len(v_values), edge_rows, forest)
     alive = np.ones(len(v_values), dtype=bool)
     alive[pairs0[:, 0]] = False
     blocks = [
@@ -586,6 +608,8 @@ def _ph(v_values, e_values, edge_rows, cof, max_dim: int, drop_zero: bool, fores
         (0, v_values[alive], math.inf),
     ]
     if max_dim >= 1:
+        cycle = np.ones(len(e_values), dtype=bool)
+        cycle[pairs0[:, 1]] = False
         creators = np.nonzero(cycle)[0]
         killed = np.zeros(len(e_values), dtype=bool)
         if cof is not None and len(creators):
@@ -613,7 +637,7 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
 
     ``cx`` is a ``FilteredComplex``, whose triangles the reduction
     enumerates from its edges and never builds, keyed through two code
-    tables, and whose union-find visits only its ``forest``, computed once
+    tables, and whose union-find pairs, ``elder_pairs``, are computed once
     per complex and inherited by its prefixes; or a ``FilteredCubicalGrid``.
     A grid's degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``; at
     max_dim=1 both degrees are degree 0 of a pixel graph, the degree-1
@@ -624,9 +648,8 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
     if isinstance(cx, FilteredComplex):
-        v_values, edge_rows = _flag_cells(cx)
         cof = _FlagCofacets(cx) if max_dim >= 1 else None
-        return _ph(v_values, cx.edge_values, edge_rows, cof, max_dim, drop_zero, cx.forest)
+        return _ph(_flag_cells(cx)[0], cx.edge_values, cx.elder_pairs, cof, max_dim, drop_zero)
     if isinstance(cx, FilteredCubicalGrid):
         if max_dim == 0:
             return PersistenceDiagram(_grid_ph0(cx, *sublevel_ph0(cx.top_values), drop_zero))

@@ -18,6 +18,7 @@ the winner is refit on the training diagrams to predict the test ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -149,18 +150,31 @@ def signature_grid() -> list:
     return grid
 
 
-def _signature(kind: str, params: dict, fit_on: FinitePoints):
-    """The points -> matrix function of one signature, one row per diagram;
-    data-driven ranges are fit on ``fit_on``."""
+def _signature_runs(candidates) -> list:
+    """The (kind, params) candidates in order, in runs: consecutive images
+    of one sigma form a run, and every other candidate is a run alone."""
+
+    def run_of(candidate):  # object() equals nothing, so no other candidate joins a run
+        return candidate[1]["sigma"] if candidate[0] == "pi" else object()
+
+    return [list(run) for _, run in itertools.groupby(candidates, run_of)]
+
+
+def _signatures(run, fit_on: FinitePoints):
+    """The points -> matrices function of a run of signatures
+    (``_signature_runs``), one matrix per signature and one row per
+    diagram; data-driven ranges are fit on ``fit_on``, once per run."""
+    kind, params = run[0]
     if kind == "lifespans":
-        return lambda points: lifespans_matrix(points, params["k"])
+        return lambda points: [lifespans_matrix(points, params["k"])]
     if kind == "pi":
-        scheme = ImageScheme(dim=fit_on.dim, sigma=params["sigma"], weight=params["weight"])
-    elif kind == "pl":
-        scheme = LandscapeScheme(dim=fit_on.dim, top=params["top"])
-    else:
-        raise ValueError(f"unknown signature kind: {kind!r}")
-    return scheme.fit(fit_on).matrix
+        scheme = ImageScheme(dim=fit_on.dim, sigma=params["sigma"], weight=params["weight"]).fit(fit_on)
+        weights = [p["weight"] for _, p in run]
+        return lambda points: scheme.stack(points, weights)
+    if kind == "pl":
+        scheme = LandscapeScheme(dim=fit_on.dim, top=params["top"]).fit(fit_on)
+        return lambda points: [scheme.matrix(points)]
+    raise ValueError(f"unknown signature kind: {kind!r}")
 
 
 def _knn_search(
@@ -170,10 +184,11 @@ def _knn_search(
     signatures of ``points``, one diagram per label.
 
     Each candidate, a (kind, params) pair, is vectorized once per fold with
-    its ranges fit on the training fold; each validation row's neighbours
-    are ranked once per (fold, candidate) and every k is scored from that
-    ranking. Returns (candidate index, k, mean score); ties keep the
-    earliest (candidate, k).
+    its ranges fit on the training fold; a run of images of one sigma is
+    vectorized together, sharing its ranges and Gaussian factors. Each
+    validation row's neighbours are ranked once per (fold, candidate) and
+    every k is scored from that ranking. Returns (candidate index, k, mean
+    score); ties keep the earliest (candidate, k).
     """
     labels = np.asarray(labels, dtype=float)
     classify = mode == "classify"
@@ -182,13 +197,13 @@ def _knn_search(
     for tr, va in kfold_splits(len(labels), folds, seed, labels if classify else None):
         fit_on, val = points.take(tr), points.take(va)
         row = []
-        for kind, params in candidates:
-            vectorize = _signature(kind, params, fit_on)
-            X_tr = vectorize(fit_on)
-            std = Standardizer.fit(X_tr)
-            row += knn_grid_scores(
-                std.transform(X_tr), labels[tr], std.transform(vectorize(val)), labels[va], grid, mode
-            )
+        for run in _signature_runs(candidates):
+            vectorize = _signatures(run, fit_on)
+            for X_tr, X_va in zip(vectorize(fit_on), vectorize(val)):
+                std = Standardizer.fit(X_tr)
+                row += knn_grid_scores(
+                    std.transform(X_tr), labels[tr], std.transform(X_va), labels[va], grid, mode
+                )
         fold_scores.append(row)
     best, score, _ = select_by_mean(fold_scores, maximize=classify)
     return best // len(grid), grid[best % len(grid)], score
@@ -200,13 +215,13 @@ def _fit_knn(points: FinitePoints, labels: Array, candidates, knn_grid, mode: st
     maps the FinitePoints of test diagrams to k-NN predictions."""
     best, k, _ = _knn_search(points, labels, candidates, knn_grid, mode, seed)
     kind, params = candidates[best]
-    vectorize = _signature(kind, params, points)
-    X = vectorize(points)
+    vectorize = _signatures([(kind, params)], points)
+    X = vectorize(points)[0]
     std = Standardizer.fit(X)
     X_std = std.transform(X)
 
     def predict(test_points: FinitePoints) -> Array:
-        return knn_fit_predict(X_std, labels, std.transform(vectorize(test_points)), k, mode)
+        return knn_fit_predict(X_std, labels, std.transform(vectorize(test_points)[0]), k, mode)
 
     return (kind, params), k, predict
 

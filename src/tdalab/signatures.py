@@ -9,7 +9,8 @@ carries no signal.
 Each vectorization has a batch form (``lifespans_matrix``,
 ``image_matrix``, ``landscape_matrix``) over the ``FinitePoints`` of a list
 of diagrams, one row per diagram; the single-diagram functions are its
-one-row case.
+one-row case. ``image_stack`` computes the images of several weights at
+once, and ``image_matrix`` is its one-weight case.
 """
 
 from __future__ import annotations
@@ -208,57 +209,76 @@ class ImageScheme:
 
     def matrix(self, points: FinitePoints) -> Array:
         """One image row per diagram; an unfitted scheme is fitted on them."""
+        return self.stack(points, (self.weight,))[0]
+
+    def stack(self, points: FinitePoints, weights) -> Array:
+        """``matrix`` with the scheme's weight replaced by each of
+        ``weights`` in turn, stacked: the ranges do not depend on the
+        weight, and the images share their Gaussian factors."""
         scheme = self if self.birth_range is not None else self.fit(points)
-        return image_matrix(
+        return image_stack(
             _points(points, self.dim),
             scheme.resolution,
             scheme.sigma,
-            scheme.weight,
+            weights,
             scheme.birth_range,
             scheme.life_range,
         )
 
 
-def image_matrix(
+def image_stack(
     points: FinitePoints,
     resolution: int,
     sigma: float,
-    weight: str,
+    weights,
     birth_range: tuple,
     life_range: tuple,
 ) -> Array:
-    """Per diagram, the sum of weighted Gaussian bumps on the (birth, lifespan)
-    plane, integrated per grid cell by center-point evaluation times cell
-    area and flattened birth-major.
+    """Per weight and diagram, the sum of weighted Gaussian bumps on the
+    (birth, lifespan) plane, integrated per grid cell by center-point
+    evaluation times cell area and flattened birth-major: an array of
+    shape (weights, diagrams, resolution²).
 
     Each diagram's bumps are summed point by point in its point order, as
-    the single-diagram image always summed them, by one einsum per block of
-    diagrams laid out padded.
+    the single-diagram image always summed them. Per block of diagrams laid
+    out padded, the Gaussian factors are computed once, and each weight's
+    image is one einsum of the weighted birth factors with the lifespan
+    factors. From resolution 2 up, that einsum adds each cell's products
+    point by point, as the einsum of weights and both factors did; at
+    resolution 1 numpy's unrolled kernel adds them, which can change the
+    last bits.
     """
-    _check_image(resolution, sigma, weight)
+    for weight in weights:
+        _check_image(resolution, sigma, weight)
     b_lo, b_hi = map(float, birth_range)
     l_lo, l_hi = map(float, life_range)
     bw = (b_hi - b_lo) / resolution
     lw = (l_hi - l_lo) / resolution
     bc = b_lo + (np.arange(resolution) + 0.5) * bw
     lc = l_lo + (np.arange(resolution) + 0.5) * lw
-    sums = np.zeros((len(points), resolution, resolution))
+    sums = np.zeros((len(weights), len(points), resolution, resolution))
     for lo, hi, width, rows, at in _blocks(points):
         # padding points have weight 0, so their bumps are exact zeros
-        births, lives, weights = np.zeros((3, hi - lo, width))
+        births, lives, w = np.zeros((3, hi - lo, width))
         births[at] = points.births[rows]
         lives[at] = points.lives[rows]
-        weights[at] = _weight_values(weight, points.lives[rows])
         db = bc - births[:, :, None]
         dl = lc - lives[:, :, None]
         gb = np.exp(-(db**2) / (2 * sigma**2))
         gl = np.exp(-(dl**2) / (2 * sigma**2))
-        sums[lo:hi] = np.einsum("dk,dkb,dkl->dbl", weights, gb, gl)
+        for i, weight in enumerate(weights):
+            w[at] = _weight_values(weight, points.lives[rows])
+            sums[i, lo:hi] = np.einsum("dkb,dkl->dbl", w[:, :, None] * gb, gl)
     norm = 1.0 / (2.0 * np.pi * sigma**2)
-    image = (norm * sums * (bw * lw)).reshape(len(points), -1)
+    image = (norm * sums * (bw * lw)).reshape(len(weights), len(points), resolution**2)
     if not np.all(np.isfinite(image)):
         raise ValueError("signature values must be finite")
     return image
+
+
+def image_matrix(points: FinitePoints, resolution: int, sigma: float, weight: str, birth_range, life_range) -> Array:
+    """Per diagram, the image of one weight: ``image_stack`` of that weight."""
+    return image_stack(points, resolution, sigma, (weight,), birth_range, life_range)[0]
 
 
 def persistence_image(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tdalab import datagen
 from tdalab.datagen import (
     LabeledDataset,
     disk_radius_cdf,
@@ -234,6 +235,31 @@ def test_random_concave_polygon_has_reflex_vertex():
         prv = np.roll(v, 1, axis=0)
         cross = (v - prv)[:, 0] * (nxt - v)[:, 1] - (v - prv)[:, 1] * (nxt - v)[:, 0]
         assert np.any(cross < 0)
+
+
+def test_concave_polygon_retries_a_rejected_hull(monkeypatch):
+    # a hull that convex_hull rejects costs one retry, not the polygon
+    real = datagen.convex_hull
+    calls = []
+
+    def rejects_once(points):
+        calls.append(points)
+        if len(calls) == 1:
+            raise ValueError("convex hull is degenerate: input points are collinear")
+        return real(points)
+
+    monkeypatch.setattr(datagen, "convex_hull", rejects_once)
+    poly = gen_random_concave_polygon(5)
+    assert len(calls) >= 2 and _reflex(poly.vertices)
+    # a hull rejected on every try ends in the retries error
+    monkeypatch.setattr(datagen, "convex_hull", lambda points: real(np.zeros((10, 2))))
+    with pytest.raises(ValueError, match="after 3 retries"):
+        gen_random_concave_polygon(5, retries=3)
+
+
+def _reflex(v) -> bool:
+    nxt, prv = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+    return bool(np.any((v - prv)[:, 0] * (nxt - v)[:, 1] - (v - prv)[:, 1] * (nxt - v)[:, 0] < 0))
 
 
 def test_concave_polygon_rasterized_measure_below_convex_tolerance():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
@@ -101,7 +103,8 @@ def _reduce_cells(values, boundaries, drop_zero=True):
     cof = None
     if len(values[2]):
         cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
-    return persistence._ph(values[0], values[1], boundaries[1], cof, 1, drop_zero)
+    pairs0, _ = persistence._elder_union_find(len(values[0]), boundaries[1])
+    return persistence._ph(values[0], values[1], pairs0, cof, 1, drop_zero)
 
 
 def _random_grid(rng, max_side=8):
@@ -749,6 +752,8 @@ def test_value_ranks_equal_unique_on_ties():
         assert np.array_equal(cof._levels, levels)
         a, b = cx.edges.T
         assert np.array_equal(cof._rank[a, b], rank) and np.array_equal(cof._rank[b, a], rank)
+        key = rank * cx.n_vertices**3
+        assert np.array_equal(cof._key[a, b], key) and np.array_equal(cof._key[b, a], key)
 
 
 def _old_keys(cx, e):
@@ -828,25 +833,84 @@ def _enumeration_graphs():
         yield _random_graph(rng, n, float(rng.choice([0.3, 0.7, 1.0])), tied=trial % 2 == 0)
 
 
+def _rank_table_cofacets(cx):
+    """Reference: each edge's cofacet keys and its (earliest key, apparent)
+    from an int32 table of np.unique value ranks, absent edges ranked one
+    above the top, maxed out of place, and the sorted triples' codes
+    computed directly."""
+    n = cx.n_vertices
+    levels, rank = np.unique(cx.edge_values, return_inverse=True)
+    table = np.full((n, n), len(levels), dtype=np.int32)
+    pos = np.full((n, n), -1)
+    a, b = cx.edges.T
+    table[a, b] = table[b, a] = rank
+    pos[a, b] = pos[b, a] = np.arange(len(a))
+    k = np.arange(n)
+    columns, earliest = [], []
+    for e, (a, b) in enumerate(cx.edges.tolist()):
+        top = np.maximum(np.maximum(table[a], table[b]), table[a, b])
+        lo, hi = np.minimum(a, k), np.maximum(b, k)
+        keys = ((top.astype(np.int64) * n + lo) * n + (a + b + k - lo - hi)) * n + hi
+        columns.append(np.sort(keys[top < len(levels)]))
+        j = int(top.argmin())
+        earliest.append((keys[j], bool(top[j] < len(levels)) and pos[a, j] < e and pos[b, j] < e))
+    return columns, earliest
+
+
 def test_cofacet_ranks_equal_the_nested_maximum():
-    # the ranks as np.maximum(np.maximum(...), ...) formed them, out of place
+    # the keys as the rank table's nested np.maximum gives them, out of place
     for cx in _enumeration_graphs():
         cof = persistence._FlagCofacets(cx)
-        table, n3 = cof._rank, cx.n_vertices**3
-        for e, (a, b) in enumerate(cx.edges.tolist()):
-            rank = np.maximum(np.maximum(table[a], table[b]), table[a, b])
-            k = np.nonzero(rank < cof._absent)[0]
-            keys = np.sort(rank[k].astype(np.int64) * n3 + cof._u[a][k] + cof._v[b][k])
+        columns, earliest = _rank_table_cofacets(cx)
+        for e, keys in enumerate(columns):
             assert np.array_equal(cof.cofacets(e), keys)
-        edges = np.arange(len(cx.edges))
-        a, b = cx.edges.T
-        rank = np.maximum(np.maximum(table[a], table[b]), table[a, b][:, None])
-        k = rank.argmin(axis=1)
-        rank = rank[edges, k]
-        keys = rank.astype(np.int64) * n3 + cof._u[a, k] + cof._v[b, k]
-        apparent = (rank < cof._absent) & (cof._pos[a, k] < edges) & (cof._pos[b, k] < edges)
-        first, got_apparent = cof.earliest(edges)
-        assert np.array_equal(first, keys) and np.array_equal(got_apparent, apparent)
+        first, apparent = cof.earliest(np.arange(len(cx.edges)))
+        assert list(zip(first.tolist(), apparent.tolist())) == [(int(k), bool(x)) for k, x in earliest]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 30),
+    density=st.sampled_from([0.2, 0.6, 1.0]),
+    tied=st.booleans(),
+    cap=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cofacets_equal_the_rank_table_on_prefixes(n, density, tied, cap, seed):
+    # the int64 key table against the rank-table reference, on random flag
+    # complexes and on their prefixes, whose missing edges are absent
+    graph = _random_graph(np.random.default_rng(seed), n, density, tied)
+    prefixes = [graph.prefix(float(np.quantile(graph.edge_values, cap)))] if len(graph.edges) else []
+    for cx in [graph, *prefixes]:
+        cof = persistence._FlagCofacets(cx)
+        columns, earliest = _rank_table_cofacets(cx)
+        for e, keys in enumerate(columns):
+            got = cof.cofacets(e)
+            assert got.dtype == np.int64 and np.array_equal(got, keys)
+        first, apparent = cof.earliest(np.arange(len(cx.edges)))
+        assert list(zip(first.tolist(), apparent.tolist())) == [(int(k), bool(x)) for k, x in earliest]
+
+
+def test_key_range_guard_covers_absent_cofacets():
+    # absent cofacets' keys reach (levels + 1)·n³: the guard counts them
+    n = 2**10  # n³ = 2**30
+    persistence._check_key_range(n, 2**33 - 2)
+    with pytest.raises(ValueError, match=f"{n} vertices and {2**33 - 1} edge values overflow a triangle key"):
+        persistence._check_key_range(n, 2**33 - 1)
+    persistence._check_key_range(1, 2**63 - 2)
+    with pytest.raises(ValueError, match="overflow a triangle key"):
+        persistence._check_key_range(1, 2**63 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_code_tables_are_shared_read_only(n):
+    u, v = persistence._code_tables(n)
+    assert persistence._code_tables(n)[0] is u
+    graph = FilteredComplex(np.zeros(n), np.empty((0, 2)), [])
+    assert persistence._FlagCofacets(graph)._u is u and persistence._FlagCofacets(graph)._v is v
+    for table in (u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
 
 def test_enumeration_leaves_the_rank_table_unchanged(monkeypatch):
@@ -855,7 +919,7 @@ def test_enumeration_leaves_the_rank_table_unchanged(monkeypatch):
     monkeypatch.setattr(persistence, "_FLAG_BLOCK", 64)  # several blocks per earliest call
     for cx in _enumeration_graphs():
         cof = persistence._FlagCofacets(cx)
-        tables = {name: getattr(cof, name).copy() for name in ("_rank", "_pos", "_u", "_v")}
+        tables = {name: getattr(cof, name).copy() for name in ("_rank", "_key", "_pos", "_u", "_v")}
         edges = np.arange(len(cx.edges))
         for _ in range(3):
             for e in edges.tolist()[::-1]:

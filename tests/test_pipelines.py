@@ -334,17 +334,22 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 @pytest.mark.parametrize("falls_back", [False, True], ids=["capped", "fallback"])
 def test_one_spanning_forest_per_cloud(monkeypatch, falls_back):
-    # the complete graph computes its forest once: its prefix inherits it,
-    # and the fallback on the complete graph reuses it
+    # the complete graph computes its forest and its union-find pairs once:
+    # its prefix inherits them, and the fallback on the complete graph
+    # reuses them
     forests = _count_calls(monkeypatch, persistence, "_spanning_forest")
+    union_finds = _count_calls(monkeypatch, persistence, "_elder_union_find")
     reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
     _curvature_worker(sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0), CurvatureConfig().cap_factor)
     assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
+    assert len(union_finds) == 1
     forests.clear()
+    union_finds.clear()
     reductions.clear()
     points = sample_holes_shape(holes_catalog()[4 if falls_back else 0], 300, 5).points
     _weighted_dim1_diagram(points, 100, HolesConfig().dtm_mass, HolesConfig().cap_factor, 3)
     assert (len(forests), len(reductions)) == (1, 2 if falls_back else 1)
+    assert len(union_finds) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -516,6 +521,28 @@ def test_knn_search_matches_per_config_loop(mode, scale, knn_grid, table):
         assert scores.count(score) > 1  # the tie the rule has to break
     if 9 in knn_grid or 20 in knn_grid:
         assert (-math.inf if mode == "classify" else math.inf) in scores
+
+
+@pytest.mark.parametrize("mode", ["classify", "regress"])
+def test_knn_search_images_of_one_sigma_together_equal_one_at_a_time(mode, monkeypatch):
+    # the grid's three weights of each sigma share ranges and Gaussian
+    # factors; each candidate vectorized alone gives the same fold scores
+    rng = np.random.default_rng(21)
+    diagrams = _search_diagrams(rng, 15, 1, 0.3)
+    labels = np.array([label % 3 for label in range(15)], dtype=float)
+    if mode == "regress":
+        labels = labels + rng.random(15)
+    points = finite_points(diagrams, 1)
+    grid = signature_grid()
+    runs = pipelines._signature_runs(grid)
+    assert [len(run) for run in runs] == [1] + [len(pipelines.PI_WEIGHT_GRID)] * len(pipelines.PI_SIGMAS) + [1] * 3
+    assert [c for run in runs for c in run] == grid
+    fold_scores = _count_calls(monkeypatch, pipelines, "select_by_mean")
+    together = _knn_search(points, labels, grid, (1, 3, 5), mode, 4)
+    monkeypatch.setattr(pipelines, "_signature_runs", lambda candidates: [[c] for c in candidates])
+    alone = _knn_search(points, labels, grid, (1, 3, 5), mode, 4)
+    assert together == alone
+    assert fold_scores[0] == fold_scores[1]
 
 
 @pytest.mark.parametrize("mode", ["pi", "pl"])

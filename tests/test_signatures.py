@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import (
     BLOCK_ROWS,
+    PI_WEIGHTS,
     ImageScheme,
     LandscapeScheme,
     SignatureVector,
+    _blocks,
     finite_points,
     image_matrix,
+    image_stack,
     landscape_matrix,
     lifespans_matrix,
     lifespans_topk,
@@ -260,6 +263,70 @@ def test_batch_image_equal_births_degenerate_range():
     assert np.array_equal(
         image_matrix(points, 10, 0.25, "y", scheme.birth_range, scheme.life_range), rows
     )
+
+
+def _three_operand_images(points, resolution, sigma, weight, birth_range, life_range):
+    """Reference: one weight's images with the weights, birth factors and
+    lifespan factors of each padded block summed by one three-operand
+    einsum, as images were computed one weight at a time."""
+    (b_lo, b_hi), (l_lo, l_hi) = birth_range, life_range
+    bw, lw = (b_hi - b_lo) / resolution, (l_hi - l_lo) / resolution
+    bc = b_lo + (np.arange(resolution) + 0.5) * bw
+    lc = l_lo + (np.arange(resolution) + 0.5) * lw
+    sums = np.zeros((len(points), resolution, resolution))
+    for lo, hi, width, rows, at in _blocks(points):
+        births, lives, weights = np.zeros((3, hi - lo, width))
+        births[at] = points.births[rows]
+        lives[at] = points.lives[rows]
+        weights[at] = {"1": np.ones_like, "y": lambda x: x, "y2": lambda x: x**2}[weight](points.lives[rows])
+        gb = np.exp(-((bc - births[:, :, None]) ** 2) / (2 * sigma**2))
+        gl = np.exp(-((lc - lives[:, :, None]) ** 2) / (2 * sigma**2))
+        sums[lo:hi] = np.einsum("dk,dkb,dkl->dbl", weights, gb, gl)
+    norm = 1.0 / (2.0 * np.pi * sigma**2)
+    return (norm * sums * (bw * lw)).reshape(len(points), resolution**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(
+        st.sampled_from([0, 1, 2, 3, 15, 16, 17, 64, BLOCK_ROWS // 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+        max_size=24,
+    ),
+    weights=st.lists(st.sampled_from(PI_WEIGHTS), min_size=1, max_size=4),
+    sigma=st.sampled_from([0.05, 0.3, 1.0]),
+    resolution=st.sampled_from([1, 2, 4, 10]),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_image_stack_equals_three_operand_einsum(sizes, weights, sigma, resolution, tied, seed):
+    # empty diagrams, one point, blocks padded to their widest diagram and
+    # diagrams that fill a block exactly or spill one point past it
+    rng = np.random.default_rng(seed)
+    diagrams = []
+    for m in sizes:
+        births, lives = rng.random(m) * 2, rng.random(m) * 3
+        if tied:
+            births, lives = np.round(births * 4) / 4, np.round(lives * 4) / 4
+        diagrams.append(_pd([[1, b, b + life] for b, life in zip(births, lives)]))
+    points = finite_points(diagrams, 1)
+    scheme = ImageScheme(dim=1, resolution=resolution, sigma=sigma).fit(points)
+    ranges = scheme.birth_range, scheme.life_range
+    stack = image_stack(points, resolution, sigma, weights, *ranges)
+    assert stack.shape == (len(weights), len(diagrams), resolution**2)
+    assert np.array_equal(scheme.stack(points, weights), stack)
+    for weight, images in zip(weights, stack):
+        reference = _three_operand_images(points, resolution, sigma, weight, *ranges)
+        if resolution > 1:
+            assert np.array_equal(images, reference)
+        else:  # a one-cell image sums its points in numpy's unrolled order
+            np.testing.assert_allclose(images, reference, rtol=1e-13, atol=0.0)
+        assert np.array_equal(image_matrix(points, resolution, sigma, weight, *ranges), images)
+
+
+def test_image_stack_rejects_each_bad_weight():
+    points = finite_points([_pd([[1, 0.0, 1.0]])], 1)
+    with pytest.raises(ValueError, match="weight must be one of"):
+        image_stack(points, 10, 0.1, ("y", "y3"), (0.0, 1.0), (0.0, 1.0))
 
 
 @pytest.mark.parametrize("top", [1, 2, 3, 10, None])
