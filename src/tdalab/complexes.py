@@ -92,24 +92,19 @@ class FilteredComplex:
         elder-rule union-find, in edge order, computed at the first read. A
         vertex's row is its position in (value, index) order. The
         union-find visits only the edges of the minimum spanning forest
-        (``persistence._spanning_forest``)."""
+        (``persistence._spanning_forest``), so the edge column is the
+        forest."""
         from . import persistence  # which imports this module
 
         n, (_, rows) = self.n_vertices, persistence._flag_cells(self)
-        return persistence._elder_union_find(n, rows, persistence._spanning_forest(n, self.edges))[0]
-
-    @property
-    def forest(self) -> Array:
-        """Ascending positions of the edges of the minimum spanning forest:
-        the edges on which the union-find merges."""
-        return self.elder_pairs[:, 1]
+        return persistence._elder_union_find(n, rows, persistence._spanning_forest(n, self.edges))
 
     def prefix(self, cap: float) -> FilteredComplex:
         """The flag complex of the edges valued at most ``cap``, with every
         vertex: a filtration prefix. The edges are already in filtration
         order, so it is a slice of them. Kruskal's order reaches the same
         state on a prefix, so its union-find pairs are this complex's pairs
-        whose edge is among them, and its forest their edges."""
+        whose edge is among them."""
         if math.isnan(cap):
             raise ValueError("cap must not be NaN")
         m = int(np.searchsorted(self.edge_values, cap, side="right"))

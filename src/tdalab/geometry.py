@@ -134,16 +134,6 @@ class Line:
         object.__setattr__(self, "direction", _frozen_array(d))
 
     @classmethod
-    def through(cls, p: Array, q: Array) -> "Line":
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
-        d = q - p
-        norm = float(np.hypot(d[0], d[1]))
-        if norm == 0:
-            raise ValueError("cannot build a line through two identical points")
-        return cls(p, d / norm)
-
-    @classmethod
     def horizontal(cls, y: float) -> "Line":
         return cls((0.0, y), (1.0, 0.0))
 

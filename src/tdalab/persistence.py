@@ -1,33 +1,30 @@
 """Persistence diagrams in degrees 0 and 1 over Z/2.
 
-Degree 0 of cubical grids comes from a level sweep (Wagner, Chen &
+Both degrees of a cubical grid come from a level sweep (Wagner, Chen &
 Vuçini, 2012) over a stack of grids: one ``scipy.ndimage.label`` call over
 every grid's sublevel sets at the levels where its components can start
 or merge, planes of one array grid after grid, with each component's
 parent one plane up within its own grid and the elder rule applied per
-parent. A single grid is a stack of one. ``scipy.ndimage`` loads at the
-first sweep, not with this module, so flag-complex work never imports
-scipy.
-Degree 1 of a grid comes from Alexander duality (Garin, Heiss, Maggs,
-Bleile & Robins, 2020): the degree-1 pairs of the 8-connected closed-pixel
-sublevel filtration are the degree-0 pairs, negated and swapped, of the
-4-connected superlevel filtration of its complement, with the outside of
-the grid as the eldest component. So at max_dim=1 both degrees of a grid
-are degree 0 of a pixel graph, and no cell beyond the pixels is built.
-Degree 0 of a graph, whether a pixel graph or the 1-skeleton of a flag
-complex, comes from an elder-rule union-find over the edges in filtration
-order, which gives the pairing of the vertex-edge boundary reduction; the
-edges it finds closing a cycle are the flag complex's degree-1 creators.
-On a flag complex the minimum spanning forest comes first, by a dense
+parent. A single grid is a stack of one. Degree 0 is the 8-connected sweep
+of the top cells. Degree 1 comes from Alexander duality (Garin, Heiss,
+Maggs, Bleile & Robins, 2020): the degree-1 pairs of the 8-connected
+closed-pixel sublevel filtration are the degree-0 pairs, negated and
+swapped, of the 4-connected superlevel filtration of its complement, with
+the outside of the grid as the eldest component. So it is the 4-connected
+sweep of the negated grid ringed with the outside, and no cell beyond the
+pixels is built. ``scipy.ndimage`` loads at the first sweep, not with this
+module, so flag-complex work never imports scipy.
+Degree 0 of a flag complex comes from an elder-rule union-find over the
+edges in filtration order, which gives the pairing of the vertex-edge
+boundary reduction; the edges it leaves out close a cycle and are the
+degree-1 creators. The minimum spanning forest comes first, by a dense
 numpy Prim over the edges' filtration positions: those positions are
 distinct, so the forest is exactly the set of edges that merge, and the
-union-find visits its at most n - 1 edges alone; every other edge closes a
-cycle. The complex runs its Prim and union-find once, at the first read,
-and a filtration prefix inherits the pairs whose edge is among its own, so
-a complete graph and its capped prefix share one of each. The builders hand
-over their edges already in filtration order. Pixel graphs, with one
-vertex per pixel, keep the loop over every edge and allocate nothing of
-size vertices^2. Degree-1 deaths of a flag complex come from the
+union-find visits its at most n - 1 edges alone. The complex runs its Prim
+and union-find once, at the first read, and a filtration prefix inherits
+the pairs whose edge is among its own, so a complete graph and its capped
+prefix share one of each. The builders hand over their edges already in
+filtration order. Degree-1 deaths of a flag complex come from the
 coboundary (cohomology) reduction of the edge-triangle block, after
 Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
 (skipped), apparent pairs -- an edge whose earliest cofacet has the edge
@@ -123,32 +120,41 @@ def _flag_cells(cx: FilteredComplex):
 
 
 # ---------------------------------------------------------------------------
-# degree 0 of cubical grids: level sweep
+# cubical grids: level sweeps
 # ---------------------------------------------------------------------------
 
-# 8-connected within each plane of a (levels, h, w) stack, no links across planes
-_PLANES_8 = np.zeros((3, 3, 3), dtype=bool)
-_PLANES_8[1] = True
 # a cell's eight neighbours as (row, column) offsets; the first four come
 # before the cell in raster order
 _RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
 @functools.cache
-def _changes_h0_table() -> Array:
-    """Per subset of a cell's neighbours (bit k for ``_RING[k]``): False when
-    they form exactly one 8-connected group, so that a cell entering after
-    just those joins one component without starting or merging any.
-    Built at the first sweep and shared read-only after that."""
+def _connectivity(eight: bool) -> tuple:
+    """(planes, table) of 8-connected cells, or of 4-connected ones, built
+    at the first sweep of each and shared read-only after that.
+
+    ``planes`` links the cells of a (levels, h, w) stack within each plane
+    and not across planes. ``table`` holds, per subset of a cell's eight
+    neighbours (bit k for ``_RING[k]``), False when exactly one of the
+    groups they form holds a neighbour linked to the cell, so that a cell
+    entering after just those joins one component without starting or
+    merging any.
+    """
     from scipy import ndimage
 
+    square = ndimage.generate_binary_structure(2, 2 if eight else 1)
+    planes = np.zeros((3, 3, 3), dtype=bool)
+    planes[1] = square
     patches = np.zeros((256, 3, 3), dtype=bool)
     for k, (di, dj) in enumerate(_RING):
         patches[:, 1 + di, 1 + dj] = (np.arange(256) >> k) & 1
-    eight = np.ones((3, 3), dtype=bool)
-    table = np.array([ndimage.label(p, structure=eight)[1] != 1 for p in patches])
+    labels, _ = ndimage.label(patches, structure=planes)
+    square[1, 1] = False  # the neighbours linked to the cell
+    table = np.array([len(set(groups) - {0}) != 1 for groups in labels[:, square].tolist()])
+    planes.setflags(write=False)
     table.setflags(write=False)
-    return table
+    return planes, table
+
 
 # cells of the (planes, h, w) stack labelled per ndimage.label call: the
 # planes' values, the sublevel sets and their int32 labels then take about
@@ -156,17 +162,26 @@ def _changes_h0_table() -> Array:
 _SWEEP_CELLS = 1 << 20
 
 
-def _critical_levels(v: Array) -> tuple:
+def _box(v: Array) -> Array:
+    """A (g, h, w) stack cut to the box of the cells below +inf in some grid."""
+    present = v < math.inf
+    rows = np.flatnonzero(present.any(axis=(0, 2)))
+    cols = np.flatnonzero(present.any(axis=(0, 1)))
+    return v[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+
+
+def _critical_levels(v: Array, table: Array) -> tuple:
     """(grid, level) of each plane of the sweep of a (g, h, w) stack:
     ascending within each grid, grids in order.
 
     A grid's levels are those at which the components of its sublevel sets
-    can change. Cells enter in the order (value, raster position). A cell
-    starts a component when none of its eight neighbours entered before it,
-    and can merge components only when those that did form two or more
-    8-connected groups. At every other level each entering cell joins one
-    existing component, so the components one level down map one to one
-    onto those at the level.
+    can change. Cells below +inf enter in the order (value, raster
+    position). A cell starts a component when none of its linked
+    neighbours entered before it, and can merge components only when the
+    neighbours that did form two or more groups holding a linked one
+    (``table``, from ``_connectivity``). At every other level each entering
+    cell joins one existing component, so the components one level down map
+    one to one onto those at the level.
     """
     g, h, w = v.shape
     pad = np.full((g, h + 2, w + 2), np.inf)
@@ -176,7 +191,7 @@ def _critical_levels(v: Array) -> tuple:
         nb = pad[:, 1 + di : 1 + di + h, 1 + dj : 1 + dj + w]
         earlier = nb <= v if k < 4 else nb < v
         code |= earlier.astype(np.uint8) << k
-    critical = _changes_h0_table()[code] & np.isfinite(v)
+    critical = table[code] & (v < math.inf)
     grid = np.nonzero(critical)[0]  # ascending
     level = v[critical]
     order = np.lexsort((level, grid))
@@ -210,8 +225,6 @@ def sublevel_ph0_stack(values) -> tuple:
     the number of planes times the box's cells: small for distances to a
     line or heights over a shape, large for noise.
     """
-    from scipy import ndimage
-
     v = np.asarray(values, dtype=float)
     if v.ndim != 3 or len(v) == 0:
         raise ValueError(f"values must be a 3-D stack of at least one grid, got shape {v.shape}")
@@ -221,11 +234,19 @@ def sublevel_ph0_stack(values) -> tuple:
     empty = np.flatnonzero(~finite.any(axis=(1, 2)))
     if len(empty):
         raise ValueError(f"grid {empty[0]} has no finite cell")
-    rows = np.flatnonzero(finite.any(axis=(0, 2)))
-    cols = np.flatnonzero(finite.any(axis=(0, 1)))
-    v = v[:, rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
+    return _sweep(v, eight=True)
+
+
+def _sweep(v: Array, eight: bool) -> tuple:
+    """``sublevel_ph0_stack`` on a float stack each of whose grids has a
+    cell below +inf, 8-connected or 4-connected; cells at -inf enter first.
+    """
+    from scipy import ndimage
+
+    planes, table = _connectivity(eight)
+    v = _box(v)
     cells = v[0].size
-    grid, level = _critical_levels(v)
+    grid, level = _critical_levels(v, table)
     # a plane's components are essential when it is its grid's last
     last_of_grid = np.ones(len(grid), dtype=bool)
     last_of_grid[:-1] = grid[1:] != grid[:-1]
@@ -235,7 +256,7 @@ def sublevel_ph0_stack(values) -> tuple:
     while True:
         hi = min(lo + step, len(level) - 1)
         block = v[grid[lo : hi + 1]]
-        labels, n = ndimage.label(block <= level[lo : hi + 1, None, None], structure=_PLANES_8)
+        labels, n = ndimage.label(block <= level[lo : hi + 1, None, None], structure=planes)
         flat = labels.ravel()
         member = np.flatnonzero(flat)
         comp = flat[member]
@@ -263,37 +284,43 @@ def sublevel_ph0_stack(values) -> tuple:
         lo = hi
 
 
-def sublevel_ph0(values) -> tuple:
-    """Degree-0 persistence of the 8-connected sublevel sets of a grid.
+def _grid_rows(dim: int, births: Array, deaths: Array, cells: Array, drop_zero: bool) -> Array:
+    """(k, 3) rows of degree ``dim`` of a cubical grid from its classes of
+    positive length, given by their births and deaths.
 
-    ``values`` is a 2-D array of top-cell values, +inf outside the shape,
-    with at least one finite cell. Returns (births, deaths), in no
-    particular order, with +inf deaths for the essential classes and no
-    zero-length pairs: the degree-0 diagram of ``compute_ph`` on the grid.
-    ``sublevel_ph0_stack`` on a stack of this one grid computes it.
-    """
-    v = np.asarray(values, dtype=float)
-    finite = np.isfinite(v)
-    if v.ndim != 2 or not finite.any() or np.any(~finite & (v != math.inf)):
-        raise ValueError("values must be a 2-D array of finite or +inf cells, at least one finite")
-    _, births, deaths = sublevel_ph0_stack(v[None])
-    return births, deaths
-
-
-def _grid_ph0(grid: FilteredCubicalGrid, births: Array, deaths: Array, drop_zero: bool) -> Array:
-    """(k, 3) degree-0 rows of a cubical grid from its classes of positive
-    length, given by their births and deaths.
-
-    With drop_zero=False, every corner vertex that enters at a level
-    without starting a class there dies as it enters.
+    With drop_zero=False, each finite cell of ``cells`` that enters at a
+    level without ending one of those classes there pairs with itself at
+    that level: the corner vertices in degree 0, each the birth of a class,
+    and the squares in degree 1, each the death of one.
     """
     if not drop_zero:
-        vv = grid.vertex_values()
-        levels, entering = np.unique(vv[np.isfinite(vv)], return_counts=True)
-        starting = np.bincount(np.searchsorted(levels, births), minlength=len(levels))
-        zero = np.repeat(levels, entering - starting)
+        levels, entering = np.unique(cells[np.isfinite(cells)], return_counts=True)
+        ends = births if dim == 0 else deaths[np.isfinite(deaths)]
+        taken = np.bincount(np.searchsorted(levels, ends), minlength=len(levels))
+        zero = np.repeat(levels, entering - taken)
         births, deaths = np.concatenate([births, zero]), np.concatenate([deaths, zero])
-    return np.column_stack([np.zeros(len(births)), births, deaths])
+    return np.column_stack([np.full(len(births), float(dim)), births, deaths])
+
+
+def _grid_ph(grid: FilteredCubicalGrid, max_dim: int, drop_zero: bool) -> PersistenceDiagram:
+    """Degrees 0..max_dim of a cubical grid, each from a level sweep.
+
+    Degree 0 is the 8-connected sweep of the top cells. Degree 1 is, by
+    duality, the 4-connected sweep of the box of finite cells, negated and
+    ringed with the outside: the +inf cells and the ring enter first, at
+    -inf. A dual pair (b, d) is the degree-1 pair (-d, -b), so a region of
+    +inf cells the shape encloses, born at -inf, gives an essential hole.
+    The dual's one essential class holds the ring and is dropped.
+    """
+    top = grid.top_values
+    _, births, deaths = sublevel_ph0_stack(top[None])
+    rows = [_grid_rows(0, births, deaths, grid.vertex_values(), drop_zero)]
+    if max_dim == 1:
+        dual = -np.pad(_box(top[None]), ((0, 0), (1, 1), (1, 1)), constant_values=math.inf)
+        _, births, deaths = _sweep(dual, eight=False)
+        dies = deaths < math.inf
+        rows.append(_grid_rows(1, -deaths[dies], -births[dies], top, drop_zero))
+    return PersistenceDiagram(np.concatenate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +356,17 @@ def _spanning_forest(n_vertices: int, edges: Array) -> Array:
     return np.sort(np.array(forest, dtype=np.int64))
 
 
-def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array | None = None) -> tuple:
-    """Elder-rule union-find over edges given in filtration order.
+def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array) -> Array:
+    """Elder-rule union-find over the edges of a minimum spanning forest.
 
-    Vertex rows are in filtration order too, so of two roots the smaller
-    row is the elder; each root is the oldest vertex of its component.
-    Returns (pairs, cycle): the (k, 2) array of (vertex row, edge) death
-    pairs and a mask of the edges that close a cycle. The pairs are exactly
-    those of the left-to-right reduction of the vertex-edge boundary block.
-    ``forest``, the ascending positions of the minimum spanning forest's
-    edges, restricts the loop to them: only they merge, and in the same
-    order. Flag complexes pass their forest; pixel graphs, both degrees of
-    a grid, loop over every edge.
+    ``edge_rows`` are a graph's edges in filtration order and ``forest`` the
+    ascending positions of its minimum spanning forest's edges
+    (``_spanning_forest``): only they merge two components, and in that
+    order. Vertex rows are in filtration order too, so of two roots the
+    smaller row is the elder; each root is the oldest vertex of its
+    component. Returns the (k, 2) array of (vertex row, edge) death pairs,
+    exactly those of the left-to-right reduction of the vertex-edge
+    boundary block.
     """
     parent = list(range(n_vertices))
 
@@ -350,91 +376,13 @@ def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array | None = 
             x = parent[x]
         return x
 
-    visit = np.arange(len(edge_rows)) if forest is None else forest
-    dying, killing = [], []
-    for j, (a, b) in zip(visit.tolist(), edge_rows[visit].tolist()):
+    dying = []
+    for a, b in edge_rows[forest].tolist():
         ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
         elder, younger = (ra, rb) if ra < rb else (rb, ra)
         parent[younger] = elder
         dying.append(younger)
-        killing.append(j)
-        if len(killing) == n_vertices - 1:
-            break  # one component left: every later edge closes a cycle
-    cycle = np.ones(len(edge_rows), dtype=bool)
-    cycle[killing] = False
-    return np.array([dying, killing], dtype=np.int64).T, cycle
-
-
-# ---------------------------------------------------------------------------
-# both degrees of a grid: degree 0 of pixel graphs
-# ---------------------------------------------------------------------------
-
-# a pixel's neighbours after it in raster order, so each link is listed once
-_EIGHT = ((0, 1), (1, -1), (1, 0), (1, 1))
-_FOUR = ((0, 1), (1, 0))
-
-
-def _pixel_pairs(values: Array, offsets) -> tuple:
-    """Elder-rule degree-0 pairs of the graph on the pixels of a 2-D array.
-
-    Pixels are linked at the given (row, column) offsets, and a link is
-    valued at the larger of its two pixels. A stable argsort puts the
-    pixels in filtration order, ties in raster order, and the links follow
-    their later pixel. Returns (births, deaths), one entry per class, with
-    zero-length pairs and classes born at +inf; an essential class dies at
-    +inf. The callers filter.
-    """
-    h, w = values.shape
-    order = np.argsort(values, axis=None, kind="stable")
-    v_values = values.ravel()[order]
-    row = np.empty(h * w, dtype=np.int64)
-    row[order] = np.arange(h * w)
-    row = row.reshape(h, w)
-    links = []
-    for di, dj in offsets:
-        lo, hi = max(0, -dj), w - max(0, dj)
-        links.append(np.column_stack([row[: h - di, lo:hi].ravel(), row[di:, lo + dj : hi + dj].ravel()]))
-    links = np.concatenate(links)
-    later = links.max(axis=1)
-    order = np.argsort(later, kind="stable")
-    # links valued +inf are left out: a merge at +inf leaves the same
-    # (birth, +inf) pair as no merge
-    order = order[v_values[later[order]] < math.inf]
-    links, later = links[order], later[order]
-    pairs, _ = _elder_union_find(h * w, links)
-    alive = np.ones(h * w, dtype=bool)
-    alive[pairs[:, 0]] = False
-    births = np.concatenate([v_values[pairs[:, 0]], v_values[alive]])
-    deaths = np.concatenate([v_values[later[pairs[:, 1]]], np.full(int(alive.sum()), math.inf)])
-    return births, deaths
-
-
-def _grid_ph(grid: FilteredCubicalGrid, drop_zero: bool) -> PersistenceDiagram:
-    """Degrees 0 and 1 of a cubical grid, each as degree 0 of a pixel graph
-    over the box of its finite cells.
-
-    Degree 0 is the 8-connected graph of the box. Degree 1 is, by duality,
-    the 4-connected graph of the box ringed with +inf pixels, on negated
-    values: its pair (b, d) is the degree-1 pair (-d, -b). Each finite
-    pixel, a square, dies there once, so zero-length pairs come out with
-    the rest; a region of +inf pixels the shape encloses dies at -inf, an
-    essential hole. The dual's eldest class, the ring, and the pairs among
-    +inf pixels have no finite birth and are dropped.
-    """
-    finite = np.isfinite(grid.top_values)
-    rows = np.flatnonzero(finite.any(axis=1))
-    cols = np.flatnonzero(finite.any(axis=0))
-    top = grid.top_values[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    births, deaths = _pixel_pairs(top, _EIGHT)
-    keep = np.isfinite(births) & (deaths > births)
-    dim0 = _grid_ph0(grid, births[keep], deaths[keep], drop_zero)
-    dual_births, dual_deaths = _pixel_pairs(-np.pad(top, 1, constant_values=math.inf), _FOUR)
-    births, deaths = -dual_deaths, -dual_births
-    keep = np.isfinite(births) & ((deaths != births) | (not drop_zero))
-    dim1 = np.column_stack([np.ones(int(keep.sum())), births[keep], deaths[keep]])
-    return PersistenceDiagram(np.concatenate([dim0, dim1]))
+    return np.column_stack([np.array(dying, dtype=np.int64), forest])
 
 
 # elements of the (edges x vertices) arrays built per block in _FlagCofacets
@@ -638,10 +586,10 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
     ``cx`` is a ``FilteredComplex``, whose triangles the reduction
     enumerates from its edges and never builds, keyed through two code
     tables, and whose union-find pairs, ``elder_pairs``, are computed once
-    per complex and inherited by its prefixes; or a ``FilteredCubicalGrid``.
-    A grid's degree-0 diagram at max_dim=0 comes from ``sublevel_ph0``; at
-    max_dim=1 both degrees are degree 0 of a pixel graph, the degree-1
-    one by duality, and no coboundary is reduced.
+    per complex and inherited by its prefixes; or a ``FilteredCubicalGrid``,
+    whose degrees both come from level sweeps: degree 0 from the
+    8-connected one of ``sublevel_ph0_stack``, degree 1 from a 4-connected
+    one by duality. No coboundary of a grid is reduced.
     Zero-length intervals are dropped by default; pass drop_zero=False to
     keep them (Euler-characteristic bookkeeping).
     """
@@ -651,9 +599,7 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
         cof = _FlagCofacets(cx) if max_dim >= 1 else None
         return _ph(_flag_cells(cx)[0], cx.edge_values, cx.elder_pairs, cof, max_dim, drop_zero)
     if isinstance(cx, FilteredCubicalGrid):
-        if max_dim == 0:
-            return PersistenceDiagram(_grid_ph0(cx, *sublevel_ph0(cx.top_values), drop_zero))
-        return _grid_ph(cx, drop_zero)
+        return _grid_ph(cx, max_dim, drop_zero)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
 
 

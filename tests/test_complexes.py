@@ -357,5 +357,5 @@ def test_prefix_forest_is_its_own_forest():
             caps.append(values[ties[len(ties) // 2]])
         for cap in caps:
             sub = graph.prefix(float(cap))
-            assert np.array_equal(sub.forest, persistence._spanning_forest(sub.n_vertices, sub.edges))
-        assert np.array_equal(graph.prefix(float(values[-1])).forest, graph.forest)
+            assert np.array_equal(sub.elder_pairs[:, 1], persistence._spanning_forest(sub.n_vertices, sub.edges))
+        assert np.array_equal(graph.prefix(float(values[-1])).elder_pairs[:, 1], graph.elder_pairs[:, 1])

@@ -165,12 +165,12 @@ def test_tubular_vertical_drop():
 
 
 def test_tubular_point_on_line():
-    line = Line.through((0, 0), (2, 1))
+    line = Line((0, 0), np.array([2.0, 1.0]) / math.sqrt(5))
     assert tubular_distances([[4, 2]], line)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tubular_diagonal_projection():
-    line = Line.through((0, 0), (1, 1))
+    line = Line((0, 0), np.array([1.0, 1.0]) / math.sqrt(2))
     assert tubular_distances([[1, 0]], line)[0] == pytest.approx(math.sqrt(2) / 2)
 
 

@@ -42,11 +42,11 @@ def test_first_sweep_loads_ndimage():
         "import sys\n"
         "import numpy as np\n"
         "from tdalab.complexes import FilteredCubicalGrid\n"
-        "from tdalab.persistence import PersistenceDiagram, compute_ph, naive_reduction_oracle, sublevel_ph0\n"
+        "from tdalab.persistence import PersistenceDiagram, compute_ph, naive_reduction_oracle, sublevel_ph0_stack\n"
         "top = np.round(np.random.default_rng(0).random((8, 8)), 1)\n"
         "top[2:4, 3:6] = np.inf\n"
         "print('scipy.ndimage' in sys.modules)\n"
-        "births, deaths = sublevel_ph0(top)\n"
+        "_, births, deaths = sublevel_ph0_stack(top[None])\n"
         "print('scipy.ndimage' in sys.modules)\n"
         "swept = PersistenceDiagram(np.column_stack([np.zeros(len(births)), births, deaths])).multiset()\n"
         "grid = FilteredCubicalGrid(top)\n"

@@ -26,7 +26,6 @@ from tdalab.persistence import (
     compute_ph,
     compute_ph0_unionfind,
     naive_reduction_oracle,
-    sublevel_ph0,
     sublevel_ph0_stack,
 )
 
@@ -99,11 +98,12 @@ class _BoundaryCofacets:
 
 def _reduce_cells(values, boundaries, drop_zero=True):
     """The engine on listed 2-cells: cofacets read off their boundary rows
-    by ``_BoundaryCofacets``, not enumerated from the edges."""
+    by ``_BoundaryCofacets``, not enumerated from the edges, and degree-0
+    pairs from the plain edge loop, not from the spanning forest."""
     cof = None
     if len(values[2]):
         cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
-    pairs0, _ = persistence._elder_union_find(len(values[0]), boundaries[1])
+    pairs0, _ = _edge_loop_union_find(len(values[0]), boundaries[1])
     return persistence._ph(values[0], values[1], pairs0, cof, 1, drop_zero)
 
 
@@ -303,8 +303,30 @@ def test_unionfind_matches_reduction_on_mask_components():
 
 
 # ---------------------------------------------------------------------------
-# degree 0 of cubical grids: the level sweep against the union-find
+# cubical grids: the level sweeps against the flag engine
 # ---------------------------------------------------------------------------
+
+
+def _pixel_flag_complex(grid):
+    """Flag complex of a grid's finite pixels: a vertex per pixel at its
+    value, an edge per 8-adjacent pair at the larger of the two. Pixels that
+    are pairwise 8-adjacent share a corner, so by the persistent nerve lemma
+    its diagram is the grid's."""
+    top = grid.top_values
+    i, j = np.nonzero(np.isfinite(top))
+    near = (np.abs(i[:, None] - i) <= 1) & (np.abs(j[:, None] - j) <= 1)
+    a, b = np.nonzero(np.triu(near, 1))
+    values = top[i, j]
+    return FilteredComplex(values, np.column_stack([a, b]), np.maximum(values[a], values[b]))
+
+
+def _cell_counts(grid):
+    """Finite corner vertices, edges and squares of a grid: a cell is finite
+    when one of its incident pixels is."""
+    f = np.pad(np.isfinite(grid.top_values), 1)
+    vertices = f[:-1, :-1] | f[1:, :-1] | f[:-1, 1:] | f[1:, 1:]
+    edges = int(np.sum(f[1:-1, :-1] | f[1:-1, 1:])) + int(np.sum(f[:-1, 1:-1] | f[1:, 1:-1]))
+    return int(vertices.sum()), edges, int(f.sum())
 
 
 def _tubular_grids(mask):
@@ -326,10 +348,22 @@ def _tied_grids(rng, count):
 
 
 def _assert_sweep_equals_union_find(grid):
-    # compute_ph at max_dim=1 reads degree 0 off the elder-rule union-find
-    for drop_zero in (True, False):
-        full = compute_ph(grid, 1, drop_zero=drop_zero).multiset()
-        assert compute_ph(grid, 0, drop_zero=drop_zero).multiset() == tuple(r for r in full if r[0] == 0)
+    # the grid's sweeps against the flag engine on its pixel flag complex:
+    # the union-find over the spanning forest for degree 0, the coboundary
+    # reduction for degree 1
+    pd = compute_ph(grid, 1)
+    flag = compute_ph(_pixel_flag_complex(grid), 1).multiset()
+    assert pd.multiset() == flag
+    assert compute_ph(grid, 0).multiset() == tuple(r for r in flag if r[0] == 0)
+    # every vertex starts a class; every edge kills a degree-0 class or
+    # starts a degree-1 one; every square kills a degree-1 class
+    raw = compute_ph(grid, 1, drop_zero=False)
+    v, e, s = _cell_counts(grid)
+    assert len(raw.in_dim(0)) == v
+    assert len(raw.finite_in_dim(0)) + len(raw.in_dim(1)) == e
+    assert len(raw.finite_in_dim(1)) == s
+    assert len(pd) <= len(raw)
+    assert compute_ph(grid, 0, drop_zero=False).multiset() == tuple(r for r in raw.multiset() if r[0] == 0)
 
 
 def test_sweep_equals_union_find_on_tubular_grids():
@@ -376,7 +410,7 @@ def test_sweep_in_blocks_equals_one_stack(monkeypatch):
 def test_sweep_edge_cases(top, expected):
     grid = FilteredCubicalGrid(np.array(top, dtype=float))
     assert compute_ph(grid, 0).multiset() == tuple(expected)
-    births, deaths = sublevel_ph0(grid.top_values)
+    _, births, deaths = sublevel_ph0_stack(grid.top_values[None])
     assert PersistenceDiagram(np.column_stack([np.zeros(len(births)), births, deaths])).multiset() == tuple(expected)
     for drop_zero in (True, False):
         oracle = naive_reduction_oracle(grid, 0, drop_zero=drop_zero).multiset()
@@ -384,13 +418,19 @@ def test_sweep_edge_cases(top, expected):
 
 
 @pytest.mark.parametrize(
-    "values",
-    [[[1.0, np.nan], [0.0, 1.0]], [[1.0, -np.inf], [0.0, 1.0]], [[np.inf, np.inf], [np.inf, np.inf]], [1.0, 2.0]],
+    "values, message",
+    [
+        ([[1.0, np.nan], [0.0, 1.0]], "finite or \\+inf cells"),
+        ([[1.0, -np.inf], [0.0, 1.0]], "finite or \\+inf cells"),
+        ([[np.inf, np.inf], [np.inf, np.inf]], "grid 0 has no finite cell"),
+        ([1.0, 2.0], "3-D stack"),
+    ],
     ids=["nan", "-inf", "no-finite-cell", "1-d"],
 )
-def test_sweep_rejects_bad_values(values):
-    with pytest.raises(ValueError, match="finite or \\+inf cells"):
-        sublevel_ph0(np.array(values))
+def test_sweep_rejects_bad_values(values, message):
+    # a stack of the one grid
+    with pytest.raises(ValueError, match=message):
+        sublevel_ph0_stack(np.array(values)[None])
 
 
 def _tied_stacks(rng, count):
@@ -421,7 +461,7 @@ def test_stacked_sweep_equals_each_grid_alone(monkeypatch):
     for stack in stacks:
         per_grid = []
         for values in stack:
-            classes = _classes(*sublevel_ph0(values))
+            classes = _classes(*sublevel_ph0_stack(values[None])[1:])
             grid = FilteredCubicalGrid(values)
             assert classes == sorted(map(tuple, compute_ph(grid, 1).in_dim(0).tolist()))
             if len(values) <= 5:
@@ -467,30 +507,8 @@ def test_sweep_on_disconnected_mask():
 
 
 # ---------------------------------------------------------------------------
-# both degrees of a grid: degree 0 of pixel graphs, degree 1 by duality
+# grid degree 1 by duality
 # ---------------------------------------------------------------------------
-
-
-def _pixel_flag_complex(grid):
-    """Flag complex of a grid's finite pixels: a vertex per pixel at its
-    value, an edge per 8-adjacent pair at the larger of the two. Pixels that
-    are pairwise 8-adjacent share a corner, so by the persistent nerve lemma
-    its diagram is the grid's."""
-    top = grid.top_values
-    i, j = np.nonzero(np.isfinite(top))
-    near = (np.abs(i[:, None] - i) <= 1) & (np.abs(j[:, None] - j) <= 1)
-    a, b = np.nonzero(np.triu(near, 1))
-    values = top[i, j]
-    return FilteredComplex(values, np.column_stack([a, b]), np.maximum(values[a], values[b]))
-
-
-def _cell_counts(grid):
-    """Finite corner vertices, edges and squares of a grid: a cell is finite
-    when one of its incident pixels is."""
-    f = np.pad(np.isfinite(grid.top_values), 1)
-    vertices = f[:-1, :-1] | f[1:, :-1] | f[:-1, 1:] | f[1:, 1:]
-    edges = int(np.sum(f[1:-1, :-1] | f[1:-1, 1:])) + int(np.sum(f[:-1, 1:-1] | f[1:, 1:-1]))
-    return int(vertices.sum()), edges, int(f.sum())
 
 
 def _nerve_grids():
@@ -514,22 +532,13 @@ def _nerve_grids():
 def test_grid_ph_equals_pixel_flag_complex_and_counts_cells():
     sizes = []
     for grid in _nerve_grids():
-        pd = compute_ph(grid, 1)
-        flag = _pixel_flag_complex(grid)
-        sizes.append(flag.n_vertices)
-        assert pd.multiset() == compute_ph(flag, 1).multiset()
-        # every vertex starts a class; every edge kills a degree-0 class or
-        # starts a degree-1 one; every square kills a degree-1 class
-        raw = compute_ph(grid, 1, drop_zero=False)
-        v, e, s = _cell_counts(grid)
-        assert len(raw.in_dim(0)) == v
-        assert len(raw.finite_in_dim(0)) + len(raw.in_dim(1)) == e
-        assert len(raw.finite_in_dim(1)) == s
-        assert len(pd) <= len(raw)
+        _assert_sweep_equals_union_find(grid)
+        sizes.append(int(np.isfinite(grid.top_values).sum()))
     assert max(sizes) > 600  # far beyond the oracle's reach
 
 
 _I = np.inf
+_MAX = np.finfo(float).max
 
 
 @pytest.mark.parametrize(
@@ -544,8 +553,16 @@ _I = np.inf
         ([[1.0, 1.0, 1.0], [1.0, 2.0, 2.0], [1.0, 1.0, 1.0]], []),
         # the pixel at 2 splits one hole in two: (2, 4) dies first
         ([[_I] * 5, [1.0] * 5, [1.0, 5.0, 2.0, 4.0, 1.0], [1.0] * 5, [_I] * 5], [(1.0, 5.0), (2.0, 4.0)]),
+        # the +inf cell enters the dual at -inf, below every finite cell: a
+        # floor of min - 1 would equal -3e20 in floating point, and the
+        # float one step below -_MAX is -inf itself
+        ([[1e20, 3e20, 1e20], [3e20, _I, 3e20], [1e20, 3e20, 1e20]], [(3e20, math.inf)]),
+        ([[-_MAX, _MAX, -_MAX], [_MAX, _I, _MAX], [-_MAX, _MAX, -_MAX]], [(_MAX, math.inf)]),
     ],
-    ids=["1x1", "no-hole", "corners-enclose", "open-to-border", "fills-as-it-closes", "two-holes-merge"],
+    ids=[
+        "1x1", "no-hole", "corners-enclose", "open-to-border", "fills-as-it-closes", "two-holes-merge",
+        "large-values", "float-range",
+    ],
 )
 def test_grid_dim1_duality_edge_cases(top, holes):
     grid = FilteredCubicalGrid(np.array(top, dtype=float))
@@ -681,10 +698,10 @@ def test_forest_union_find_equals_edge_loop():
     for cx in _forest_graphs():
         v_values, rows = persistence._flag_cells(cx)
         forest = persistence._spanning_forest(cx.n_vertices, cx.edges)
-        pairs, cycle = persistence._elder_union_find(len(v_values), rows, forest)
+        pairs = persistence._elder_union_find(len(v_values), rows, forest)
         ref_pairs, ref_cycle = _edge_loop_union_find(len(v_values), rows)
+        assert pairs.dtype == np.int64 and pairs.shape == ref_pairs.shape
         assert np.array_equal(pairs, ref_pairs)
-        assert np.array_equal(cycle, ref_cycle)
         assert np.array_equal(forest, np.nonzero(~ref_cycle)[0])
         # scipy agrees on the forest when each edge weighs its position + 1
         n = cx.n_vertices
@@ -701,9 +718,8 @@ def test_forest_union_find_keeps_the_diagrams():
 
 
 def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
-    # both degrees of a grid are degree 0 of a pixel graph, one vertex per
-    # pixel: a dense forest of a 200-side mask would take gigabytes, so
-    # pixel graphs keep the edge loop
+    # both degrees of a grid come from level sweeps over its cells: a dense
+    # forest of a 200-side mask's pixels would take gigabytes
     def dense(*args):
         raise AssertionError("dense spanning forest built")
 
@@ -720,6 +736,22 @@ def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
     for grid in list(_tubular_grids(BinaryMask(cells, (0.0, 0.0), 200.0)))[:1]:
         pd = compute_ph(grid, 1)
         assert int(np.isinf(pd.in_dim(1)[:, 1]).sum()) == 1
+
+
+@pytest.mark.parametrize("max_dim", [0, 1])
+def test_grid_ph_never_runs_the_union_find(monkeypatch, max_dim):
+    # the union-find serves flag complexes only; the recorder is live, as
+    # the flag complex's one call shows
+    calls = []
+    real = persistence._elder_union_find
+    monkeypatch.setattr(persistence, "_elder_union_find", lambda *args: calls.append(args) or real(*args))
+    compute_ph(rips_complex(_dm(RNG.random((5, 2)))), max_dim=max_dim)
+    assert len(calls) == 1
+    grids = list(_tied_grids(np.random.default_rng(78), 20))
+    grids += list(_tubular_grids(rasterize(gen_random_concave_polygon(2), 30)))
+    for grid in grids:
+        compute_ph(grid, max_dim)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from tdalab.io import report_to_json
 from tdalab.learn import Standardizer, accuracy, kfold_splits, knn_fit_predict, mse
 import tdalab.persistence as persistence
 import tdalab.pipelines as pipelines
-from tdalab.persistence import PersistenceDiagram, compute_ph, sublevel_ph0, sublevel_ph0_stack
+from tdalab.persistence import PersistenceDiagram, compute_ph, sublevel_ph0_stack
 from tdalab.pipelines import (
     ConvexityConfig,
     CurvatureConfig,
@@ -160,8 +160,9 @@ def test_concavity_features_equal_union_find_route():
 
 
 def _per_line_concavity(mask, normalize):
-    """Concavity features with one ``sublevel_ph0`` call per line, each on
-    the box of occupied cells filled with that line's values alone."""
+    """Concavity features with one ``sublevel_ph0_stack`` call per line,
+    each on a stack of one grid: the box of occupied cells filled with that
+    line's values alone."""
     lines = default_lines(mask)
     cell = mask.cell_size
     ix, iy = np.nonzero(mask.cells)
@@ -172,7 +173,7 @@ def _per_line_concavity(mask, normalize):
     for i, line in enumerate(lines.lines):
         values = cell_units(tubular_distances(centers, line), cell)
         box[ix, iy] = values
-        births, deaths = sublevel_ph0(box)
+        _, births, deaths = sublevel_ph0_stack(box[None])
         out[i] = _second_persistence(births, deaths, float(values.max()))
     if normalize:
         out /= len(ix)
