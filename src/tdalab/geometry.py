@@ -133,14 +133,6 @@ class Line:
         object.__setattr__(self, "anchor", _frozen_array(a))
         object.__setattr__(self, "direction", _frozen_array(d))
 
-    @classmethod
-    def horizontal(cls, y: float) -> "Line":
-        return cls((0.0, y), (1.0, 0.0))
-
-    @classmethod
-    def vertical(cls, x: float) -> "Line":
-        return cls((x, 0.0), (0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -308,10 +300,12 @@ def dtm(matrix: DistanceMatrix, m: float) -> Array:
     return np.sqrt(np.mean(rows**2, axis=1))
 
 
-def tubular_distances(points: Array, line: Line) -> Array:
-    """Euclidean distances from an (n, 2) array of planar points to an infinite line."""
-    rel = np.asarray(points, dtype=float).reshape(-1, 2) - line.anchor
-    return np.abs(rel[:, 0] * line.direction[1] - rel[:, 1] * line.direction[0])
+def tubular_distances(points: Array, line) -> Array:
+    """Euclidean distances from an (n, 2) array of planar points to an
+    infinite line: (n,) for a ``Line``, and (m, n) for lines given as (m, 2)
+    arrays ``anchor`` and unit ``direction``, such as a ``LineSet``."""
+    rel = np.asarray(points, dtype=float).reshape(-1, 2) - line.anchor[..., None, :]
+    return np.abs(rel[..., 0] * line.direction[..., 1, None] - rel[..., 1] * line.direction[..., 0, None])
 
 
 # ---------------------------------------------------------------------------

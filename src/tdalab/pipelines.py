@@ -56,9 +56,16 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import PersistenceDiagram, compute_ph, sublevel_ph0_stack
+from .persistence import compute_ph, sublevel_ph0_stack
 from .seeding import derive_seed, generator
-from .signatures import FinitePoints, ImageScheme, LandscapeScheme, finite_points, lifespans_matrix
+from .signatures import (
+    FinitePoints,
+    image_ranges,
+    image_stack,
+    landscape_matrix,
+    landscape_range,
+    lifespans_matrix,
+)
 
 Array = np.ndarray
 
@@ -139,7 +146,10 @@ def train_test_split_indices(labels, test_fraction: float, seed: int, stratify: 
 
 PI_SIGMAS = (0.1, 0.5, 1.0, 10.0)
 PI_WEIGHT_GRID = ("1", "y", "y2")
+PI_RESOLUTION = 10  # image side, in cells
 PL_TOPS = (1, 10, None)
+PL_RESOLUTION = 100  # samples per landscape level
+PL_LEVELS = 10  # levels of a landscape: min(top, PL_LEVELS), or PL_LEVELS uncut
 
 
 def signature_grid() -> list:
@@ -168,12 +178,14 @@ def _signatures(run, fit_on: FinitePoints):
     if kind == "lifespans":
         return lambda points: [lifespans_matrix(points, params["k"])]
     if kind == "pi":
-        scheme = ImageScheme(dim=fit_on.dim, sigma=params["sigma"], weight=params["weight"]).fit(fit_on)
-        weights = [p["weight"] for _, p in run]
-        return lambda points: scheme.stack(points, weights)
+        sigma, weights = params["sigma"], [p["weight"] for _, p in run]
+        ranges = image_ranges(fit_on, sigma)
+        return lambda points: image_stack(points, PI_RESOLUTION, sigma, weights, *ranges)
     if kind == "pl":
-        scheme = LandscapeScheme(dim=fit_on.dim, top=params["top"]).fit(fit_on)
-        return lambda points: [scheme.matrix(points)]
+        top = params["top"]
+        levels = min(top or PL_LEVELS, PL_LEVELS)
+        t_range = landscape_range(fit_on)
+        return lambda points: [landscape_matrix(points.longest(top), PL_RESOLUTION, levels, t_range)]
     raise ValueError(f"unknown signature kind: {kind!r}")
 
 
@@ -187,7 +199,9 @@ def _knn_search(
     its ranges fit on the training fold; a run of images of one sigma is
     vectorized together, sharing its ranges and Gaussian factors. Each
     validation row's neighbours are ranked once per (fold, candidate) and
-    every k is scored from that ranking. Returns (candidate index, k, mean
+    every k is scored from that ranking. Each matrix is standardized in
+    place, with the operations of ``Standardizer.transform``, so no raw
+    matrix is kept while it is scored. Returns (candidate index, k, mean
     score); ties keep the earliest (candidate, k).
     """
     labels = np.asarray(labels, dtype=float)
@@ -201,9 +215,10 @@ def _knn_search(
             vectorize = _signatures(run, fit_on)
             for X_tr, X_va in zip(vectorize(fit_on), vectorize(val)):
                 std = Standardizer.fit(X_tr)
-                row += knn_grid_scores(
-                    std.transform(X_tr), labels[tr], std.transform(X_va), labels[va], grid, mode
-                )
+                for X in (X_tr, X_va):
+                    np.subtract(X, std.mean, out=X)
+                    np.divide(X, std.std, out=X)
+                row += knn_grid_scores(X_tr, labels[tr], X_va, labels[va], grid, mode)
         fold_scores.append(row)
     best, score, _ = select_by_mean(fold_scores, maximize=classify)
     return best // len(grid), grid[best % len(grid)], score
@@ -281,13 +296,6 @@ def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_f
     return _capped_dim1_pairs(graph, cap_factor * r_full)
 
 
-def _pair_points(pairs, dim: int) -> FinitePoints:
-    """The FinitePoints of diagrams given as arrays of finite (birth, death)
-    pairs in one dimension, one array per diagram."""
-    rows = [np.column_stack([np.full(len(p), float(dim)), p]) for p in pairs]
-    return finite_points([PersistenceDiagram(r) for r in rows], dim)
-
-
 def holes_pipeline(
     dataset: LabeledDataset,
     transform=None,
@@ -328,11 +336,11 @@ def holes_pipeline(
     ]
     all_pairs = _map_items(_weighted_dim1_diagram, args, config.jobs)
 
-    train_points = _pair_points([all_pairs[i] for i in train_idx], 1)
+    train_points = FinitePoints.from_pairs([all_pairs[i] for i in train_idx], 1)
     (kind, params), best_k, predict = _fit_knn(
         train_points, labels[train_idx], candidates, config.knn_grid, "classify", seed
     )
-    clean_preds = predict(_pair_points([all_pairs[i] for i in test_idx], 1))
+    clean_preds = predict(FinitePoints.from_pairs([all_pairs[i] for i in test_idx], 1))
     regimes = [Regime("clean", "accuracy", accuracy(clean_preds, labels[test_idx]))]
 
     for t_idx, spec in enumerate(transforms):
@@ -344,7 +352,7 @@ def holes_pipeline(
                 (moved.points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
             )
         t_pairs = _map_items(_weighted_dim1_diagram, t_args, config.jobs)
-        t_preds = predict(_pair_points(t_pairs, 1))
+        t_preds = predict(FinitePoints.from_pairs(t_pairs, 1))
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
     ids = [f"{i:04d}:{dataset.meta['shape_ids'][i]}" for i in test_idx]
@@ -411,8 +419,8 @@ def curvature_pipeline(
     regimes = []
     key_preds = None
     for dim in (0, 1):
-        points_tr = _pair_points([p[dim] for p in train_pairs], dim)
-        points_te = _pair_points([p[dim] for p in test_pairs], dim)
+        points_tr = FinitePoints.from_pairs([p[dim] for p in train_pairs], dim)
+        points_te = FinitePoints.from_pairs([p[dim] for p in test_pairs], dim)
         max_len = max(1, int(points_tr.counts.max(initial=0)))
         tables = {
             "simple": [("lifespans", {"k": max_len})],
@@ -453,17 +461,20 @@ def curvature_pipeline(
 
 @dataclass(frozen=True)
 class LineSet:
-    """Named tubular-filtration lines derived from a mask's occupied box."""
+    """Named tubular-filtration lines derived from a mask's occupied box:
+    row i is the line through ``anchor[i]`` along the unit ``direction[i]``."""
 
-    lines: tuple
+    anchor: Array
+    direction: Array
     names: tuple
 
-    def __post_init__(self):
-        if len(self.lines) != len(self.names):
-            raise ValueError("lines and names must align")
-
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.names)
+
+    @property
+    def lines(self) -> tuple:
+        """The lines as validated ``Line`` objects, in order."""
+        return tuple(Line(a, d) for a, d in zip(self.anchor, self.direction))
 
 
 LINE_NAMES = (
@@ -477,44 +488,31 @@ LINE_NAMES = (
     "antidiag",
     "mid45",
 )
-
-
-def occupied_box(mask: BinaryMask) -> tuple:
-    """Outer physical bounds (x0, x1, y0, y1) of the occupied cells."""
-    ix, iy = np.nonzero(mask.cells)
-    cell = mask.cell_size
-    x0 = mask.origin[0] + ix.min() * cell
-    x1 = mask.origin[0] + (ix.max() + 1) * cell
-    y0 = mask.origin[1] + iy.min() * cell
-    y1 = mask.origin[1] + (iy.max() + 1) * cell
-    return float(x0), float(x1), float(y0), float(y1)
+_DIAG = math.sqrt(0.5)  # a unit vector's coordinates at 45 degrees
+_LINE_DIRECTIONS = np.array([(1.0, 0.0)] * 3 + [(0.0, 1.0)] * 3 + [(_DIAG, _DIAG), (-_DIAG, _DIAG), (_DIAG, _DIAG)])
+_LINE_DIRECTIONS.setflags(write=False)
 
 
 def default_lines(mask: BinaryMask) -> LineSet:
-    """Nine lines spanning the occupied box: three horizontals, three
-    verticals, diagonal lines through the lower corners, and a 45-degree
-    line through the bottom-center.
+    """Nine lines spanning the box of occupied cells, (x0, y0) to (x1, y1)
+    at the cells' outer edges: three horizontals, three verticals, diagonal
+    lines through the lower corners, and a 45-degree line through the
+    bottom-center.
 
     Oblique directions are fixed at exactly 45 degrees (not the box aspect)
     and anchored on the cell lattice: pixel distances to such lines tie
     along diagonal runs, so rasterization cannot split a convex shape into
     short-lived components.
     """
-    x0, x1, y0, y1 = occupied_box(mask)
+    ix, iy = np.nonzero(mask.cells)
+    x0, y0 = mask.origin + np.array([ix.min(), iy.min()]) * mask.cell_size
+    x1, y1 = mask.origin + (np.array([ix.max(), iy.max()]) + 1) * mask.cell_size
     xc, yc = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    s = math.sqrt(0.5)
-    lines = (
-        Line.horizontal(y0),
-        Line.horizontal(yc),
-        Line.horizontal(y1),
-        Line.vertical(x0),
-        Line.vertical(xc),
-        Line.vertical(x1),
-        Line((x0, y0), (s, s)),
-        Line((x1, y0), (-s, s)),
-        Line((xc, y0), (s, s)),
+    anchor = np.array(
+        [(0.0, y0), (0.0, yc), (0.0, y1), (x0, 0.0), (xc, 0.0), (x1, 0.0), (x0, y0), (x1, y0), (xc, y0)]
     )
-    return LineSet(lines, LINE_NAMES)
+    anchor.setflags(write=False)
+    return LineSet(anchor, _LINE_DIRECTIONS, LINE_NAMES)
 
 
 def cell_units(values: Array, cell: float) -> Array:
@@ -548,25 +546,22 @@ def concavity_features(mask: BinaryMask, normalize: bool = False) -> Array:
     Lifespans are measured in ``cell_units``; the vector is invariant under
     translating or uniformly scaling the mask extent.
     ``normalize`` divides by the occupied-cell count (area-relative mode).
-    Each line's values fill one grid of a stack over the box of occupied
-    cells, +inf elsewhere, and one ``sublevel_ph0_stack`` call reads the
-    components of all the lines off it.
+    The distances of the occupied cells to all nine lines are one array;
+    each line's distances fill one grid of a stack, +inf off the mask, and one
+    ``sublevel_ph0_stack`` call reads the components of all the lines off it.
     """
     lines = default_lines(mask)
-    cell = mask.cell_size
-    ix, iy = np.nonzero(mask.cells)
-    centers = mask.cell_centers()[ix, iy]
-    ix, iy = ix - ix.min(), iy - iy.min()
-    values = np.array([cell_units(tubular_distances(centers, line), cell) for line in lines.lines])
-    box = np.full((len(lines), ix.max() + 1, iy.max() + 1), np.inf)
-    box[:, ix, iy] = values
-    grid, births, deaths = sublevel_ph0_stack(box)
+    centers = mask.cell_centers()[mask.cells]
+    values = cell_units(tubular_distances(centers, lines), mask.cell_size)
+    stack = np.full((len(lines), mask.side, mask.side), np.inf)
+    stack[:, mask.cells] = values
+    grid, births, deaths = sublevel_ph0_stack(stack)
     out = np.empty(len(lines))
     for i, end_value in enumerate(values.max(axis=1).tolist()):
         on = grid == i
         out[i] = _second_persistence(births[on], deaths[on], end_value)
     if normalize:
-        out /= len(ix)
+        out /= len(centers)
     return out
 
 

@@ -3,19 +3,21 @@
 Top-k lifespans, persistence images (Gaussian bumps on the
 birth/lifespan plane), persistence landscapes (stacked triangle
 functions), and scalar summaries. Infinite intervals are dropped by every
-scheme: the one essential degree-0 class is shared by all shapes and
-carries no signal.
+vectorization: the one essential degree-0 class is shared by all shapes
+and carries no signal.
 
 Each vectorization has a batch form (``lifespans_matrix``,
-``image_matrix``, ``landscape_matrix``) over the ``FinitePoints`` of a list
-of diagrams, one row per diagram; the single-diagram functions are its
-one-row case. ``image_stack`` computes the images of several weights at
-once, and ``image_matrix`` is its one-weight case.
+``image_stack``, ``landscape_matrix``) over the ``FinitePoints`` of a list
+of diagrams, one row per diagram; ``image_stack`` computes the images of
+several weights at once. Data-driven value ranges come from
+``image_ranges`` and ``landscape_range``, fit on the points of training
+diagrams and reused unchanged at test time. The single-diagram functions
+are the one-row case of the same range function and batch kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,6 +63,16 @@ class FinitePoints:
         self.lives = deaths - births
         self.bounds = bounds
 
+    @classmethod
+    def from_pairs(cls, pairs, dim: int) -> "FinitePoints":
+        """The points of diagrams given as arrays of finite (birth, death)
+        pairs of dimension ``dim``, one array per diagram, each in the
+        (birth, death) order ``PersistenceDiagram.finite_in_dim`` returns."""
+        flat = np.concatenate(pairs) if len(pairs) else np.empty((0, 2))
+        bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
+        bounds[1:] = np.cumsum([len(p) for p in pairs])
+        return cls(dim, flat[:, 0].copy(), flat[:, 1].copy(), bounds)
+
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
@@ -88,6 +100,8 @@ class FinitePoints:
 
     def longest(self, top: int | None) -> "FinitePoints":
         """Each diagram cut to its ``top`` longest intervals (None keeps all)."""
+        if top is not None and top < 1:
+            raise ValueError("top must be at least 1")
         counts = self.counts
         if top is None or not np.any(counts > top):
             return self
@@ -102,19 +116,7 @@ class FinitePoints:
 
 def finite_points(diagrams, dim: int) -> FinitePoints:
     """The finite points of the diagrams in one dimension, extracted once."""
-    pts = [pd.finite_in_dim(dim) for pd in diagrams]
-    flat = np.concatenate(pts) if pts else np.empty((0, 2))
-    bounds = np.zeros(len(pts) + 1, dtype=np.int64)
-    bounds[1:] = np.cumsum([len(p) for p in pts])
-    return FinitePoints(dim, flat[:, 0].copy(), flat[:, 1].copy(), bounds)
-
-
-def _points(diagrams, dim: int) -> FinitePoints:
-    if not isinstance(diagrams, FinitePoints):
-        return finite_points(diagrams, dim)
-    if diagrams.dim != dim:
-        raise ValueError(f"points are of dimension {diagrams.dim}, not {dim}")
-    return diagrams
+    return FinitePoints.from_pairs([pd.finite_in_dim(dim) for pd in diagrams], dim)
 
 
 def _blocks(points: FinitePoints):
@@ -176,54 +178,21 @@ def _check_image(resolution: int, sigma: float, weight: str) -> None:
     _weight_values(weight, np.zeros(1))
 
 
-@dataclass(frozen=True)
-class ImageScheme:
-    """Persistence-image scheme; the value range is fitted once on training
-    diagrams and reused unchanged at test time."""
-
-    dim: int
-    resolution: int = 10
-    sigma: float = 0.1
-    weight: str = "y"
-    birth_range: tuple | None = None
-    life_range: tuple | None = None
-
-    def __post_init__(self):
-        _check_image(self.resolution, self.sigma, self.weight)
-
-    def fit(self, diagrams) -> "ImageScheme":
-        """Return a copy with ranges covering the given diagrams (a list of
-        diagrams or their FinitePoints)."""
-        pts = _points(diagrams, self.dim)
-        if len(pts.births):
-            b_lo, b_hi = float(pts.births.min()), float(pts.births.max())
-            l_hi = float(pts.lives.max())
-        else:
-            b_lo = b_hi = 0.0
-            l_hi = 0.0
-        if b_hi <= b_lo:
-            b_lo, b_hi = b_lo - 4 * self.sigma, b_hi + 4 * self.sigma
-        if l_hi <= 0:
-            l_hi = 4 * self.sigma
-        return replace(self, birth_range=(b_lo, b_hi), life_range=(0.0, l_hi))
-
-    def matrix(self, points: FinitePoints) -> Array:
-        """One image row per diagram; an unfitted scheme is fitted on them."""
-        return self.stack(points, (self.weight,))[0]
-
-    def stack(self, points: FinitePoints, weights) -> Array:
-        """``matrix`` with the scheme's weight replaced by each of
-        ``weights`` in turn, stacked: the ranges do not depend on the
-        weight, and the images share their Gaussian factors."""
-        scheme = self if self.birth_range is not None else self.fit(points)
-        return image_stack(
-            _points(points, self.dim),
-            scheme.resolution,
-            scheme.sigma,
-            weights,
-            scheme.birth_range,
-            scheme.life_range,
-        )
+def image_ranges(points: FinitePoints, sigma: float) -> tuple:
+    """(birth_range, life_range) of persistence images covering the points:
+    births from least to greatest, lifespans from 0 to the longest, each
+    widened by 4 sigma when it is empty."""
+    if len(points.births):
+        b_lo, b_hi = float(points.births.min()), float(points.births.max())
+        l_hi = float(points.lives.max())
+    else:
+        b_lo = b_hi = 0.0
+        l_hi = 0.0
+    if b_hi <= b_lo:
+        b_lo, b_hi = b_lo - 4 * sigma, b_hi + 4 * sigma
+    if l_hi <= 0:
+        l_hi = 4 * sigma
+    return (b_lo, b_hi), (0.0, l_hi)
 
 
 def image_stack(
@@ -276,11 +245,6 @@ def image_stack(
     return image
 
 
-def image_matrix(points: FinitePoints, resolution: int, sigma: float, weight: str, birth_range, life_range) -> Array:
-    """Per diagram, the image of one weight: ``image_stack`` of that weight."""
-    return image_stack(points, resolution, sigma, (weight,), birth_range, life_range)[0]
-
-
 def persistence_image(
     pd: PersistenceDiagram,
     dim: int,
@@ -292,14 +256,13 @@ def persistence_image(
 ) -> SignatureVector:
     """Sum of weighted Gaussian bumps on the (birth, lifespan) plane,
     integrated per grid cell by center-point evaluation times cell area.
-    A missing range is fitted on the diagram itself."""
+    A missing range is fitted on the diagram itself by ``image_ranges``."""
+    pts = finite_points([pd], dim)
     if birth_range is None or life_range is None:
-        fitted = ImageScheme(dim, resolution, sigma, weight).fit([pd])
-        birth_range = birth_range or fitted.birth_range
-        life_range = life_range or fitted.life_range
-    values = image_matrix(
-        finite_points([pd], dim), resolution, sigma, weight, birth_range, life_range
-    )[0]
+        fitted_birth, fitted_life = image_ranges(pts, sigma)
+        birth_range = birth_range or fitted_birth
+        life_range = life_range or fitted_life
+    values = image_stack(pts, resolution, sigma, (weight,), birth_range, life_range)[0, 0]
     return SignatureVector(values)
 
 
@@ -308,49 +271,14 @@ def persistence_image(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LandscapeScheme:
-    """Persistence-landscape scheme.
-
-    ``top`` truncates the diagram to its longest intervals before the
-    landscape is evaluated (None keeps all); the number of levels is
-    min(top or 10, 10). The sampling span is fitted on training diagrams.
-    """
-
-    dim: int
-    resolution: int = 100
-    top: int | None = None
-    t_range: tuple | None = None
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise ValueError("resolution must be at least 2")
-        if self.top is not None and self.top < 1:
-            raise ValueError("top must be at least 1")
-
-    @property
-    def levels(self) -> int:
-        return min(self.top, 10) if self.top is not None else 10
-
-    def fit(self, diagrams) -> "LandscapeScheme":
-        """Return a copy whose span covers the given diagrams (a list of
-        diagrams or their FinitePoints)."""
-        pts = _points(diagrams, self.dim)
-        if len(pts.births):
-            lo, hi = float(pts.births.min()), float(pts.deaths.max())
-        if not len(pts.births) or hi <= lo:
-            lo, hi = 0.0, 1.0
-        return replace(self, t_range=(lo, hi))
-
-    def matrix(self, points: FinitePoints) -> Array:
-        """One landscape row per diagram; an unfitted scheme is fitted on them."""
-        scheme = self if self.t_range is not None else self.fit(points)
-        return landscape_matrix(
-            _points(points, self.dim).longest(self.top),
-            scheme.resolution,
-            scheme.levels,
-            scheme.t_range,
-        )
+def landscape_range(points: FinitePoints) -> tuple:
+    """The span (t_lo, t_hi) of landscape samples covering the points: from
+    the least birth to the greatest death, or (0, 1) when that is empty."""
+    if len(points.births):
+        lo, hi = float(points.births.min()), float(points.deaths.max())
+    if not len(points.births) or hi <= lo:
+        lo, hi = 0.0, 1.0
+    return lo, hi
 
 
 def landscape_matrix(points: FinitePoints, resolution: int, levels: int, t_range: tuple) -> Array:
@@ -397,12 +325,12 @@ def persistence_landscape(
     diagram's ``top`` longest finite intervals (None keeps all).
 
     lambda_k(t) is the k-th largest of max(0, min(t - b, d - t)); levels are
-    concatenated in order k = 1..levels. A missing ``t_range`` is fitted as
-    ``LandscapeScheme.fit`` fits it, on all finite intervals before the cut.
+    concatenated in order k = 1..levels. A missing ``t_range`` is fitted by
+    ``landscape_range`` on all finite intervals before the cut.
     """
     pts = finite_points([pd], dim)
     if t_range is None:
-        t_range = LandscapeScheme(dim, resolution, top).fit(pts).t_range
+        t_range = landscape_range(pts)
     values = landscape_matrix(pts.longest(top), resolution, levels, t_range)[0]
     return SignatureVector(values)
 

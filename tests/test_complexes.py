@@ -165,7 +165,7 @@ def _mask(cells, width=None):
 
 def test_cubical_tubular_orders_rows():
     mask = _mask(np.ones((2, 2)))
-    grid = cubical_complex(mask, tubular_filtration(Line.horizontal(0.0)))
+    grid = cubical_complex(mask, tubular_filtration(Line((0.0, 0.0), (1.0, 0.0))))
     # bottom row (iy = 0) closer to the line than the top row
     assert np.all(grid.top_values[:, 0] < grid.top_values[:, 1])
 
@@ -173,7 +173,7 @@ def test_cubical_tubular_orders_rows():
 def test_cubical_single_cell_t_construction():
     cells = np.zeros((3, 3), dtype=bool)
     cells[1, 1] = True
-    grid = cubical_complex(_mask(cells), tubular_filtration(Line.horizontal(0.0)))
+    grid = cubical_complex(_mask(cells), tubular_filtration(Line((0.0, 0.0), (1.0, 0.0))))
     v = grid.top_values[1, 1]
     assert np.isfinite(v)
     assert np.isinf(grid.top_values[0, 0])

@@ -161,7 +161,7 @@ def test_dtm_rejects_bad_mass():
 
 
 def test_tubular_vertical_drop():
-    assert tubular_distances([[3, 4]], Line.horizontal(0.0)).tolist() == pytest.approx([4.0])
+    assert tubular_distances([[3, 4]], Line((0.0, 0.0), (1.0, 0.0))).tolist() == pytest.approx([4.0])
 
 
 def test_tubular_point_on_line():
@@ -189,7 +189,7 @@ def test_tubular_translation_invariance(px, py, tx, ty, angle):
 
 
 def test_tubular_reflection_invariance():
-    line = Line.horizontal(1.0)
+    line = Line((0.0, 1.0), (1.0, 0.0))
     p = RNG.uniform(-3, 3, (20, 2))
     mirrored = np.column_stack([p[:, 0], 2.0 - p[:, 1]])
     assert np.allclose(tubular_distances(p, line), tubular_distances(mirrored, line))

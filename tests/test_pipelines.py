@@ -17,6 +17,7 @@ from tdalab.datagen import (
     sample_constant_curvature_disk,
     sample_holes_shape,
 )
+import tdalab.geometry as geometry
 from tdalab.geometry import (
     BinaryMask,
     PointCloud,
@@ -60,9 +61,10 @@ from tdalab.pipelines import (
     train_test_split_indices,
 )
 from tdalab.signatures import (
-    ImageScheme,
-    LandscapeScheme,
+    FinitePoints,
     finite_points,
+    image_ranges,
+    landscape_range,
     lifespans_topk,
     persistence_image,
     persistence_landscape,
@@ -97,6 +99,32 @@ def test_default_lines_translate_with_mask():
         assert np.allclose(la.direction, lb.direction)
         # the translated line is the original line shifted with the mask
         assert tubular_distances([la.anchor + shift], lb)[0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_line_set_distances_equal_per_line_rows():
+    # one call over the nine lines gives each Line's distances, bit for bit
+    rng = np.random.default_rng(5)
+    masks = list(gen_polygon_masks(12, 30, 811).items)
+    masks += [BinaryMask(rng.random((7, 7)) < 0.5, tuple(rng.normal(0, 50, 2)), 0.37) for _ in range(5)]
+    masks += [BinaryMask(m.cells, (17.25, -4.5), m.width * 3.3) for m in masks[:4]]
+    for mask in masks:
+        lines = default_lines(mask)
+        points = np.concatenate([mask.cell_centers()[mask.cells], rng.normal(0, 100, (30, 2))])
+        rows = np.stack([tubular_distances(points, line) for line in lines.lines])
+        assert np.array_equal(tubular_distances(points, lines), rows)
+        assert lines.names == pipelines.LINE_NAMES and len(lines) == 9
+
+
+def test_concavity_features_build_no_line(monkeypatch):
+    # the nine lines stay two arrays; only ``LineSet.lines`` builds Lines
+    built = []
+    monkeypatch.setattr(geometry.Line, "__post_init__", lambda line: built.append(line))
+    masks = gen_polygon_masks(6, 30, 811).items
+    for mask in masks:
+        concavity_features(mask)
+        concavity_features(mask, normalize=True)
+    assert built == []
+    assert len(default_lines(masks[0]).lines) == len(built) == 9
 
 
 def test_full_square_tubular_single_interval_per_line():
@@ -434,14 +462,15 @@ def _per_config_search(diagrams, labels, dim, sig_configs, knn_grid, mode, seed)
         if kind == "lifespans":
             return np.stack([lifespans_topk(pd, dim, params["k"]).values for pd in diags])
         if kind == "pi":
-            s = ImageScheme(dim=dim, sigma=params["sigma"], weight=params["weight"]).fit(fit_on)
+            ranges = image_ranges(finite_points(fit_on, dim), params["sigma"])
             return np.stack([
-                persistence_image(pd, dim, s.resolution, s.sigma, s.weight, s.birth_range, s.life_range).values
+                persistence_image(pd, dim, 10, params["sigma"], params["weight"], *ranges).values
                 for pd in diags
             ])
-        s = LandscapeScheme(dim=dim, top=params["top"]).fit(fit_on)
+        top = params["top"]
+        t_range = landscape_range(finite_points(fit_on, dim))
         return np.stack([
-            persistence_landscape(pd, dim, s.resolution, s.levels, s.top, s.t_range).values for pd in diags
+            persistence_landscape(pd, dim, 100, min(top or 10, 10), top, t_range).values for pd in diags
         ])
 
     configs = [(sig, k) for sig in sig_configs for k in knn_grid]
@@ -544,6 +573,54 @@ def test_knn_search_images_of_one_sigma_together_equal_one_at_a_time(mode, monke
     alone = _knn_search(points, labels, grid, (1, 3, 5), mode, 4)
     assert together == alone
     assert fold_scores[0] == fold_scores[1]
+
+
+def test_knn_search_scores_matrices_standardized_by_transform(monkeypatch):
+    # the search standardizes in place; what it scores equals
+    # Standardizer.transform of the raw matrices, bit for bit
+    rng = np.random.default_rng(22)
+    diagrams = _search_diagrams(rng, 12, 1, 0.3)
+    labels = np.array([label % 3 for label in range(12)], dtype=float)
+    points = finite_points(diagrams, 1)
+    grid = signature_grid()
+    scored = _count_calls(monkeypatch, pipelines, "knn_grid_scores")
+    _knn_search(points, labels, grid, (1, 3), "classify", 4)
+    expected = []
+    for tr, va in kfold_splits(len(labels), 3, 4, labels):
+        fit_on, val = points.take(tr), points.take(va)
+        for run in pipelines._signature_runs(grid):
+            vectorize = pipelines._signatures(run, fit_on)
+            for X_tr, X_va in zip(vectorize(fit_on), vectorize(val)):
+                std = Standardizer.fit(X_tr)
+                expected.append((std.transform(X_tr), std.transform(X_va)))
+    assert len(scored) == len(expected) == 3 * len(grid)
+    for args, (X_tr, X_va) in zip(scored, expected):
+        assert np.array_equal(args[0], X_tr) and np.array_equal(args[2], X_va)
+
+
+def test_landscape_signature_levels():
+    # a landscape of the top 1 interval has one level; the top 10, or all
+    # intervals, have ten
+    diagrams = _search_diagrams(np.random.default_rng(9), 6, 1, 0.3)
+    points = finite_points(diagrams, 1)
+    assert (pipelines.PL_RESOLUTION, pipelines.PL_LEVELS) == (100, 10)
+    for top, levels in ((1, 1), (10, 10), (None, 10)):
+        (matrix,) = pipelines._signatures([("pl", {"top": top})], points)(points)
+        assert matrix.shape == (len(diagrams), levels * pipelines.PL_RESOLUTION)
+
+
+def test_worker_pairs_make_the_points_of_their_diagrams():
+    # the workers' pair arrays come from finite_in_dim, already in the
+    # (birth, death) order a diagram sorts them into
+    clouds = [sample_constant_curvature_disk(kappa, 40, 3) for kappa in (-2.0, 0.0, 2.0)]
+    pairs = [_curvature_worker(cloud, CurvatureConfig().cap_factor) for cloud in clouds]
+    for dim in (0, 1):
+        arrays = [p[dim] for p in pairs] + [np.empty((0, 2))]
+        diagrams = [PersistenceDiagram(np.column_stack([np.full(len(a), float(dim)), a])) for a in arrays]
+        got, want = FinitePoints.from_pairs(arrays, dim), finite_points(diagrams, dim)
+        for a, b in ((got.births, want.births), (got.deaths, want.deaths), (got.bounds, want.bounds)):
+            assert np.array_equal(a, b)
+    assert len(FinitePoints.from_pairs([], 1)) == 0
 
 
 @pytest.mark.parametrize("mode", ["pi", "pl"])

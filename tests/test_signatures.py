@@ -9,14 +9,13 @@ from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import (
     BLOCK_ROWS,
     PI_WEIGHTS,
-    ImageScheme,
-    LandscapeScheme,
     SignatureVector,
     _blocks,
     finite_points,
-    image_matrix,
+    image_ranges,
     image_stack,
     landscape_matrix,
+    landscape_range,
     lifespans_matrix,
     lifespans_topk,
     persistence_image,
@@ -113,12 +112,13 @@ def test_image_two_identical_intervals_double():
     assert np.allclose(two.values, 2 * one.values)
 
 
-def test_image_scheme_fit_reused_on_new_diagram():
+def test_image_ranges_reused_on_new_diagram():
     train = [_pd([[0, 0, 1], [0, 1, 4]]), _pd([[0, 0.5, 2]])]
-    scheme = ImageScheme(dim=0, sigma=0.5, weight="1").fit(train)
-    assert scheme.birth_range == (0.0, 1.0)
-    assert scheme.life_range == (0.0, 3.0)
-    row = scheme.matrix(finite_points([_pd([[0, 10, 20]])], 0))  # far outside the fitted range
+    birth_range, life_range = image_ranges(finite_points(train, 0), 0.5)
+    assert birth_range == (0.0, 1.0)
+    assert life_range == (0.0, 3.0)
+    far = finite_points([_pd([[0, 10, 20]])], 0)  # far outside the fitted range
+    row = image_stack(far, 10, 0.5, ("1",), birth_range, life_range)[0]
     assert np.all(np.isfinite(row))
 
 
@@ -172,10 +172,15 @@ def test_landscape_top_truncation():
     assert vec.values[1] == pytest.approx(1.0)  # t=1 on the long tent
 
 
-def test_landscape_scheme_levels():
-    assert LandscapeScheme(dim=0, top=1).levels == 1
-    assert LandscapeScheme(dim=0, top=10).levels == 10
-    assert LandscapeScheme(dim=0, top=None).levels == 10
+@pytest.mark.parametrize("t_range", [None, (0.0, 2.0)])
+@pytest.mark.parametrize("top", [0, -1])
+def test_landscape_rejects_top_below_one(top, t_range):
+    # a cut to no interval was a zero vector when t_range was given
+    pd = _pd([[0, 0, 2], [0, 0.5, 1]])
+    with pytest.raises(ValueError, match="top must be at least 1"):
+        persistence_landscape(pd, 0, resolution=5, levels=1, top=top, t_range=t_range)
+    with pytest.raises(ValueError, match="top must be at least 1"):
+        finite_points([pd], 0).longest(top)
 
 
 def test_landscape_empty_diagram():
@@ -207,13 +212,10 @@ def _random_diagrams(rng, dim=1):
     return diagrams
 
 
-def _image_rows(scheme, diagrams):
-    """The single-diagram images at the scheme's fitted ranges."""
+def _image_rows(diagrams, sigma, weight, birth_range, life_range):
+    """The single-diagram images of dimension 1 at the given ranges."""
     return np.stack([
-        persistence_image(
-            pd, scheme.dim, scheme.resolution, scheme.sigma, scheme.weight,
-            scheme.birth_range, scheme.life_range,
-        ).values
+        persistence_image(pd, 1, 10, sigma, weight, birth_range, life_range).values
         for pd in diagrams
     ])
 
@@ -231,12 +233,11 @@ def test_batch_lifespans_equal_single_rows():
 def test_batch_images_equal_single_rows(weight, sigma):
     diagrams = _random_diagrams(np.random.default_rng(1))
     points = finite_points(diagrams, 1)
-    scheme = ImageScheme(dim=1, sigma=sigma, weight=weight).fit(points)
-    assert scheme == ImageScheme(dim=1, sigma=sigma, weight=weight).fit(diagrams)
-    rows = _image_rows(scheme, diagrams)
-    assert np.array_equal(scheme.matrix(points), rows)
+    ranges = image_ranges(points, sigma)
+    rows = _image_rows(diagrams, sigma, weight, *ranges)
+    assert np.array_equal(image_stack(points, 10, sigma, (weight,), *ranges)[0], rows)
     # the per-diagram arithmetic the batch replaces: one einsum per diagram
-    (b_lo, b_hi), (l_lo, l_hi) = scheme.birth_range, scheme.life_range
+    (b_lo, b_hi), (l_lo, l_hi) = ranges
     bw, lw = (b_hi - b_lo) / 10, (l_hi - l_lo) / 10
     bc = b_lo + (np.arange(10) + 0.5) * bw
     lc = l_lo + (np.arange(10) + 0.5) * lw
@@ -256,13 +257,10 @@ def test_batch_images_equal_single_rows(weight, sigma):
 def test_batch_image_equal_births_degenerate_range():
     diagrams = [_pd([[1, 0.5, 1.0], [1, 0.5, 2.0]]), _pd([[1, 0.5, 0.75]]), EMPTY]
     points = finite_points(diagrams, 1)
-    scheme = ImageScheme(dim=1, sigma=0.25, weight="y").fit(points)
-    assert scheme.birth_range == (-0.5, 1.5)
-    rows = _image_rows(scheme, diagrams)
-    assert np.array_equal(scheme.matrix(points), rows)
-    assert np.array_equal(
-        image_matrix(points, 10, 0.25, "y", scheme.birth_range, scheme.life_range), rows
-    )
+    ranges = image_ranges(points, 0.25)
+    assert ranges[0] == (-0.5, 1.5)
+    rows = _image_rows(diagrams, 0.25, "y", *ranges)
+    assert np.array_equal(image_stack(points, 10, 0.25, ("y",), *ranges)[0], rows)
 
 
 def _three_operand_images(points, resolution, sigma, weight, birth_range, life_range):
@@ -309,18 +307,16 @@ def test_image_stack_equals_three_operand_einsum(sizes, weights, sigma, resoluti
             births, lives = np.round(births * 4) / 4, np.round(lives * 4) / 4
         diagrams.append(_pd([[1, b, b + life] for b, life in zip(births, lives)]))
     points = finite_points(diagrams, 1)
-    scheme = ImageScheme(dim=1, resolution=resolution, sigma=sigma).fit(points)
-    ranges = scheme.birth_range, scheme.life_range
+    ranges = image_ranges(points, sigma)
     stack = image_stack(points, resolution, sigma, weights, *ranges)
     assert stack.shape == (len(weights), len(diagrams), resolution**2)
-    assert np.array_equal(scheme.stack(points, weights), stack)
     for weight, images in zip(weights, stack):
         reference = _three_operand_images(points, resolution, sigma, weight, *ranges)
         if resolution > 1:
             assert np.array_equal(images, reference)
         else:  # a one-cell image sums its points in numpy's unrolled order
             np.testing.assert_allclose(images, reference, rtol=1e-13, atol=0.0)
-        assert np.array_equal(image_matrix(points, resolution, sigma, weight, *ranges), images)
+        assert np.array_equal(image_stack(points, resolution, sigma, (weight,), *ranges)[0], images)
 
 
 def test_image_stack_rejects_each_bad_weight():
@@ -333,35 +329,32 @@ def test_image_stack_rejects_each_bad_weight():
 def test_batch_landscapes_equal_single_rows(top):
     diagrams = _random_diagrams(np.random.default_rng(2))
     points = finite_points(diagrams, 1)
-    scheme = LandscapeScheme(dim=1, top=top).fit(points)
+    t_range = landscape_range(points)
+    levels = min(top or 10, 10)
     rows = np.stack([
-        persistence_landscape(pd, 1, scheme.resolution, scheme.levels, top, scheme.t_range).values
-        for pd in diagrams
+        persistence_landscape(pd, 1, 100, levels, top, t_range).values for pd in diagrams
     ])
-    assert np.array_equal(scheme.matrix(points), rows)
+    assert np.array_equal(landscape_matrix(points.longest(top), 100, levels, t_range), rows)
     # the per-diagram arithmetic the batch replaces, with its own cut among
     # tied lifespans (the last three diagrams tie)
-    ts = np.linspace(*scheme.t_range, scheme.resolution)
+    ts = np.linspace(*t_range, 100)
     for pd, row in zip(diagrams, rows):
         pts = pd.finite_in_dim(1)
         if top is not None and len(pts) > top:
             pts = pts[np.argsort(pts[:, 1] - pts[:, 0])[::-1][:top]]
-        out = np.zeros((scheme.levels, scheme.resolution))
+        out = np.zeros((levels, 100))
         if len(pts):
             tent = np.maximum(0.0, np.minimum(ts[None, :] - pts[:, 0:1], pts[:, 1:2] - ts[None, :]))
-            take = min(scheme.levels, len(pts))
+            take = min(levels, len(pts))
             out[:take] = -np.sort(-tent, axis=0)[:take]
         assert np.array_equal(row, out.ravel())
-        # without a t_range, one diagram's landscape is the one-row case of an
-        # unfitted scheme: the span covers all its finite intervals, cut or not
-        alone = LandscapeScheme(dim=1, top=top)
+        # without a t_range, one diagram's landscape is the one-row case of the
+        # range and the kernel: the span covers all its finite intervals, cut or not
+        alone = finite_points([pd], 1)
         assert np.array_equal(
-            persistence_landscape(pd, 1, levels=alone.levels, top=top).values,
-            alone.matrix(finite_points([pd], 1))[0],
+            persistence_landscape(pd, 1, levels=levels, top=top).values,
+            landscape_matrix(alone.longest(top), 100, levels, landscape_range(alone))[0],
         )
-    assert np.array_equal(
-        landscape_matrix(points.longest(top), 100, scheme.levels, scheme.t_range), rows
-    )
 
 
 def test_finite_points_take_and_longest():
@@ -374,8 +367,6 @@ def test_finite_points_take_and_longest():
         assert np.array_equal(a, b)
     cut = points.longest(2)
     assert cut.counts.tolist() == np.minimum(points.counts, 2).tolist()
-    with pytest.raises(ValueError):
-        ImageScheme(dim=0).fit(points)
 
 
 # ---------------------------------------------------------------------------
