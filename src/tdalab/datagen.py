@@ -57,6 +57,15 @@ class LabeledDataset:
         return len(self.items)
 
 
+def _dataset(name: str, seed: int, rows, **sizes) -> LabeledDataset:
+    """The dataset of ``(item, label, item seed, shape id)`` rows: float
+    labels, and a manifest of the generator ``name``, the master seed, the
+    item seeds and shape ids, then the given sizes."""
+    items, labels, seeds, ids = zip(*rows)
+    meta = {"generator": name, "master_seed": int(seed), "item_seeds": list(seeds), "shape_ids": list(ids)}
+    return LabeledDataset(items, np.array(labels, dtype=float), {**meta, **sizes})
+
+
 # ---------------------------------------------------------------------------
 # holes corpus: 20 shapes, 4 per hole count in {0, 1, 2, 4, 9}
 # ---------------------------------------------------------------------------
@@ -150,24 +159,15 @@ def gen_holes_dataset(
     """Balanced corpus of point clouds labeled by the hole count of their shape."""
     if clouds_per_shape < 1 or points_per_cloud < 1:
         raise ValueError("counts must be positive")
-    shapes = holes_catalog()
-    items, labels, seeds, ids = [], [], [], []
-    for s_idx, spec in enumerate(shapes):
+    rows = []
+    for s_idx, spec in enumerate(holes_catalog()):
         for c_idx in range(clouds_per_shape):
             item_seed = derive_seed(seed, s_idx, c_idx)
-            items.append(sample_holes_shape(spec, points_per_cloud, item_seed))
-            labels.append(spec.params["holes"])
-            seeds.append(item_seed)
-            ids.append(spec.family)
-    meta = {
-        "generator": "holes",
-        "master_seed": int(seed),
-        "item_seeds": seeds,
-        "shape_ids": ids,
-        "clouds_per_shape": clouds_per_shape,
-        "points_per_cloud": points_per_cloud,
-    }
-    return LabeledDataset(items, np.array(labels, dtype=float), meta)
+            item = sample_holes_shape(spec, points_per_cloud, item_seed)
+            rows.append((item, spec.params["holes"], item_seed, spec.family))
+    return _dataset(
+        "holes", seed, rows, clouds_per_shape=clouds_per_shape, points_per_cloud=points_per_cloud
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,46 +229,23 @@ def gen_curvature_dataset(
     """
     if min(clouds_per_kappa, points_per_cloud, test_count) < 1:
         raise ValueError("counts must be positive")
-    grid = curvature_grid()
-    items, labels, seeds = [], [], []
-    for g_idx, kappa in enumerate(grid):
-        for c_idx in range(clouds_per_kappa):
-            item_seed = derive_seed(seed, 1, g_idx, c_idx)
-            items.append(sample_constant_curvature_disk(float(kappa), points_per_cloud, item_seed))
-            labels.append(float(kappa))
-            seeds.append(item_seed)
-    train = LabeledDataset(
-        items,
-        np.array(labels),
-        {
-            "generator": "curvature-train",
-            "master_seed": int(seed),
-            "item_seeds": seeds,
-            "shape_ids": [f"kappa={k:+.2f}" for k in labels],
-            "clouds_per_kappa": clouds_per_kappa,
-            "points_per_cloud": points_per_cloud,
-        },
+
+    def row(kappa, item_seed, digits):
+        item = sample_constant_curvature_disk(kappa, points_per_cloud, item_seed)
+        return item, kappa, item_seed, f"kappa={kappa:+.{digits}f}"
+
+    train = [
+        row(kappa, derive_seed(seed, 1, g_idx, c_idx), 2)
+        for g_idx, kappa in enumerate(curvature_grid().tolist())
+        for c_idx in range(clouds_per_kappa)
+    ]
+    kappas = generator(seed, 2).uniform(-2.0, 2.0, size=test_count).tolist()
+    test = [row(kappa, derive_seed(seed, 3, t_idx), 4) for t_idx, kappa in enumerate(kappas)]
+    sizes = {"points_per_cloud": points_per_cloud}
+    return (
+        _dataset("curvature-train", seed, train, clouds_per_kappa=clouds_per_kappa, **sizes),
+        _dataset("curvature-test", seed, test, **sizes),
     )
-    rng = generator(seed, 2)
-    kappas = rng.uniform(-2.0, 2.0, size=test_count)
-    items, labels, seeds = [], [], []
-    for t_idx, kappa in enumerate(kappas):
-        item_seed = derive_seed(seed, 3, t_idx)
-        items.append(sample_constant_curvature_disk(float(kappa), points_per_cloud, item_seed))
-        labels.append(float(kappa))
-        seeds.append(item_seed)
-    test = LabeledDataset(
-        items,
-        np.array(labels),
-        {
-            "generator": "curvature-test",
-            "master_seed": int(seed),
-            "item_seeds": seeds,
-            "shape_ids": [f"kappa={k:+.4f}" for k in labels],
-            "points_per_cloud": points_per_cloud,
-        },
-    )
-    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +314,11 @@ def _sample_shape_points(spec: ShapeSpec, n: int, rng) -> Array:
             return keep
 
         return _sample_region(member, (-1.0, -1.0), (1.0, 1.0), n, rng)
-    poly = spec.params["polygon"]
+    return _sample_polygon(spec.params["polygon"], n, rng)
+
+
+def _sample_polygon(poly: Polygon, n: int, rng) -> Array:
+    """Uniform points in a polygon, by rejection from its bounding box."""
     lo = poly.vertices.min(axis=0)
     hi = poly.vertices.max(axis=0)
     return _sample_region(lambda p: points_in_polygon(p, poly), lo, hi, n, rng)
@@ -384,6 +365,12 @@ def gen_random_concave_polygon(seed: int, retries: int = 100) -> Polygon:
     raise ValueError(f"concave polygon construction failed after {retries} retries")
 
 
+def _random_polygon(convex: bool, seed: int, index: int) -> tuple:
+    """A random convex or concave polygon from ``seed``, and its shape id."""
+    make = gen_random_convex_polygon if convex else gen_random_concave_polygon
+    return make(seed), f"{'convex' if convex else 'concave'}-{index}"
+
+
 def _has_reflex_vertex(poly: Polygon) -> bool:
     v = poly.vertices
     nxt = np.roll(v, -1, axis=0)
@@ -408,45 +395,23 @@ def gen_convexity_dataset(
     """
     if min(points_per_cloud, clouds_per_shape, polygons_per_class) < 1:
         raise ValueError("counts must be positive")
-    items, labels, seeds, ids = [], [], [], []
+    rows = []
     if kind == "regular":
         for s_idx, spec in enumerate(regular_convexity_catalog()):
             for c_idx in range(clouds_per_shape):
                 item_seed = derive_seed(seed, 10, s_idx, c_idx)
-                rng = generator(item_seed)
-                items.append(PointCloud(_sample_shape_points(spec, points_per_cloud, rng)))
-                labels.append(1.0 if spec.params["convex"] else 0.0)
-                seeds.append(item_seed)
-                ids.append(spec.family)
+                pts = _sample_shape_points(spec, points_per_cloud, generator(item_seed))
+                rows.append((PointCloud(pts), spec.params["convex"], item_seed, spec.family))
     elif kind == "random":
         for p_idx in range(polygons_per_class):
             for convex in (True, False):
                 item_seed = derive_seed(seed, 11, p_idx, int(convex))
-                poly = (
-                    gen_random_convex_polygon(item_seed)
-                    if convex
-                    else gen_random_concave_polygon(item_seed)
-                )
-                rng = generator(item_seed, 1)
-                lo = poly.vertices.min(axis=0)
-                hi = poly.vertices.max(axis=0)
-                pts = _sample_region(
-                    lambda p: points_in_polygon(p, poly), lo, hi, points_per_cloud, rng
-                )
-                items.append(PointCloud(pts))
-                labels.append(1.0 if convex else 0.0)
-                seeds.append(item_seed)
-                ids.append(f"{'convex' if convex else 'concave'}-{p_idx}")
+                poly, shape_id = _random_polygon(convex, item_seed, p_idx)
+                pts = _sample_polygon(poly, points_per_cloud, generator(item_seed, 1))
+                rows.append((PointCloud(pts), convex, item_seed, shape_id))
     else:
         raise ValueError("kind must be 'regular' or 'random'")
-    meta = {
-        "generator": f"convexity-{kind}",
-        "master_seed": int(seed),
-        "item_seeds": seeds,
-        "shape_ids": ids,
-        "points_per_cloud": points_per_cloud,
-    }
-    return LabeledDataset(items, np.array(labels), meta)
+    return _dataset(f"convexity-{kind}", seed, rows, points_per_cloud=points_per_cloud)
 
 
 def gen_polygon_masks(
@@ -459,25 +424,13 @@ def gen_polygon_masks(
     """
     if count < 1:
         raise ValueError("count must be positive")
+    if not 0.0 <= concave_fraction <= 1.0:
+        raise ValueError(f"concave_fraction must lie in [0, 1], got {concave_fraction!r}")
     n_concave = int(round(count * concave_fraction))
-    items, labels, seeds, ids = [], [], [], []
+    rows = []
     for i in range(count):
-        concave = i < n_concave
+        convex = i >= n_concave
         item_seed = derive_seed(seed, 12, i)
-        poly = (
-            gen_random_concave_polygon(item_seed)
-            if concave
-            else gen_random_convex_polygon(item_seed)
-        )
-        items.append(rasterize(poly, side))
-        labels.append(0.0 if concave else 1.0)
-        seeds.append(item_seed)
-        ids.append(f"{'concave' if concave else 'convex'}-{i}")
-    meta = {
-        "generator": "polygon-masks",
-        "master_seed": int(seed),
-        "item_seeds": seeds,
-        "shape_ids": ids,
-        "side": side,
-    }
-    return LabeledDataset(items, np.array(labels), meta)
+        poly, shape_id = _random_polygon(convex, item_seed, i)
+        rows.append((rasterize(poly, side), convex, item_seed, shape_id))
+    return _dataset("polygon-masks", seed, rows, side=side)

@@ -105,10 +105,16 @@ class ExperimentReport:
         raise KeyError(name)
 
 
-def _item_results(ids, labels, preds) -> tuple:
-    return tuple(
-        ItemResult(str(i), float(l), float(p)) for i, l, p in zip(ids, labels, preds)
-    )
+def _item_ids(dataset: LabeledDataset, idx) -> list:
+    """Report ids of the dataset's items at ``idx``: ``NNNN:<shape id>``."""
+    return [f"{i:04d}:{dataset.meta['shape_ids'][i]}" for i in idx]
+
+
+def _report(experiment, config, seed, regimes, ids, labels, preds, t0) -> ExperimentReport:
+    """The report of one run: its regimes, one ItemResult per (id, label,
+    prediction), and the wall time since ``t0``."""
+    items = tuple(ItemResult(i, float(l), float(p)) for i, l, p in zip(ids, labels, preds))
+    return ExperimentReport(experiment, config, int(seed), tuple(regimes), items, time.perf_counter() - t0)
 
 
 def _map_items(func, args_list, jobs: int):
@@ -355,17 +361,10 @@ def holes_pipeline(
         t_preds = predict(FinitePoints.from_pairs(t_pairs, 1))
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
-    ids = [f"{i:04d}:{dataset.meta['shape_ids'][i]}" for i in test_idx]
+    ids = _item_ids(dataset, test_idx)
     report_config = asdict(config)
     report_config.update({"signature_chosen": kind, "signature_params": params, "knn_k": best_k})
-    return ExperimentReport(
-        "holes",
-        report_config,
-        int(seed),
-        tuple(regimes),
-        _item_results(ids, labels[test_idx], clean_preds),
-        time.perf_counter() - t0,
-    )
+    return _report("holes", report_config, seed, regimes, ids, labels[test_idx], clean_preds, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +441,9 @@ def curvature_pipeline(
             sign_acc = float(np.mean(np.sign(key_preds[clear]) == np.sign(y_test[clear])))
             regimes.append(Regime("0dim-simple-sign", "sign_accuracy", sign_acc))
 
-    ids = [f"{i:04d}:{test.meta['shape_ids'][i]}" for i in range(len(test))]
+    ids = _item_ids(test, range(len(test)))
     preds_out = key_preds if key_preds is not None else np.zeros(len(test))
-    return ExperimentReport(
-        "curvature",
-        asdict(config),
-        int(seed),
-        tuple(regimes),
-        _item_results(ids, y_test, preds_out),
-        time.perf_counter() - t0,
-    )
+    return _report("curvature", asdict(config), seed, regimes, ids, y_test, preds_out, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -633,24 +625,13 @@ def convexity_experiment(
             datasets[kind] = _gen_convexity(kind, config, seed)
     scalars = {k: _convexity_scalars(ds, config) for k, ds in datasets.items()}
     labels = {k: np.asarray(ds.labels, dtype=float) for k, ds in datasets.items()}
-    regimes = []
-    items = ()
-    for train_kind, test_kind in CONVEXITY_REGIMES:
-        acc, test_idx, test_labels, preds = _convexity_regime(
-            train_kind, test_kind, scalars, labels, config, seed
-        )
-        regimes.append(Regime(f"{train_kind}/{test_kind}", "accuracy", acc))
-        if (train_kind, test_kind) == ("regular", "regular"):
-            ids = [f"{i:04d}:{datasets[test_kind].meta['shape_ids'][i]}" for i in test_idx]
-            items = _item_results(ids, test_labels, preds)
-    return ExperimentReport(
-        "convexity",
-        asdict(config),
-        int(seed),
-        tuple(regimes),
-        items,
-        time.perf_counter() - t0,
-    )
+    results = {
+        kinds: _convexity_regime(*kinds, scalars, labels, config, seed) for kinds in CONVEXITY_REGIMES
+    }
+    regimes = [Regime(f"{tr}/{te}", "accuracy", res[0]) for (tr, te), res in results.items()]
+    _, test_idx, test_labels, preds = results["regular", "regular"]
+    ids = _item_ids(datasets["regular"], test_idx)
+    return _report("convexity", asdict(config), seed, regimes, ids, test_labels, preds, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +677,6 @@ def convexity_regression(
     config = config or RegressionConfig()
     t0 = time.perf_counter()
     masks = list(masks)
-    if len(masks) < 20:
-        raise ValueError("need at least 20 masks")
     labels = []
     kept = []
     skipped = []
@@ -707,6 +686,10 @@ def convexity_regression(
             kept.append(i)
         except ValueError:
             skipped.append(i)
+    if len(kept) < 20:
+        raise ValueError(
+            f"need at least 20 usable masks, got {len(kept)} ({len(skipped)} skipped as degenerate)"
+        )
     labels = np.array(labels)
     args = [(masks[i],) for i in kept]
     X = np.stack(_map_items(_mask_features_worker, args, config.jobs))
@@ -731,11 +714,4 @@ def convexity_regression(
     ids = [f"{kept[i]:04d}" for i in test_idx]
     report_config = asdict(config)
     report_config["skipped_masks"] = skipped
-    return ExperimentReport(
-        "convexity-measure",
-        report_config,
-        int(seed),
-        regimes,
-        _item_results(ids, labels[test_idx], preds),
-        time.perf_counter() - t0,
-    )
+    return _report("convexity-measure", report_config, seed, regimes, ids, labels[test_idx], preds, t0)

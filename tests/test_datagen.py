@@ -332,3 +332,53 @@ def test_polygon_masks_corpus():
     # must still spread: concave masks measure lower than convex ones
     assert np.mean(concave) < 0.95
     assert min(convex) >= 0.97
+
+
+# ---------------------------------------------------------------------------
+# the dataset record every generator shares
+# ---------------------------------------------------------------------------
+
+RECORD_SEED = 601
+RECORD_DATASETS = {
+    "holes": (
+        lambda: gen_holes_dataset(1, 30, seed=RECORD_SEED),
+        {"clouds_per_shape": 1, "points_per_cloud": 30},
+    ),
+    "curvature-train": (
+        lambda: gen_curvature_dataset(RECORD_SEED, 1, 20, 5)[0],
+        {"clouds_per_kappa": 1, "points_per_cloud": 20},
+    ),
+    "curvature-test": (
+        lambda: gen_curvature_dataset(RECORD_SEED, 1, 20, 5)[1],
+        {"points_per_cloud": 20},
+    ),
+    "convexity-regular": (
+        lambda: gen_convexity_dataset("regular", RECORD_SEED, points_per_cloud=40, clouds_per_shape=2),
+        {"points_per_cloud": 40},
+    ),
+    "convexity-random": (
+        lambda: gen_convexity_dataset("random", RECORD_SEED, points_per_cloud=40, polygons_per_class=3),
+        {"points_per_cloud": 40},
+    ),
+    "polygon-masks": (lambda: gen_polygon_masks(7, 12, RECORD_SEED), {"side": 12}),
+}
+
+
+@pytest.mark.parametrize("generator", list(RECORD_DATASETS))
+def test_dataset_record(generator):
+    make, sizes = RECORD_DATASETS[generator]
+    ds = make()
+    assert list(ds.meta) == ["generator", "master_seed", "item_seeds", "shape_ids", *sizes]
+    assert ds.meta["generator"] == generator
+    assert ds.meta["master_seed"] == RECORD_SEED
+    assert {key: ds.meta[key] for key in sizes} == sizes
+    n = len(ds.items)
+    assert len(ds.labels) == len(ds.meta["item_seeds"]) == len(ds.meta["shape_ids"]) == n
+    assert len(set(ds.meta["item_seeds"])) == n
+    assert ds.labels.dtype == np.float64
+
+
+@pytest.mark.parametrize("fraction", [1.5, -1.0, float("nan")])
+def test_polygon_masks_reject_concave_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ValueError, match="concave_fraction must lie in"):
+        gen_polygon_masks(4, 12, seed=0, concave_fraction=fraction)

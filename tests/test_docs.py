@@ -47,12 +47,13 @@ def test_imported_tdalab_names_exist(source):
 
 
 def _library_map():
-    """(module, backticked bare names) for each row of the README library map."""
+    """(module, backticked names, bare or dotted) for each row of the README
+    library map."""
     section = (ROOT / "README.md").read_text().split("## Library map", 1)[1].split("\n## ", 1)[0]
     for line in section.splitlines():
         row = re.match(r"\| `(tdalab\.\w+)` \| (.*) \|$", line)
         if row:
-            yield row.group(1), re.findall(r"`([A-Za-z_]\w*)`", row.group(2))
+            yield row.group(1), re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)`", row.group(2))
 
 
 LIBRARY_MAP = list(_library_map())
@@ -64,12 +65,37 @@ def test_library_map_lists_every_module():
     assert len(LIBRARY_MAP) >= 8
 
 
+def _has_path(obj, attrs) -> bool:
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def _resolves(mod, classes, name) -> bool:
+    """Whether a library-map name resolves attribute by attribute from the
+    module or from a class it defines; a dotted name rooted in another
+    package (``scipy.ndimage.label``) resolves by importing its longest
+    module prefix."""
+    parts = name.split(".")
+    if any(_has_path(root, parts) for root in (mod, *classes)):
+        return True
+    if len(parts) > 1:
+        for end in range(len(parts), 0, -1):
+            try:
+                package = importlib.import_module(".".join(parts[:end]))
+            except ImportError:
+                continue
+            return _has_path(package, parts[end:])
+    return False
+
+
 @pytest.mark.parametrize("module, names", LIBRARY_MAP, ids=[m for m, _ in LIBRARY_MAP])
 def test_library_map_names_exist(module, names):
-    # a name is an attribute of the module or of a class the module defines
     mod = importlib.import_module(module)
     classes = [c for c in vars(mod).values() if inspect.isclass(c) and c.__module__ == module]
-    missing = [n for n in names if not hasattr(mod, n) and not any(hasattr(c, n) for c in classes)]
+    missing = [n for n in names if not _resolves(mod, classes, n)]
     assert not missing
 
 

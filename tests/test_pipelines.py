@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tdalab.geometry import (
     PointCloud,
     TransformSpec,
     apply_transform,
+    convexity_measure,
     dtm,
     euclidean_distance_matrix,
     farthest_point_subsample,
@@ -821,13 +823,25 @@ def test_convexity_regression_requires_enough_masks():
         convexity_regression(masks[:10], seed=0)
 
 
-def test_convexity_regression_skips_degenerate_masks():
+def _collinear_mask() -> BinaryMask:
     cells = np.zeros((30, 30), dtype=bool)
-    cells[:, 4] = True  # collinear occupied centers
-    degenerate = BinaryMask(cells, (0.0, 0.0), 1.0)
-    masks = list(gen_polygon_masks(24, 30, seed=2).items) + [degenerate]
+    cells[:, 4] = True  # collinear occupied centers: no convexity measure
+    return BinaryMask(cells, (0.0, 0.0), 1.0)
+
+
+def test_convexity_regression_skips_degenerate_masks():
+    masks = list(gen_polygon_masks(24, 30, seed=2).items) + [_collinear_mask()]
     report = convexity_regression(masks, seed=0)
     assert report.config["skipped_masks"] == [24]
+
+
+@pytest.mark.parametrize("usable", [0, 1])
+def test_convexity_regression_floor_counts_usable_masks(usable):
+    # 25 masks pass a floor of 20, but not once the degenerate ones are skipped
+    masks = list(gen_polygon_masks(1, 30, seed=2).items[:usable])
+    masks += [_collinear_mask()] * (25 - usable)
+    with pytest.raises(ValueError, match=rf"need at least 20 usable masks, got {usable} \({25 - usable} skipped"):
+        convexity_regression(masks, seed=0)
 
 
 def test_report_json_schema():
@@ -839,3 +853,52 @@ def test_report_json_schema():
     assert set(payload) == {"experiment", "config", "seed", "regimes", "items"}
     assert all(set(r) == {"name", "metric", "value"} for r in payload["regimes"])
     assert all(set(i) == {"id", "label", "prediction"} for i in payload["items"])
+
+
+# ---------------------------------------------------------------------------
+# report ids: each item names the dataset item it scores
+# ---------------------------------------------------------------------------
+
+
+def _assert_items_name(report, dataset, idx, id_pattern):
+    """The report items are the dataset items at ``idx``, in order, as
+    ``NNNN:<shape id>`` with their labels."""
+    ids = [item.item_id for item in report.items]
+    assert ids == [f"{i:04d}:{dataset.meta['shape_ids'][i]}" for i in idx]
+    assert all(re.fullmatch(id_pattern, i) for i in ids)
+    assert [item.label for item in report.items] == dataset.labels[idx].tolist()
+
+
+def test_holes_report_ids():
+    ds = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=80, seed=5)
+    config = HolesConfig(subsample=30, knn_grid=(1,))
+    report = holes_pipeline(ds, [], config, seed=0)
+    _, test_idx = train_test_split_indices(ds.labels, config.test_fraction, 0)
+    assert len(test_idx) == 5  # one cloud per hole count
+    _assert_items_name(report, ds, test_idx, r"\d{4}:(disk|square)-[01249]-[23]d")
+
+
+def test_curvature_report_ids():
+    train, test = gen_curvature_dataset(seed=1, clouds_per_kappa=1, points_per_cloud=40, test_count=4)
+    report = curvature_pipeline(train, test, CurvatureConfig(knn_grid=(1, 3)), seed=0)
+    _assert_items_name(report, test, np.arange(4), r"\d{4}:kappa=[+-]\d\.\d{4}")
+
+
+def test_convexity_report_ids_are_regular_test_items():
+    config = ConvexityConfig(grid_side=16, points_per_cloud=300, clouds_per_shape=2, polygons_per_class=6)
+    regular = _gen_convexity("regular", config, 3)
+    report = convexity_experiment(config, seed=3)
+    _, test_idx = train_test_split_indices(regular.labels, config.test_fraction, 3)
+    shapes = "triangle|square|pentagon|disk|star[345]|wedge-disk"
+    _assert_items_name(report, regular, test_idx, rf"\d{{4}}:({shapes})")
+
+
+def test_convexity_measure_report_ids_are_kept_mask_indices():
+    masks = list(gen_polygon_masks(24, 30, seed=2).items)
+    masks[3:3] = [_collinear_mask()]
+    report = convexity_regression(masks, seed=0)
+    assert report.config["skipped_masks"] == [3]
+    ids = [item.item_id for item in report.items]
+    assert ids and all(re.fullmatch(r"\d{4}", i) for i in ids)
+    assert "0003" not in ids and ids == sorted(ids)
+    assert [item.label for item in report.items] == [convexity_measure(masks[int(i)]) for i in ids]
