@@ -432,7 +432,9 @@ def convex_hull(points: Array) -> Polygon:
     Raises ValueError when the input is degenerate (fewer than 3 distinct
     non-collinear points).
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"hull points must have shape (n, 2), got {pts.shape}")
     uniq = sorted({(float(x), float(y)) for x, y in pts})
     if len(uniq) < 3:
         raise ValueError("convex hull needs at least 3 distinct points")
@@ -461,34 +463,60 @@ def polygon_area(polygon: Polygon) -> float:
     return _signed_area(polygon.vertices)
 
 
+# (edge, point) pairs tested per block in points_in_polygon
+_EDGE_POINT_BLOCK = 1 << 16
+
+
 def points_in_polygon(points: Array, polygon: Polygon) -> Array:
-    """Ray-casting containment test for an (n, 2) array; boundary points count as inside."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x = pts[:, 0]
-    y = pts[:, 1]
-    verts = polygon.vertices
-    m = len(verts)
-    inside = np.zeros(len(pts), dtype=bool)
-    boundary = np.zeros(len(pts), dtype=bool)
-    for i in range(m):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % m]
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        on = (
-            (cross == 0)
-            & (np.minimum(x1, x2) <= x)
-            & (x <= np.maximum(x1, x2))
-            & (np.minimum(y1, y2) <= y)
-            & (y <= np.maximum(y1, y2))
-        )
-        boundary |= on
-        hits = (y1 > y) != (y2 > y)
-        if np.any(hits):
-            x_cross = x1 + (y[hits] - y1) * (x2 - x1) / (y2 - y1)
-            flip = np.zeros(len(pts), dtype=bool)
-            flip[hits] = x[hits] < x_cross
-            inside ^= flip
-    return inside | boundary
+    """Ray-casting containment test for an (n, 2) array or one (2,) point;
+    boundary points count as inside.
+
+    Every edge is tested against a block of points at once. A point is
+    inside when its rightward ray crosses an odd number of edges, and on the
+    boundary when its cross product with an edge is exactly 0 and it lies in
+    that edge's bounding box.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.shape == (2,):
+        pts = pts[None, :]
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"query points must have shape (n, 2), got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("query points must be finite")
+    chain = np.vstack([polygon.vertices, polygon.vertices[:1]])
+    lo, hi = np.minimum(chain[:-1], chain[1:]), np.maximum(chain[:-1], chain[1:])
+    # (m, 1) columns: each edge runs from (x1, y1) by (dx, dy)
+    xs, ys = chain[:, :1], chain[:, 1:]
+    x1, y1 = xs[:-1], ys[:-1]
+    dx, dy = xs[1:] - x1, ys[1:] - y1
+    step = max(1, _EDGE_POINT_BLOCK // len(x1))
+    inside = np.empty(len(pts), dtype=bool)
+    for s in range(0, len(pts), step):
+        block = pts[s : s + step]
+        x, y = block.T.copy()  # contiguous rows broadcast faster than strided columns
+        # bit for bit, t is (x2 - x1) * (y - y1), x_cross is
+        # x1 + (y - y1) * (x2 - x1) / (y2 - y1) and cross is t - (y2 - y1) * (x - x1):
+        # operands are only swapped where IEEE arithmetic commutes
+        t = y - y1
+        t *= dx
+        # x_cross is read only where the edge spans y, so where dy != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = t / dy
+        x_cross += x1
+        above = ys > y
+        hits = above[:-1] != above[1:]
+        hits &= x < x_cross
+        odd = np.bitwise_xor.reduce(hits, axis=0)
+        cross = x - x1
+        cross *= dy
+        np.subtract(t, cross, out=cross)
+        on_line = cross == 0
+        if on_line.any():
+            e, p = np.nonzero(on_line)
+            q = block[p]
+            odd[p[((lo[e] <= q) & (q <= hi[e])).all(axis=1)]] = True
+        inside[s : s + step] = odd
+    return inside
 
 
 def _square_extent(lo: Array, hi: Array) -> tuple:

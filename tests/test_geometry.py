@@ -1,13 +1,21 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdalab import geometry
+from tdalab import datagen, geometry
 from tdalab.complexes import absolute_height_filtration, height_filtration
-from tdalab.datagen import gen_holes_dataset, gen_polygon_masks
+from tdalab.datagen import (
+    gen_convexity_dataset,
+    gen_holes_dataset,
+    gen_polygon_masks,
+    gen_random_concave_polygon,
+    gen_random_convex_polygon,
+)
 from tdalab.geometry import (
     BinaryMask,
     Line,
@@ -558,6 +566,124 @@ def test_point_in_polygon_matches_winding_oracle():
         points_in_polygon(queries, poly),
         np.array([_winding_number_inside(q, poly.vertices) for q in queries]),
     )
+
+
+def _ray_cast_loop(points, polygon):
+    """Reference: the crossing parity and the boundary test, one edge at a time."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x = pts[:, 0]
+    y = pts[:, 1]
+    verts = polygon.vertices
+    m = len(verts)
+    inside = np.zeros(len(pts), dtype=bool)
+    boundary = np.zeros(len(pts), dtype=bool)
+    for i in range(m):
+        x1, y1 = verts[i]
+        x2, y2 = verts[(i + 1) % m]
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        on = (
+            (cross == 0)
+            & (np.minimum(x1, x2) <= x)
+            & (x <= np.maximum(x1, x2))
+            & (np.minimum(y1, y2) <= y)
+            & (y <= np.maximum(y1, y2))
+        )
+        boundary |= on
+        hits = (y1 > y) != (y2 > y)
+        if np.any(hits):
+            x_cross = x1 + (y[hits] - y1) * (x2 - x1) / (y2 - y1)
+            flip = np.zeros(len(pts), dtype=bool)
+            flip[hits] = x[hits] < x_cross
+            inside ^= flip
+    return inside | boundary
+
+
+# axis-aligned, so its horizontal edges have dy = 0 and points on its edges
+# are exact
+_L_SHAPE = Polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]])
+
+
+def _ray_cast_queries(polygon, rng, extra):
+    """Vertices, edge midpoints, points on edges, points level with a vertex
+    (their rays pass through it) and uniform points around the polygon, in
+    random order: two full blocks of points_in_polygon and a part block."""
+    v = polygon.vertices
+    nxt = np.roll(v, -1, axis=0)
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    frac = rng.integers(0, 5, size=(len(v), 1)) / 4.0
+    level = np.column_stack([rng.uniform(lo[0] - 0.5, hi[0] + 0.5, len(v)), v[:, 1]])
+    special = np.concatenate([v, (v + nxt) / 2, v + frac * (nxt - v), level])
+    step = geometry._EDGE_POINT_BLOCK // len(v)
+    n = 2 * step + 1 + extra % (step - 1)
+    queries = np.concatenate([special, rng.uniform(lo - 0.5, hi + 0.5, size=(n - len(special), 2))])
+    return queries[rng.permutation(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(["convex", "concave", "L"]),
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(0, 2**16),
+)
+def test_points_in_polygon_equals_the_ray_cast_loop(shape, seed, extra):
+    if shape == "L":
+        poly = _L_SHAPE
+    else:
+        poly = (gen_random_convex_polygon if shape == "convex" else gen_random_concave_polygon)(seed)
+    queries = _ray_cast_queries(poly, np.random.default_rng(seed), extra)
+    assert np.array_equal(points_in_polygon(queries, poly), _ray_cast_loop(queries, poly))
+
+
+def test_points_in_polygon_on_horizontal_edges_warns_nothing():
+    v = _L_SHAPE.vertices
+    queries = np.concatenate([v, (v + np.roll(v, -1, axis=0)) / 2, [[0.5, 1.0], [1.5, 1.0], [3.0, 1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = points_in_polygon(queries, _L_SHAPE)
+    assert inside[:-1].all() and not inside[-1]
+
+
+def test_points_in_polygon_takes_one_point():
+    tri = Polygon([[0, 0], [3, 0], [0, 3]])
+    assert points_in_polygon([1.0, 1.0], tri).tolist() == [True]
+    assert points_in_polygon(np.empty((0, 2)), tri).shape == (0,)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4, 1), (3,), (2, 2, 2)])
+def test_points_in_polygon_rejects_other_shapes(shape):
+    tri = Polygon([[0, 0], [3, 0], [0, 3]])
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        points_in_polygon(np.zeros(shape), tri)
+
+
+@pytest.mark.parametrize("point", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.5]])
+def test_points_in_polygon_rejects_non_finite_points(point):
+    tri = Polygon([[0, 0], [3, 0], [0, 3]])
+    with pytest.raises(ValueError, match="finite"):
+        points_in_polygon([[1.0, 1.0], point], tri)
+
+
+@pytest.mark.parametrize(
+    "points", [[[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 1, 1]], [0, 0, 1, 0, 0, 1], [[[0, 0], [1, 0], [0, 1]]]]
+)
+def test_hull_rejects_other_shapes(points):
+    with pytest.raises(ValueError, match=re.escape(str(np.shape(points)))):
+        convex_hull(points)
+
+
+@pytest.mark.parametrize("seed", [0, 811])
+def test_convexity_corpora_equal_the_ray_cast_loop(monkeypatch, seed):
+    sizes = dict(points_per_cloud=50, clouds_per_shape=1, polygons_per_class=4)
+    fast = [gen_convexity_dataset(kind, seed, **sizes) for kind in ("regular", "random")]
+    fast_masks = gen_polygon_masks(6, 30, seed)
+    # datagen samples through its own name, rasterize through geometry's
+    monkeypatch.setattr(datagen, "points_in_polygon", _ray_cast_loop)
+    monkeypatch.setattr(geometry, "points_in_polygon", _ray_cast_loop)
+    loop = [gen_convexity_dataset(kind, seed, **sizes) for kind in ("regular", "random")]
+    loop_masks = gen_polygon_masks(6, 30, seed)
+    for a, b in zip(fast, loop):
+        assert all(np.array_equal(x.points, y.points) for x, y in zip(a.items, b.items))
+    assert all(np.array_equal(x.cells, y.cells) for x, y in zip(fast_masks.items, loop_masks.items))
 
 
 def test_polygon_rejects_cw_and_self_intersecting():
