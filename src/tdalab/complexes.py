@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import BinaryMask, DistanceMatrix, Line, tubular_distances
+from .geometry import BinaryMask, DistanceMatrix, Line, checked_array, tubular_distances
 
 Array = np.ndarray
 
@@ -45,13 +45,11 @@ class FilteredComplex:
     edge_values: Array  # (m,)
 
     def __post_init__(self):
-        vertex_values = np.asarray(self.vertex_values, dtype=float)
-        given_edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        edge_values = np.asarray(self.edge_values, dtype=float)
+        vertex_values = checked_array(self.vertex_values, "vertex_values", ("n",), inf=True)
+        given_edges = checked_array(self.edges, "edges", ("m", 2), dtype=np.int64)
+        edge_values = checked_array(self.edge_values, "edge_values", (len(given_edges),), inf=True)
         if vertex_values.size < 1:
-            raise ValueError("complex needs at least one vertex")
-        if len(given_edges) != len(edge_values):
-            raise ValueError("edge and value arrays must align")
+            raise ValueError("vertex_values must be nonempty")
         n = vertex_values.size
         edges = np.sort(given_edges, axis=1)
         _reject(given_edges, (edges[:, 0] < 0) | (edges[:, 1] >= n), f"has a vertex outside 0..{n - 1}")
@@ -194,12 +192,8 @@ def weighted_rips_complex(
     the two balls first meet. Triangles take the maximum of their edges.
     ``max_dim``, ``r_max`` and ``force`` read as in ``rips_complex``.
     """
-    f = np.asarray(vertex_values, dtype=float).ravel()
     n = matrix.n
-    if len(f) != n:
-        raise ValueError("vertex_values length must match the matrix size")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("vertex values must be finite")
+    f = checked_array(vertex_values, "vertex_values", (n,))
     _check_dim(n, max_dim, force)
     d = matrix.values
     fi = f[:, None]
@@ -228,11 +222,9 @@ class FilteredCubicalGrid:
     top_values: Array  # (c, c), +inf allowed
 
     def __post_init__(self):
-        v = np.asarray(self.top_values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
-            raise ValueError("top cell values must form a square grid")
-        if np.any(np.isnan(v)):
-            raise ValueError("top cell values must not be NaN")
+        v = checked_array(self.top_values, "top_values", ("c", "c"), inf=True)
+        if v.shape[0] != v.shape[1] or v.shape[0] < 1:
+            raise ValueError(f"top_values must form a square grid, got {v.shape}")
         if np.any(v == -np.inf):
             raise ValueError("top cell values must be finite or +inf")
         if not np.any(np.isfinite(v)):
@@ -262,9 +254,10 @@ def tubular_filtration(line: Line) -> Callable[[Array], Array]:
 
 def height_filtration(v) -> Callable[[Array], Array]:
     """Filtration callable: scalar product of cell centers with unit v."""
-    v = np.asarray(v, dtype=float).ravel()
-    if not np.all(np.isfinite(v)) or abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+    # NaN and +-inf fail the comparison as well
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-12:
         raise ValueError("height direction must be a finite unit vector")
+    v = checked_array(v, "height direction", (2,))
     return lambda centers: centers @ v
 
 
@@ -280,14 +273,7 @@ def cubical_complex(mask: BinaryMask, fn: Callable[[Array], Array]) -> FilteredC
     Occupied top cells take fn(center); unoccupied cells are +inf and never
     enter the filtration.
     """
-    centers = mask.cell_centers()
-    c = mask.side
-    values = np.full((c, c), np.inf)
     occ = mask.cells
-    vals = np.asarray(fn(centers[occ].reshape(-1, 2)), dtype=float).ravel()
-    if vals.shape[0] != int(occ.sum()):
-        raise ValueError("filtration function returned the wrong number of values")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("filtration values on occupied cells must be finite")
-    values[occ] = vals
+    values = np.full(occ.shape, np.inf)
+    values[occ] = checked_array(fn(mask.occupied_centers()), "filtration values", (int(occ.sum()),))
     return FilteredCubicalGrid(values)

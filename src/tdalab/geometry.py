@@ -32,6 +32,24 @@ def _frozen_array(values, dtype=float) -> Array:
     return a
 
 
+def checked_array(value, name: str, shape: tuple, dtype=float, inf: bool = False) -> Array:
+    """``value`` as an array of ``dtype``, whose shape must match ``shape``
+    and whose values must not be NaN, nor +-inf unless ``inf``, before the
+    cast, so that an integer or boolean array cannot hide a NaN. An axis of
+    ``shape`` is an int length or a name, such as ``"n"``, for any length.
+    A ValueError names the argument: ``points must have shape (n, 2), got (2, 3)``.
+    """
+    a = np.asarray(value)
+    if a.ndim != len(shape) or any(isinstance(s, int) and s != t for s, t in zip(shape, a.shape)):
+        want = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ValueError(f"{name} must have shape ({want}), got {a.shape}")
+    if a.dtype.kind == "f" and inf and np.isnan(a).any():
+        raise ValueError(f"{name} must not contain nan")
+    if a.dtype.kind == "f" and not inf and not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a.astype(dtype, copy=False)
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -44,13 +62,11 @@ class PointCloud:
     points: Array
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("point cloud must be a nonempty (n, d) array")
+        pts = checked_array(np.atleast_2d(self.points), "points", ("n", "d"))
+        if pts.shape[0] < 1:
+            raise ValueError("points must be nonempty")
         if pts.shape[1] not in (2, 3):
-            raise ValueError(f"point cloud dimension must be 2 or 3, got {pts.shape[1]}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("point cloud coordinates must be finite")
+            raise ValueError(f"points must have 2 or 3 coordinates, got {pts.shape[1]}")
         object.__setattr__(self, "points", _frozen_array(pts))
 
     @property
@@ -70,11 +86,9 @@ class PolarCloud:
     curvature: float
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.coords, dtype=float))
-        if c.ndim != 2 or c.shape[1] != 2 or c.shape[0] < 1:
-            raise ValueError("polar coords must be a nonempty (n, 2) array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("polar coords must be finite")
+        c = checked_array(np.atleast_2d(self.coords), "coords", ("n", 2))
+        if c.shape[0] < 1:
+            raise ValueError("coords must be nonempty")
         rho, phi = c[:, 0], c[:, 1]
         if np.any(rho < 0) or np.any(rho > 1 + 1e-12):
             raise ValueError("geodesic radius rho must lie in [0, 1]")
@@ -98,11 +112,9 @@ class DistanceMatrix:
     values: Array
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 1:
-            raise ValueError("distance matrix must be square and nonempty")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("distance matrix entries must be finite")
+        v = checked_array(self.values, "values", ("n", "n"))
+        if v.shape[0] != v.shape[1] or v.shape[0] < 1:
+            raise ValueError(f"values must be a square nonempty matrix, got {v.shape}")
         if np.any(v < 0):
             raise ValueError("distance matrix entries must be nonnegative")
         if np.any(np.diag(v) != 0):
@@ -124,10 +136,8 @@ class Line:
     direction: Array
 
     def __post_init__(self):
-        a = np.asarray(self.anchor, dtype=float).reshape(2)
-        d = np.asarray(self.direction, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-            raise ValueError("line anchor and direction must be finite")
+        a = checked_array(self.anchor, "anchor", (2,))
+        d = checked_array(self.direction, "direction", (2,))
         if abs(float(np.hypot(d[0], d[1])) - 1.0) > _UNIT_TOL:
             raise ValueError("line direction must be a unit vector (within 1e-12)")
         object.__setattr__(self, "anchor", _frozen_array(a))
@@ -141,11 +151,9 @@ class Polygon:
     vertices: Array
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
-            raise ValueError("polygon needs at least 3 planar vertices")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("polygon vertices must be finite")
+        v = checked_array(self.vertices, "vertices", ("n", 2))
+        if v.shape[0] < 3:
+            raise ValueError("polygon needs at least 3 vertices")
         if _signed_area(v) <= 0:
             raise ValueError("polygon vertices must be counter-clockwise")
         if not _is_simple(v):
@@ -170,15 +178,15 @@ class BinaryMask:
     width: float = 1.0
 
     def __post_init__(self):
-        c = np.asarray(self.cells, dtype=bool)
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 2:
-            raise ValueError("mask cells must be square with side >= 2")
+        c = checked_array(self.cells, "cells", ("c", "c"), dtype=bool)
+        if c.shape[0] != c.shape[1] or c.shape[0] < 2:
+            raise ValueError(f"cells must be square with side >= 2, got {c.shape}")
         if not c.any():
             raise ValueError("mask must contain at least one occupied cell")
-        o = np.asarray(self.origin, dtype=float).reshape(2)
+        o = checked_array(self.origin, "origin", (2,))
         w = float(self.width)
-        if not (np.all(np.isfinite(o)) and math.isfinite(w) and w > 0):
-            raise ValueError("mask extent must be finite with positive width")
+        if not (math.isfinite(w) and w > 0):
+            raise ValueError("mask width must be finite and positive")
         object.__setattr__(self, "cells", _frozen_array(c, dtype=bool))
         object.__setattr__(self, "origin", _frozen_array(o))
         object.__setattr__(self, "width", w)
@@ -304,7 +312,7 @@ def tubular_distances(points: Array, line) -> Array:
     """Euclidean distances from an (n, 2) array of planar points to an
     infinite line: (n,) for a ``Line``, and (m, n) for lines given as (m, 2)
     arrays ``anchor`` and unit ``direction``, such as a ``LineSet``."""
-    rel = np.asarray(points, dtype=float).reshape(-1, 2) - line.anchor[..., None, :]
+    rel = checked_array(points, "points", ("n", 2)) - line.anchor[..., None, :]
     return np.abs(rel[..., 0] * line.direction[..., 1, None] - rel[..., 1] * line.direction[..., 0, None])
 
 
@@ -432,9 +440,7 @@ def convex_hull(points: Array) -> Polygon:
     Raises ValueError when the input is degenerate (fewer than 3 distinct
     non-collinear points).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"hull points must have shape (n, 2), got {pts.shape}")
+    pts = checked_array(points, "points", ("n", 2))
     uniq = sorted({(float(x), float(y)) for x, y in pts})
     if len(uniq) < 3:
         raise ValueError("convex hull needs at least 3 distinct points")
@@ -479,10 +485,7 @@ def points_in_polygon(points: Array, polygon: Polygon) -> Array:
     pts = np.asarray(points, dtype=float)
     if pts.shape == (2,):
         pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"query points must have shape (n, 2), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("query points must be finite")
+    pts = checked_array(pts, "points", ("n", 2))
     chain = np.vstack([polygon.vertices, polygon.vertices[:1]])
     lo, hi = np.minimum(chain[:-1], chain[1:]), np.maximum(chain[:-1], chain[1:])
     # (m, 1) columns: each edge runs from (x1, y1) by (dx, dy)

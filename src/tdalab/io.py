@@ -33,14 +33,10 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cloud_to_csv(points: Array) -> str:
-    rows = [",".join(_fmt(v) for v in row) for row in np.asarray(points, dtype=float)]
-    return "\n".join(rows) + "\n"
-
-
 def write_cloud_csv(path, cloud) -> None:
     pts = cloud.points if isinstance(cloud, PointCloud) else cloud.coords
-    Path(path).write_text(cloud_to_csv(pts))
+    rows = [",".join(_fmt(v) for v in row) for row in pts]
+    Path(path).write_text("\n".join(rows) + "\n")
 
 
 def read_cloud_csv(path) -> PointCloud:
@@ -73,17 +69,13 @@ def read_cloud_csv(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
-def mask_to_pbm(mask: BinaryMask) -> str:
+def write_mask_pbm(path, mask: BinaryMask) -> None:
     c = mask.side
     lines = ["P1", f"# extent {_fmt(mask.origin[0])} {_fmt(mask.origin[1])} {_fmt(mask.width)}"]
     lines.append(f"{c} {c}")
     for j in range(c - 1, -1, -1):  # raster rows run top to bottom
         lines.append(" ".join("1" if mask.cells[i, j] else "0" for i in range(c)))
-    return "\n".join(lines) + "\n"
-
-
-def write_mask_pbm(path, mask: BinaryMask) -> None:
-    Path(path).write_text(mask_to_pbm(mask))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _parse_extent(path, parts) -> tuple:
@@ -174,16 +166,12 @@ def read_mask(path) -> BinaryMask:
 # ---------------------------------------------------------------------------
 
 
-def diagram_to_csv(pd: PersistenceDiagram) -> str:
+def write_diagram_csv(path, pd: PersistenceDiagram) -> None:
     lines = [
         f"{int(dim)},{_fmt(birth)},{_fmt(death)}"
         for dim, birth, death in pd.intervals
     ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_diagram_csv(path, pd: PersistenceDiagram) -> None:
-    Path(path).write_text(diagram_to_csv(pd))
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_diagram_csv(path) -> PersistenceDiagram:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import checked_array
 from .seeding import generator
 
 Array = np.ndarray
@@ -114,10 +115,10 @@ def ridge_fit(X: Array, y: Array, lam: float) -> RidgeModel:
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-        raise ValueError("X and y must be nonempty with matching rows")
+    X = checked_array(X, "X", ("n", "d"))
+    y = checked_array(y, "y", (len(X),))
+    if len(y) == 0:
+        raise ValueError("X and y must be nonempty")
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
     Xc = X - x_mean
@@ -159,10 +160,10 @@ def threshold_fit(scalars: Array, labels: Array) -> ThresholdModel:
     below the minimum); accuracy ties resolve to the smaller threshold, and
     at equal threshold to the polarity listed first.
     """
-    s = np.asarray(scalars, dtype=float).ravel()
-    y = np.asarray(labels, dtype=float).ravel()
-    if len(s) != len(y) or len(s) == 0:
-        raise ValueError("scalars and labels must be nonempty with equal length")
+    s = checked_array(scalars, "scalars", ("n",))
+    y = checked_array(labels, "labels", (len(s),))
+    if len(s) == 0:
+        raise ValueError("scalars and labels must be nonempty")
     classes = np.unique(y)
     if len(classes) != 2:
         raise ValueError("threshold_fit needs exactly two classes present")
@@ -183,18 +184,20 @@ def threshold_fit(scalars: Array, labels: Array) -> ThresholdModel:
 
 
 def accuracy(preds: Array, labels: Array) -> float:
-    preds = np.asarray(preds).ravel()
-    labels = np.asarray(labels).ravel()
-    if len(preds) != len(labels):
-        raise ValueError("predictions and labels must have equal length")
+    """Share of the (n,) numeric predictions equal to their labels, n >= 1."""
+    preds = checked_array(preds, "preds", ("n",), inf=True)
+    labels = checked_array(labels, "labels", (len(preds),), inf=True)
+    if len(preds) == 0:
+        raise ValueError("preds and labels must be nonempty")
     return float(np.mean(preds == labels))
 
 
 def mse(preds: Array, labels: Array) -> float:
-    preds = np.asarray(preds, dtype=float).ravel()
-    labels = np.asarray(labels, dtype=float).ravel()
-    if len(preds) != len(labels):
-        raise ValueError("predictions and labels must have equal length")
+    """Mean squared error of (n,) predictions against their labels, n >= 1."""
+    preds = checked_array(preds, "preds", ("n",), inf=True)
+    labels = checked_array(labels, "labels", (len(preds),), inf=True)
+    if len(preds) == 0:
+        raise ValueError("preds and labels must be nonempty")
     return float(np.mean((preds - labels) ** 2))
 
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FilteredComplex, FilteredCubicalGrid
+from .geometry import checked_array
 
 Array = np.ndarray
 
@@ -63,9 +64,7 @@ class PersistenceDiagram:
     intervals: Array  # (k, 3) float, sorted by (dim, birth, death)
 
     def __post_init__(self):
-        iv = np.asarray(self.intervals, dtype=float).reshape(-1, 3)
-        if np.isnan(iv).any():
-            raise ValueError("intervals must not contain nan")
+        iv = checked_array(self.intervals, "intervals", ("k", 3), inf=True)
         if iv.size and np.any(iv[:, 2] < iv[:, 1]):
             raise ValueError("interval death must be >= birth")
         order = np.lexsort((iv[:, 2], iv[:, 1], iv[:, 0]))

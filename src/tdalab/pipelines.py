@@ -342,11 +342,11 @@ def holes_pipeline(
     ]
     all_pairs = _map_items(_weighted_dim1_diagram, args, config.jobs)
 
-    train_points = FinitePoints.from_pairs([all_pairs[i] for i in train_idx], 1)
+    train_points = FinitePoints.from_pairs([all_pairs[i] for i in train_idx])
     (kind, params), best_k, predict = _fit_knn(
         train_points, labels[train_idx], candidates, config.knn_grid, "classify", seed
     )
-    clean_preds = predict(FinitePoints.from_pairs([all_pairs[i] for i in test_idx], 1))
+    clean_preds = predict(FinitePoints.from_pairs([all_pairs[i] for i in test_idx]))
     regimes = [Regime("clean", "accuracy", accuracy(clean_preds, labels[test_idx]))]
 
     for t_idx, spec in enumerate(transforms):
@@ -358,7 +358,7 @@ def holes_pipeline(
                 (moved.points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
             )
         t_pairs = _map_items(_weighted_dim1_diagram, t_args, config.jobs)
-        t_preds = predict(FinitePoints.from_pairs(t_pairs, 1))
+        t_preds = predict(FinitePoints.from_pairs(t_pairs))
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
     ids = _item_ids(dataset, test_idx)
@@ -418,8 +418,8 @@ def curvature_pipeline(
     regimes = []
     key_preds = None
     for dim in (0, 1):
-        points_tr = FinitePoints.from_pairs([p[dim] for p in train_pairs], dim)
-        points_te = FinitePoints.from_pairs([p[dim] for p in test_pairs], dim)
+        points_tr = FinitePoints.from_pairs([p[dim] for p in train_pairs])
+        points_te = FinitePoints.from_pairs([p[dim] for p in test_pairs])
         max_len = max(1, int(points_tr.counts.max(initial=0)))
         tables = {
             "simple": [("lifespans", {"k": max_len})],
@@ -543,7 +543,7 @@ def concavity_features(mask: BinaryMask, normalize: bool = False) -> Array:
     ``sublevel_ph0_stack`` call reads the components of all the lines off it.
     """
     lines = default_lines(mask)
-    centers = mask.cell_centers()[mask.cells]
+    centers = mask.occupied_centers()
     values = cell_units(tubular_distances(centers, lines), mask.cell_size)
     stack = np.full((len(lines), mask.side, mask.side), np.inf)
     stack[:, mask.cells] = values

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import checked_array
 from .persistence import PersistenceDiagram
 
 Array = np.ndarray
@@ -40,9 +41,7 @@ class SignatureVector:
     values: Array
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise ValueError("signature values must be finite")
+        v = checked_array(self.values, "values", ("d",)).view()  # freeze a view, not the caller's array
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -56,22 +55,21 @@ class FinitePoints:
     vectorization below takes one of these and returns one row per diagram.
     """
 
-    def __init__(self, dim: int, births: Array, deaths: Array, bounds: Array):
-        self.dim = dim
+    def __init__(self, births: Array, deaths: Array, bounds: Array):
         self.births = births
         self.deaths = deaths
         self.lives = deaths - births
         self.bounds = bounds
 
     @classmethod
-    def from_pairs(cls, pairs, dim: int) -> "FinitePoints":
+    def from_pairs(cls, pairs) -> "FinitePoints":
         """The points of diagrams given as arrays of finite (birth, death)
-        pairs of dimension ``dim``, one array per diagram, each in the
-        (birth, death) order ``PersistenceDiagram.finite_in_dim`` returns."""
+        pairs, one array per diagram, each in the (birth, death) order
+        ``PersistenceDiagram.finite_in_dim`` returns."""
         flat = np.concatenate(pairs) if len(pairs) else np.empty((0, 2))
         bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
         bounds[1:] = np.cumsum([len(p) for p in pairs])
-        return cls(dim, flat[:, 0].copy(), flat[:, 1].copy(), bounds)
+        return cls(flat[:, 0].copy(), flat[:, 1].copy(), bounds)
 
     def __len__(self) -> int:
         return len(self.bounds) - 1
@@ -88,7 +86,7 @@ class FinitePoints:
     def _select(self, idx: Array, counts: Array) -> "FinitePoints":
         bounds = np.zeros(len(counts) + 1, dtype=np.int64)
         bounds[1:] = np.cumsum(counts)
-        return FinitePoints(self.dim, self.births[idx], self.deaths[idx], bounds)
+        return FinitePoints(self.births[idx], self.deaths[idx], bounds)
 
     def take(self, rows) -> "FinitePoints":
         """The points of the diagrams ``rows``, in that order."""
@@ -116,7 +114,7 @@ class FinitePoints:
 
 def finite_points(diagrams, dim: int) -> FinitePoints:
     """The finite points of the diagrams in one dimension, extracted once."""
-    return FinitePoints.from_pairs([pd.finite_in_dim(dim) for pd in diagrams], dim)
+    return FinitePoints.from_pairs([pd.finite_in_dim(dim) for pd in diagrams])
 
 
 def _blocks(points: FinitePoints):

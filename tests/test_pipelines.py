@@ -619,10 +619,10 @@ def test_worker_pairs_make_the_points_of_their_diagrams():
     for dim in (0, 1):
         arrays = [p[dim] for p in pairs] + [np.empty((0, 2))]
         diagrams = [PersistenceDiagram(np.column_stack([np.full(len(a), float(dim)), a])) for a in arrays]
-        got, want = FinitePoints.from_pairs(arrays, dim), finite_points(diagrams, dim)
+        got, want = FinitePoints.from_pairs(arrays), finite_points(diagrams, dim)
         for a, b in ((got.births, want.births), (got.deaths, want.deaths), (got.bounds, want.bounds)):
             assert np.array_equal(a, b)
-    assert len(FinitePoints.from_pairs([], 1)) == 0
+    assert len(FinitePoints.from_pairs([])) == 0
 
 
 @pytest.mark.parametrize("mode", ["pi", "pl"])
