@@ -35,7 +35,7 @@ class Standardizer:
         return cls(mean, std)
 
     def transform(self, X: Array) -> Array:
-        return (np.asarray(X, dtype=float) - self.mean) / self.std
+        return (checked_array(X, "X", ("n", len(self.mean))) - self.mean) / self.std
 
 
 def neighbour_ranking(train_X: Array, train_y: Array, test_X: Array, k: int) -> Array:
@@ -69,9 +69,10 @@ def knn_predict_ranked(ranking: Array, train_y: Array, k: int, mode: str) -> Arr
 
 def knn_fit_predict(train_X: Array, train_y: Array, test_X: Array, k: int, mode: str) -> Array:
     """Plain k-NN: majority vote (ties to the smallest label) or neighbor mean."""
-    train_X = np.asarray(train_X, dtype=float)
-    if train_X.ndim != 2 or len(train_X) == 0:
-        raise ValueError("training set must be a nonempty 2-D array")
+    train_X = checked_array(train_X, "train_X", ("n", "d"))
+    test_X = checked_array(test_X, "test_X", ("n", train_X.shape[1]))
+    if len(train_X) == 0:
+        raise ValueError("train_X must be nonempty")
     if not 1 <= k <= len(train_X):
         raise ValueError(f"k must lie in [1, {len(train_X)}]")
     return knn_predict_ranked(neighbour_ranking(train_X, train_y, test_X, k), train_y, k, mode)
@@ -83,6 +84,8 @@ def knn_grid_scores(
     """Validation score of k-NN at every k of the grid, all from one
     neighbour ranking: accuracy (classify) or mse (regress). A k above the
     number of training rows scores -inf (classify) or +inf (regress)."""
+    train_X = checked_array(train_X, "train_X", ("n", "d"))
+    val_X = checked_array(val_X, "val_X", ("n", train_X.shape[1]))
     if mode not in ("classify", "regress"):
         raise ValueError("mode must be 'classify' or 'regress'")
     if min(knn_grid, default=1) < 1:

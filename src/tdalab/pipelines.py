@@ -532,29 +532,48 @@ def _second_persistence(births: Array, deaths: Array, end_value: float) -> float
     return float(spans[rank[1]])
 
 
+# Top cells per level sweep of a block of masks: larger blocks pay less per-call
+# overhead but label more planes at once. A block holds 4 side-20 or 2 side-30 masks.
+_BLOCK_CELLS = 1 << 14
+
+
+def _blocks(items, sides):
+    """Yield runs of consecutive items whose masks share a side, each of at
+    least one item and at most ``_BLOCK_CELLS`` top cells over its line grids."""
+    for side, run in itertools.groupby(zip(sides, items), key=lambda pair: pair[0]):
+        run = [item for _, item in run]
+        step = max(1, _BLOCK_CELLS // (len(LINE_NAMES) * side * side))
+        yield from (run[i : i + step] for i in range(0, len(run), step))
+
+
+def _concavity_block(masks: list, normalize: bool) -> Array:
+    """``concavity_features`` of masks of one side, one row each, from one
+    ``sublevel_ph0_stack`` call on all their line grids, split by grid index."""
+    side = masks[0].side
+    stack = np.full((len(masks) * len(LINE_NAMES), side, side), np.inf)
+    for grids, mask in zip(stack.reshape(len(masks), -1, side, side), masks):
+        values = tubular_distances(mask.occupied_centers(), default_lines(mask))
+        grids[:, mask.cells] = cell_units(values, mask.cell_size)
+    ends = stack.max(axis=(1, 2), where=stack < math.inf, initial=-math.inf).tolist()
+    grid, births, deaths = sublevel_ph0_stack(stack)
+    out = [_second_persistence(births[grid == i], deaths[grid == i], end) for i, end in enumerate(ends)]
+    out = np.reshape(out, (len(masks), len(LINE_NAMES)))
+    if normalize:
+        out /= np.array([mask.cells.sum() for mask in masks])[:, None]
+    return out
+
+
 def concavity_features(mask: BinaryMask, normalize: bool = False) -> Array:
     """Lifespan of the second most persisting tubular component, per line.
 
     Lifespans are measured in ``cell_units``; the vector is invariant under
     translating or uniformly scaling the mask extent.
     ``normalize`` divides by the occupied-cell count (area-relative mode).
-    The distances of the occupied cells to all nine lines are one array;
-    each line's distances fill one grid of a stack, +inf off the mask, and one
-    ``sublevel_ph0_stack`` call reads the components of all the lines off it.
+    The distances of the occupied cells to the nine lines fill nine grids,
+    +inf off the mask, for one level sweep: the one-mask ``_concavity_block``;
+    the pipelines sweep blocks of several masks at once.
     """
-    lines = default_lines(mask)
-    centers = mask.occupied_centers()
-    values = cell_units(tubular_distances(centers, lines), mask.cell_size)
-    stack = np.full((len(lines), mask.side, mask.side), np.inf)
-    stack[:, mask.cells] = values
-    grid, births, deaths = sublevel_ph0_stack(stack)
-    out = np.empty(len(lines))
-    for i, end_value in enumerate(values.max(axis=1).tolist()):
-        on = grid == i
-        out[i] = _second_persistence(births[on], deaths[on], end_value)
-    if normalize:
-        out /= len(centers)
-    return out
+    return _concavity_block([mask], normalize)[0]
 
 
 @dataclass(frozen=True)
@@ -567,16 +586,20 @@ class ConvexityConfig:
     fill_neighbors: int = 5  # close sampling gaps in the raster; 0 disables
     jobs: int = 1
 
+    def __post_init__(self):
+        if self.grid_side < 2:
+            raise ValueError("raster side must be at least 2")
 
-def _convexity_scalar_worker(cloud, grid_side, fill_neighbors):
-    mask = rasterize(cloud, grid_side)
-    mask = fill_sampling_gaps(mask, fill_neighbors)
-    return float(concavity_features(mask).max())
+
+def _convexity_scalar_worker(clouds, grid_side, fill_neighbors):
+    masks = [fill_sampling_gaps(rasterize(cloud, grid_side), fill_neighbors) for cloud in clouds]
+    return _concavity_block(masks, False).max(axis=1)
 
 
 def _convexity_scalars(dataset: LabeledDataset, config: ConvexityConfig) -> Array:
-    args = [(item, config.grid_side, config.fill_neighbors) for item in dataset.items]
-    return np.array(_map_items(_convexity_scalar_worker, args, config.jobs))
+    blocks = _blocks(dataset.items, itertools.repeat(config.grid_side))
+    args = [(block, config.grid_side, config.fill_neighbors) for block in blocks]
+    return np.concatenate(_map_items(_convexity_scalar_worker, args, config.jobs))
 
 
 def convexity_seed(seed: int, kind: str) -> int:
@@ -661,10 +684,6 @@ def _spearman(x, y) -> float:
     return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
-def _mask_features_worker(mask):
-    return concavity_features(mask, normalize=True)
-
-
 def convexity_regression(
     masks, seed: int = 0, config: RegressionConfig | None = None
 ) -> ExperimentReport:
@@ -691,8 +710,8 @@ def convexity_regression(
             f"need at least 20 usable masks, got {len(kept)} ({len(skipped)} skipped as degenerate)"
         )
     labels = np.array(labels)
-    args = [(masks[i],) for i in kept]
-    X = np.stack(_map_items(_mask_features_worker, args, config.jobs))
+    args = [(block, True) for block in _blocks([masks[i] for i in kept], [masks[i].side for i in kept])]
+    X = np.concatenate(_map_items(_concavity_block, args, config.jobs))
 
     train_idx, test_idx = train_test_split_indices(
         labels, 1.0 - config.train_fraction, seed, stratify=False

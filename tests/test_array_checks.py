@@ -30,7 +30,7 @@ from tdalab.geometry import (
     points_in_polygon,
     tubular_distances,
 )
-from tdalab.learn import accuracy, mse, ridge_fit, threshold_fit
+from tdalab.learn import Standardizer, accuracy, knn_fit_predict, knn_grid_scores, mse, ridge_fit, threshold_fit
 from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import SignatureVector
 
@@ -40,6 +40,8 @@ DM4 = euclidean_distance_matrix(PointCloud([[0, 0], [1, 0], [0, 1], [1, 1]]))
 FULL_MASK = BinaryMask(np.ones((2, 2), dtype=bool))
 X6 = np.column_stack([np.arange(6.0), np.arange(6.0) ** 2])
 LABELS4 = np.array([0.0, 0.0, 1.0, 1.0])
+Y6 = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+STD6 = Standardizer.fit(X6)
 
 
 # (id, argument name, a valid value, the entry called on it, and the faults
@@ -128,6 +130,30 @@ ENTRIES = [
     ("accuracy.labels", "labels", LABELS4, lambda y: accuracy(LABELS4, y), {}),
     ("mse.preds", "preds", LABELS4, lambda p: mse(p, LABELS4[: len(p)]), {}),
     ("mse.labels", "labels", LABELS4, lambda y: mse(LABELS4, y), {}),
+    ("Standardizer.transform", "X", X6, STD6.transform, {"empty": lambda out: out.shape == (0, 2)}),
+    (
+        "knn_fit_predict.train_X",
+        "train_X",
+        X6,
+        lambda X: knn_fit_predict(X, Y6[: len(X)], X[:2], 1, "regress"),
+        # a third feature column is one more coordinate of the train and test rows
+        {"trailing": lambda out: out.shape == (2,)},
+    ),
+    (
+        "knn_fit_predict.test_X",
+        "test_X",
+        X6[:2],
+        lambda T: knn_fit_predict(X6, Y6, T, 1, "regress"),
+        {"empty": lambda out: out.shape == (0,)},
+    ),
+    (
+        "knn_grid_scores.train_X",
+        "train_X",
+        X6,
+        lambda X: knn_grid_scores(X, Y6[: len(X)], np.ones((2, X.shape[-1])), Y6[:2], (1,), "regress"),
+        # no training row: the k above it scores +inf, as documented
+        {"trailing": lambda scores: len(scores) == 1, "empty": lambda scores: scores == [math.inf]},
+    ),
 ]
 
 
@@ -174,6 +200,13 @@ SILENT_FAULTS = [
     ("threshold_fit", "scalars", lambda: threshold_fit(np.arange(6.0).reshape(3, 2), [0, 0, 0, 1, 1, 1])),
     ("Line", "anchor", lambda: Line([[0.0, 0.0]], [[1.0, 0.0]])),
     ("weighted_rips_complex", "vertex_values", lambda: weighted_rips_complex(DM4, np.zeros((4, 1)))),
+    ("Standardizer.transform", "X", lambda: Standardizer.fit(np.ones((5, 3))).transform(np.ones((2, 1)))),
+    (
+        "knn_fit_predict",
+        "test_X",
+        lambda: knn_fit_predict([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0], [[math.nan]], 1, "classify"),
+    ),
+    ("knn_grid_scores", "val_X", lambda: knn_grid_scores(X6, Y6, [[math.nan, 0.0]], [1.0], (1,), "classify")),
 ]
 
 

@@ -18,6 +18,7 @@ from tdalab.datagen import (
     sample_constant_curvature_disk,
     sample_holes_shape,
 )
+import tdalab.datagen as datagen
 import tdalab.geometry as geometry
 from tdalab.geometry import (
     BinaryMask,
@@ -41,9 +42,12 @@ from tdalab.persistence import PersistenceDiagram, compute_ph, sublevel_ph0_stac
 from tdalab.pipelines import (
     ConvexityConfig,
     CurvatureConfig,
+    LINE_NAMES,
     HolesConfig,
     RegressionConfig,
+    _blocks,
     _capped_dim1_pairs,
+    _concavity_block,
     _convexity_regime,
     _convexity_scalars,
     _curvature_worker,
@@ -232,23 +236,62 @@ def test_concavity_features_equal_per_line_sweeps():
     assert min(scores[: len(rasters)]) == 0 < max(scores[: len(rasters)])
 
 
-def test_concavity_features_sweep_once_per_mask(monkeypatch):
-    calls = []
+def test_concavity_features_sweep_once_per_block(monkeypatch):
+    calls = _count_calls(monkeypatch, pipelines, "sublevel_ph0_stack")
 
-    def counted(values):
-        calls.append(np.shape(values))
-        return sublevel_ph0_stack(values)
+    def stack_shapes():
+        shapes = [np.shape(args[0]) for args in calls]
+        calls.clear()
+        return shapes
 
-    monkeypatch.setattr(pipelines, "sublevel_ph0_stack", counted)
+    # 16,384 top cells per sweep: nine grids of 400 cells for each of 4 side-20
+    # masks, or of 900 cells for each of 2 side-30 masks
+    per_block = {s: pipelines._BLOCK_CELLS // (len(LINE_NAMES) * s * s) for s in (20, 30)}
+    assert per_block == {20: 4, 30: 2}
     masks = gen_polygon_masks(12, 30, 811).items
     for mask in masks:
         concavity_features(mask)
-    assert [shape[0] for shape in calls] == [len(default_lines(m)) for m in masks]
-    calls.clear()
-    config = ConvexityConfig(points_per_cloud=1000, clouds_per_shape=1, polygons_per_class=4)
-    dataset = _gen_convexity("regular", config, 601)
+    assert stack_shapes() == [(9, 30, 30)] * len(masks)
+    # 10 side-20 rasters: two full blocks and a partial one of 2 masks
+    config = ConvexityConfig(points_per_cloud=1000, polygons_per_class=5)
+    dataset = _gen_convexity("random", config, 601)
+    assert len(dataset.items) == 10
     _convexity_scalars(dataset, config)
-    assert len(calls) == len(dataset.items)
+    assert stack_shapes() == [(36, 20, 20), (36, 20, 20), (18, 20, 20)]
+    # 5 side-30 masks, then 15 side-20 ones: no block spans the change of side
+    masks = list(gen_polygon_masks(5, 30, 811).items) + list(gen_polygon_masks(15, 20, 812).items)
+    report = convexity_regression(masks)
+    assert report.config["skipped_masks"] == []
+    assert stack_shapes() == [(18, 30, 30)] * 2 + [(9, 30, 30)] + [(36, 20, 20)] * 3 + [(27, 20, 20)]
+
+
+def test_concavity_blocks_equal_per_mask_routes():
+    """Features swept block by block equal the per-line sweeps and the
+    union-find route, mask by mask, wherever a mask sits in its block."""
+    two_essential = gen_polygon_masks(60, 30, 603).items[24]  # two components
+    stray_cell = gen_polygon_masks(60, 30, 811).items[57]  # convex, with a stray cell
+    side_30 = gen_polygon_masks(4, 30, 7).items
+    masks = list(_seed_601_rasters())[:3]
+    masks += [side_30[0], two_essential, side_30[1], stray_cell, side_30[2]]
+    masks += list(gen_polygon_masks(6, 20, 6).items)
+    blocks = list(_blocks(masks, [m.side for m in masks]))
+    assert [len(b) for b in blocks] == [3, 2, 2, 1, 4, 2]
+    for normalize in (False, True):
+        rows = np.concatenate([_concavity_block(block, normalize) for block in blocks])
+        for mask, row in zip(masks, rows, strict=True):
+            assert np.array_equal(row, _per_line_concavity(mask, normalize))
+            union_find = _union_find_concavity(mask)
+            assert np.array_equal(row, union_find / mask.cells.sum() if normalize else union_find)
+
+
+@pytest.mark.parametrize("grid_side", [0, 1, -20])
+def test_convexity_config_rejects_a_raster_side_below_2(monkeypatch, grid_side):
+    # the config fails with the raster's own message, before a corpus is
+    # generated or a block of masks is sized by the side
+    generated = _count_calls(monkeypatch, datagen, "gen_convexity_dataset")
+    with pytest.raises(ValueError, match="raster side must be at least 2"):
+        convexity_experiment(ConvexityConfig(grid_side=grid_side), seed=0)
+    assert generated == []
 
 
 def test_normalize_divides_by_occupied_count():
@@ -666,16 +709,30 @@ def _curvature_with_jobs(jobs):
     return curvature_pipeline(train, test, CurvatureConfig(knn_grid=(1, 3), jobs=jobs), seed=0)
 
 
+# 16 clouds per corpus and 25 masks: 3 and 7 blocks, each with a partial last block
+_JOBS_CONVEXITY = ConvexityConfig(grid_side=16, points_per_cloud=300, clouds_per_shape=2, polygons_per_class=8)
+
+
+def _jobs_regression_masks():
+    return list(gen_polygon_masks(25, 20, seed=4).items)
+
+
 def _convexity_with_jobs(jobs):
-    config = ConvexityConfig(
-        grid_side=16, points_per_cloud=300, clouds_per_shape=2, polygons_per_class=6, jobs=jobs
-    )
-    return convexity_experiment(config, seed=3)
+    return convexity_experiment(dataclasses.replace(_JOBS_CONVEXITY, jobs=jobs), seed=3)
 
 
 def _regression_with_jobs(jobs):
-    masks = list(gen_polygon_masks(20, 20, seed=4).items)
-    return convexity_regression(masks, seed=0, config=RegressionConfig(jobs=jobs))
+    return convexity_regression(_jobs_regression_masks(), seed=0, config=RegressionConfig(jobs=jobs))
+
+
+def test_jobs_inputs_end_in_a_partial_block():
+    for kind in ("regular", "random"):
+        clouds = _gen_convexity(kind, _JOBS_CONVEXITY, 3).items
+        assert [len(b) for b in _blocks(clouds, [16] * len(clouds))] == [7, 7, 2], kind
+    masks = _jobs_regression_masks()
+    for mask in masks:
+        convexity_measure(mask)  # raises on a degenerate mask, which the regression would skip
+    assert [len(b) for b in _blocks(masks, [20] * len(masks))] == [4] * 6 + [1]
 
 
 @pytest.mark.parametrize(
