@@ -7,6 +7,17 @@ dimension 2 that is all that homology in degrees 0 and 1 needs. Cubical
 grids use the top-cell construction: occupied cells carry the filtration
 value, lower cells inherit the minimum over their incident top cells,
 which makes diagonally adjacent cells connected (8-connectivity).
+
+A flag complex also owns its filtration order: ``positions``, one (n, n)
+table of edge positions shared by its prefixes, which both persistence
+engines read. Degree 0 comes from an elder-rule union-find over the edges
+in filtration order, which gives the pairing of the vertex-edge boundary
+reduction; the edges it leaves out close a cycle and are the degree-1
+creators. The minimum spanning forest comes first, by a dense numpy Prim
+over that table: the positions are distinct, so the forest is exactly the
+set of edges that merge, and the union-find visits its at most n - 1 edges
+alone. Both run once per complex, at the first read, and a filtration
+prefix inherits the pairs whose edge is among its own.
 """
 
 from __future__ import annotations
@@ -67,17 +78,16 @@ class FilteredComplex:
         object.__setattr__(self, "edge_values", edge_values[order])
 
     @classmethod
-    def _in_order(cls, vertex_values: Array, edges: Array, edge_values: Array, elder_pairs=None) -> FilteredComplex:
+    def _in_order(cls, vertex_values: Array, edges: Array, edge_values: Array, **cached) -> FilteredComplex:
         """A complex of arrays already as the constructor leaves them: float
         values, edges with sorted rows in filtration order. It skips the
-        constructor's checks and sort. ``elder_pairs``, when given, are its
-        union-find pairs."""
+        constructor's checks and sort. ``cached`` gives its ``positions``
+        and ``elder_pairs``, when known."""
         cx = object.__new__(cls)
         object.__setattr__(cx, "vertex_values", vertex_values)
         object.__setattr__(cx, "edges", edges)
         object.__setattr__(cx, "edge_values", edge_values)
-        if elder_pairs is not None:
-            cx.__dict__["elder_pairs"] = elder_pairs
+        cx.__dict__.update(cached)
         return cx
 
     @property
@@ -85,42 +95,105 @@ class FilteredComplex:
         return self.vertex_values.size
 
     @functools.cached_property
+    def positions(self) -> Array:
+        """(n, n) int32 table of each edge's filtration position, both ways
+        round, computed at the first read; ``len(edges)`` or more where
+        there is no edge, the diagonal too. A prefix shares its complex's
+        table: the complex's later edges sit at the prefix's edge count or more."""
+        n, m = self.n_vertices, len(self.edges)
+        pos = np.full((n, n), m, dtype=np.int32)
+        pos[self.edges[:, 0], self.edges[:, 1]] = pos[self.edges[:, 1], self.edges[:, 0]] = np.arange(m)
+        return pos
+
+    @functools.cached_property
     def elder_pairs(self) -> Array:
         """(k, 2) degree-0 death pairs (vertex row, edge position) of the
         elder-rule union-find, in edge order, computed at the first read. A
         vertex's row is its position in (value, index) order. The
         union-find visits only the edges of the minimum spanning forest
-        (``persistence._spanning_forest``), so the edge column is the
-        forest."""
-        from . import persistence  # which imports this module
-
-        n, (_, rows) = self.n_vertices, persistence._flag_cells(self)
-        return persistence._elder_union_find(n, rows, persistence._spanning_forest(n, self.edges))
+        (``_spanning_forest``), so the edge column is the forest."""
+        n = self.n_vertices
+        rows = np.empty(n, dtype=np.int64)
+        rows[np.argsort(self.vertex_values, kind="stable")] = np.arange(n)
+        return _elder_union_find(n, rows[self.edges], _spanning_forest(self.positions, len(self.edges)))
 
     def prefix(self, cap: float) -> FilteredComplex:
         """The flag complex of the edges valued at most ``cap``, with every
         vertex: a filtration prefix. The edges are already in filtration
-        order, so it is a slice of them. Kruskal's order reaches the same
-        state on a prefix, so its union-find pairs are this complex's pairs
-        whose edge is among them."""
+        order, so it is a slice of them, and it shares this complex's
+        ``positions``. Kruskal's order reaches the same state on a prefix,
+        so its union-find pairs are this complex's pairs whose edge is among
+        them."""
         if math.isnan(cap):
             raise ValueError("cap must not be NaN")
         m = int(np.searchsorted(self.edge_values, cap, side="right"))
         pairs = self.elder_pairs
-        return FilteredComplex._in_order(
-            self.vertex_values, self.edges[:m], self.edge_values[:m], pairs[pairs[:, 1] < m]
-        )
+        cached = {"positions": self.positions, "elder_pairs": pairs[pairs[:, 1] < m]}
+        return FilteredComplex._in_order(self.vertex_values, self.edges[:m], self.edge_values[:m], **cached)
 
     @property
     def n_simplices(self) -> int:
         """Vertices, edges and triangles, counted from the adjacency matrix."""
-        n = self.n_vertices
-        adj = np.zeros((n, n))
-        adj[self.edges[:, 0], self.edges[:, 1]] = 1.0
-        adj += adj.T
+        adj = (self.positions < len(self.edges)).astype(float)
         # each triangle closes six walks of length 3
         triangles = int(np.sum((adj @ adj) * adj)) // 6
-        return n + len(self.edges) + triangles
+        return self.n_vertices + len(self.edges) + triangles
+
+
+def _spanning_forest(pos: Array, m: int) -> Array:
+    """Ascending positions of the edges of the minimum spanning forest of
+    the graph of the first ``m`` edges of a ``positions`` table.
+
+    Dense Prim over the edges' positions, restarted at a vertex no edge
+    reaches from the trees grown so far. The positions are distinct, so the
+    forest is unique: it is exactly the set of edges on which Kruskal's
+    order, and so the elder-rule union-find, merges two components. Reads
+    the (n, n) table, so only flag complexes call it.
+    """
+    n = len(pos)
+    best = np.full(n, m, dtype=np.int64)  # least edge from the trees; m: none
+    free = np.ones(n, dtype=bool)
+    forest = []
+    v = 0
+    for _ in range(n - 1):
+        # v joins a tree: it is no longer free, and m + 1 keeps it from being picked again
+        free[v] = False
+        np.minimum(best, pos[v], out=best, where=free)
+        best[v] = m + 1
+        v = int(best.argmin())
+        edge = int(best[v])
+        if edge < m:
+            forest.append(edge)
+    return np.sort(np.array(forest, dtype=np.int64))
+
+
+def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array) -> Array:
+    """Elder-rule union-find over the edges of a minimum spanning forest.
+
+    ``edge_rows`` are a graph's edges in filtration order and ``forest`` the
+    ascending positions of its minimum spanning forest's edges
+    (``_spanning_forest``): only they merge two components, and in that
+    order. Vertex rows are in filtration order too, so of two roots the
+    smaller row is the elder; each root is the oldest vertex of its
+    component. Returns the (k, 2) array of (vertex row, edge) death pairs,
+    exactly those of the left-to-right reduction of the vertex-edge
+    boundary block.
+    """
+    parent = list(range(n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    dying = []
+    for a, b in edge_rows[forest].tolist():
+        ra, rb = find(a), find(b)
+        elder, younger = (ra, rb) if ra < rb else (rb, ra)
+        parent[younger] = elder
+        dying.append(younger)
+    return np.column_stack([np.array(dying, dtype=np.int64), forest])
 
 
 def _reject(given: Array, bad: Array, what: str) -> None:

@@ -201,16 +201,11 @@ class BinaryMask:
 
     def cell_centers(self) -> Array:
         """Centers of all cells, shape (side, side, 2)."""
-        c = self.side
-        step = self.cell_size
-        xs = self.origin[0] + (np.arange(c) + 0.5) * step
-        ys = self.origin[1] + (np.arange(c) + 0.5) * step
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([gx, gy], axis=-1)
+        return self.origin + (np.indices(self.cells.shape).transpose(1, 2, 0) + 0.5) * self.cell_size
 
     def occupied_centers(self) -> Array:
-        """Centers of occupied cells, shape (k, 2)."""
-        return self.cell_centers()[self.cells]
+        """Centers of occupied cells in raster order, shape (k, 2)."""
+        return self.origin + (np.argwhere(self.cells) + 0.5) * self.cell_size
 
 
 _TABLE_RANGES = {
@@ -556,8 +551,7 @@ def rasterize(source, side: int) -> BinaryMask:
     if isinstance(source, Polygon):
         verts = source.vertices
         origin, width = _square_extent(verts.min(axis=0), verts.max(axis=0))
-        mask = BinaryMask(np.ones((side, side), dtype=bool), origin, width)
-        centers = mask.cell_centers().reshape(-1, 2)
+        centers = origin + (np.argwhere(np.ones((side, side), dtype=bool)) + 0.5) * (width / side)
         occupied = points_in_polygon(centers, source).reshape(side, side)
         return BinaryMask(occupied, origin, width)
     raise TypeError(f"cannot rasterize {type(source).__name__}")

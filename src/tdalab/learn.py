@@ -28,7 +28,9 @@ class Standardizer:
 
     @classmethod
     def fit(cls, X: Array) -> "Standardizer":
-        X = np.asarray(X, dtype=float)
+        X = checked_array(X, "X", ("n", "d"))
+        if len(X) == 0:
+            raise ValueError("X must be nonempty")
         mean = X.mean(axis=0)
         std = X.std(axis=0)
         std = np.where(std > 0, std, 1.0)  # constant columns pass through
@@ -44,8 +46,9 @@ def neighbour_ranking(train_X: Array, train_y: Array, test_X: Array, k: int) -> 
     Distance ties go to the smaller label (then to the earlier row), so
     predictions do not depend on the order of the training rows.
     """
-    train_X = np.asarray(train_X, dtype=float)
-    test_X = np.asarray(test_X, dtype=float)
+    train_X = checked_array(train_X, "train_X", ("n", "d"))
+    test_X = checked_array(test_X, "test_X", ("n", train_X.shape[1]))
+    train_y = checked_array(train_y, "train_y", (len(train_X),), inf=True)
     d2 = (
         np.sum(test_X**2, axis=1)[:, None]
         - 2.0 * test_X @ train_X.T
@@ -70,7 +73,6 @@ def knn_predict_ranked(ranking: Array, train_y: Array, k: int, mode: str) -> Arr
 def knn_fit_predict(train_X: Array, train_y: Array, test_X: Array, k: int, mode: str) -> Array:
     """Plain k-NN: majority vote (ties to the smallest label) or neighbor mean."""
     train_X = checked_array(train_X, "train_X", ("n", "d"))
-    test_X = checked_array(test_X, "test_X", ("n", train_X.shape[1]))
     if len(train_X) == 0:
         raise ValueError("train_X must be nonempty")
     if not 1 <= k <= len(train_X):
@@ -235,9 +237,9 @@ def select_by_mean(fold_scores, maximize: bool = True):
     Returns (index, score, scores), scores being every config's mean; ties
     keep the earliest config.
     """
-    table = np.asarray(fold_scores, dtype=float)
-    if table.ndim != 2 or table.shape[1] == 0:
-        raise ValueError("config grid must be nonempty")
+    table = checked_array(fold_scores, "fold_scores", ("f", "c"), inf=True)
+    if table.size == 0:
+        raise ValueError("fold_scores must hold at least one fold and one config")
     scores = [float(np.mean(table[:, c])) for c in range(table.shape[1])]
     arr = np.array(scores)
     best = int(np.argmax(arr)) if maximize else int(np.argmin(arr))

@@ -14,18 +14,9 @@ the outside of the grid as the eldest component. So it is the 4-connected
 sweep of the negated grid ringed with the outside, and no cell beyond the
 pixels is built. ``scipy.ndimage`` loads at the first sweep, not with this
 module, so flag-complex work never imports scipy.
-Degree 0 of a flag complex comes from an elder-rule union-find over the
-edges in filtration order, which gives the pairing of the vertex-edge
-boundary reduction; the edges it leaves out close a cycle and are the
-degree-1 creators. The minimum spanning forest comes first, by a dense
-numpy Prim over the edges' filtration positions: those positions are
-distinct, so the forest is exactly the set of edges that merge, and the
-union-find visits its at most n - 1 edges alone. The complex runs its Prim
-and union-find once, at the first read, and a filtration prefix inherits
-the pairs whose edge is among its own, so a complete graph and its capped
-prefix share one of each. The builders hand over their edges already in
-filtration order. Degree-1 deaths of a flag complex come from the
-coboundary (cohomology) reduction of the edge-triangle block, after
+Degree 0 of a flag complex is its elder-rule union-find pairs,
+``FilteredComplex.elder_pairs``; the edges they leave out close a cycle
+and are the degree-1 creators. Degree-1 deaths come from the coboundary (cohomology) reduction of the edge-triangle block, after
 Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
 (skipped), apparent pairs -- an edge whose earliest cofacet has the edge
 as its latest facet -- are found for all edges at once with numpy, and
@@ -35,7 +26,8 @@ timsort of their concatenation, which finds the two sorted runs, keeping
 the keys that occur once. An edge's cofacets are enumerated on demand from
 the edge-value ranks, keyed by one order-preserving int64, value rank
 times n^3 plus the code of the sorted vertex triple: rows of an (n, n)
-table of rank times n^3, built once per complex, plus rows of two (n, n)
+table of rank times n^3, gathered once per complex from the complex's
+``positions``, plus rows of two (n, n)
 code tables built once per vertex count; so the triangles are never
 built. A deliberately unoptimized textbook reduction of the whole boundary
 matrix, with the flag triangles listed by brute force and a grid's
@@ -98,24 +90,6 @@ def _diagram(rows) -> PersistenceDiagram:
     if not rows:
         return PersistenceDiagram(np.empty((0, 3)))
     return PersistenceDiagram(np.array(rows, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# flag complexes: vertices in filtration order, edges as boundary rows
-# ---------------------------------------------------------------------------
-
-
-def _flag_cells(cx: FilteredComplex):
-    """Sorted vertex values and the edges' boundary rows of a flag complex.
-
-    The edges are already in filtration order, with sorted rows, as every
-    ``FilteredComplex`` holds them.
-    """
-    n = cx.n_vertices
-    v_order = np.lexsort((np.arange(n), cx.vertex_values))
-    v_row = np.empty(n, dtype=np.int64)
-    v_row[v_order] = np.arange(n)
-    return cx.vertex_values[v_order], v_row[cx.edges]
 
 
 # ---------------------------------------------------------------------------
@@ -327,63 +301,6 @@ def _grid_ph(grid: FilteredCubicalGrid, max_dim: int, drop_zero: bool) -> Persis
 # ---------------------------------------------------------------------------
 
 
-def _spanning_forest(n_vertices: int, edges: Array) -> Array:
-    """Ascending positions of the edges of the minimum spanning forest of a
-    graph whose edges are given in filtration order.
-
-    Dense Prim over the edges' positions, restarted at a vertex no edge
-    reaches from the trees grown so far. The positions are distinct, so the
-    forest is unique: it is exactly the set of edges on which Kruskal's
-    order, and so the elder-rule union-find, merges two components. Takes
-    (n, n) memory, so only flag complexes call it.
-    """
-    m = len(edges)
-    pos = np.full((n_vertices, n_vertices), m, dtype=np.int64)  # m: no edge
-    pos[edges[:, 0], edges[:, 1]] = pos[edges[:, 1], edges[:, 0]] = np.arange(m)
-    best = np.full(n_vertices, m, dtype=np.int64)  # least edge from the trees
-    forest = []
-    v = 0
-    for _ in range(n_vertices - 1):
-        # v joins a tree: m + 1 keeps it from being reached or picked again
-        pos[:, v] = m + 1
-        np.minimum(best, pos[v], out=best)
-        best[v] = m + 1
-        v = int(best.argmin())
-        edge = int(best[v])
-        if edge < m:
-            forest.append(edge)
-    return np.sort(np.array(forest, dtype=np.int64))
-
-
-def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array) -> Array:
-    """Elder-rule union-find over the edges of a minimum spanning forest.
-
-    ``edge_rows`` are a graph's edges in filtration order and ``forest`` the
-    ascending positions of its minimum spanning forest's edges
-    (``_spanning_forest``): only they merge two components, and in that
-    order. Vertex rows are in filtration order too, so of two roots the
-    smaller row is the elder; each root is the oldest vertex of its
-    component. Returns the (k, 2) array of (vertex row, edge) death pairs,
-    exactly those of the left-to-right reduction of the vertex-edge
-    boundary block.
-    """
-    parent = list(range(n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    dying = []
-    for a, b in edge_rows[forest].tolist():
-        ra, rb = find(a), find(b)
-        elder, younger = (ra, rb) if ra < rb else (rb, ra)
-        parent[younger] = elder
-        dying.append(younger)
-    return np.column_stack([np.array(dying, dtype=np.int64), forest])
-
-
 # elements of the (edges x vertices) arrays built per block in _FlagCofacets
 _FLAG_BLOCK = 1 << 18
 
@@ -425,7 +342,7 @@ class _FlagCofacets:
     and it is monotone in k, so the earliest cofacet is the least k of
     least value rank. The graph's edges are in filtration order with sorted
     rows, as every ``FilteredComplex`` holds them, so the value ranks come
-    from one pass over the sorted edge values.
+    from one pass over the sorted edge values, gathered through ``positions``.
     """
 
     def __init__(self, graph: FilteredComplex):
@@ -437,16 +354,13 @@ class _FlagCofacets:
         _check_key_range(n, len(self._levels))
         self._n, self._n3 = n, n**3
         self._a, self._b = graph.edges.T
-        # value rank and filtration position of each edge; an absent edge
-        # ranks above every present one; int32 holds both, as keys only fit
-        # int64 below about 7,000 points
+        # value rank of each position, an absent edge's (position len(values)
+        # or more) one above every present one's; int32 holds it, as keys
+        # only fit int64 below about 7,000 points
         self._absent = len(self._levels)
-        self._rank = np.full((n, n), self._absent, dtype=np.int32)
-        self._pos = np.full((n, n), -1, dtype=np.int32)
-        rank = np.cumsum(new) - 1
-        for i, j in ((self._a, self._b), (self._b, self._a)):
-            self._rank[i, j] = rank
-            self._pos[i, j] = np.arange(len(rank))
+        ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.int32)
+        self._pos = graph.positions
+        self._rank = ranks[np.minimum(self._pos, len(values))]
         # every key of a cofacet with an absent edge is at least _absent_key
         self._key = self._rank * np.int64(self._n3)
         self._absent_key = self._absent * self._n3
@@ -469,7 +383,7 @@ class _FlagCofacets:
         """(key of each edge's earliest cofacet, mask of apparent pairs).
 
         The pair is apparent when the earliest cofacet's latest facet, by
-        edge position, is the edge itself.
+        edge position, is the edge itself; an absent facet's never is.
         """
         keys = np.zeros(len(edges), dtype=np.int64)
         apparent = np.zeros(len(edges), dtype=bool)
@@ -483,9 +397,7 @@ class _FlagCofacets:
             k = rank.argmin(axis=1)  # the first minimum: the least k among ties
             rank = rank[np.arange(len(e)), k]
             keys[s : s + step] = rank.astype(np.int64) * self._n3 + self._u[a, k] + self._v[b, k]
-            apparent[s : s + step] = (
-                (rank < self._absent) & (self._pos[a, k] < e) & (self._pos[b, k] < e)
-            )
+            apparent[s : s + step] = (self._pos[a, k] < e) & (self._pos[b, k] < e)
         return keys, apparent
 
     def values(self, keys: Array) -> Array:
@@ -596,7 +508,7 @@ def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagr
         raise ValueError("max_dim must be 0 or 1")
     if isinstance(cx, FilteredComplex):
         cof = _FlagCofacets(cx) if max_dim >= 1 else None
-        return _ph(_flag_cells(cx)[0], cx.edge_values, cx.elder_pairs, cof, max_dim, drop_zero)
+        return _ph(np.sort(cx.vertex_values, kind="stable"), cx.edge_values, cx.elder_pairs, cof, max_dim, drop_zero)
     if isinstance(cx, FilteredCubicalGrid):
         return _grid_ph(cx, max_dim, drop_zero)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")

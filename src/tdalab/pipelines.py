@@ -519,8 +519,8 @@ def _second_persistence(births: Array, deaths: Array, end_value: float) -> float
 
     Essential classes outrank everything and their lifespan is measured to
     the end of the filtration, so a convex (single-component) diagram
-    scores 0 while any transient component scores its true lifespan. The
-    classes are ranked in (birth, death) order, which settles ties.
+    scores 0 while any transient component scores its true lifespan. Equal
+    ranks keep (birth, death) order, by a stable sort, which settles ties.
     """
     if len(births) < 2:
         return 0.0
@@ -528,7 +528,7 @@ def _second_persistence(births: Array, deaths: Array, end_value: float) -> float
     births, deaths = births[order], deaths[order]
     finite = np.isfinite(deaths)
     spans = np.where(finite, deaths - births, np.maximum(end_value - births, 0.0))
-    rank = np.argsort(np.where(finite, spans, np.inf))[::-1]
+    rank = np.argsort(np.where(finite, spans, np.inf), kind="stable")[::-1]
     return float(spans[rank[1]])
 
 

@@ -30,7 +30,17 @@ from tdalab.geometry import (
     points_in_polygon,
     tubular_distances,
 )
-from tdalab.learn import Standardizer, accuracy, knn_fit_predict, knn_grid_scores, mse, ridge_fit, threshold_fit
+from tdalab.learn import (
+    Standardizer,
+    accuracy,
+    knn_fit_predict,
+    knn_grid_scores,
+    mse,
+    neighbour_ranking,
+    ridge_fit,
+    select_by_mean,
+    threshold_fit,
+)
 from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import SignatureVector
 
@@ -130,7 +140,46 @@ ENTRIES = [
     ("accuracy.labels", "labels", LABELS4, lambda y: accuracy(LABELS4, y), {}),
     ("mse.preds", "preds", LABELS4, lambda p: mse(p, LABELS4[: len(p)]), {}),
     ("mse.labels", "labels", LABELS4, lambda y: mse(LABELS4, y), {}),
+    (
+        "Standardizer.fit",
+        "X",
+        X6,
+        Standardizer.fit,
+        # a third feature column is a third mean
+        {"trailing": lambda std: std.mean.shape == (3,)},
+    ),
     ("Standardizer.transform", "X", X6, STD6.transform, {"empty": lambda out: out.shape == (0, 2)}),
+    (
+        "neighbour_ranking.train_X",
+        "train_X",
+        X6,
+        lambda X: neighbour_ranking(X, Y6[: len(X)], X[:2], 1),
+        # a third feature column is one more coordinate of the train and test rows;
+        # no training row ranks none
+        {"trailing": lambda out: out.shape == (2, 1), "empty": lambda out: out.shape == (0, 0)},
+    ),
+    (
+        "neighbour_ranking.test_X",
+        "test_X",
+        X6[:2],
+        lambda T: neighbour_ranking(X6, Y6, T, 1),
+        {"empty": lambda out: out.shape == (0, 1)},
+    ),
+    (
+        "neighbour_ranking.train_y",
+        "train_y",
+        Y6,
+        lambda y: neighbour_ranking(X6[: len(y)], y, X6[:2], 1),
+        {"empty": lambda out: out.shape == (2, 0)},
+    ),
+    (
+        "select_by_mean",
+        "fold_scores",
+        [[0.5, 0.7], [0.6, -math.inf]],
+        select_by_mean,
+        # a third config is one more mean
+        {"trailing": lambda out: len(out[2]) == 3},
+    ),
     (
         "knn_fit_predict.train_X",
         "train_X",
@@ -207,6 +256,8 @@ SILENT_FAULTS = [
         lambda: knn_fit_predict([[0.0], [1.0], [2.0]], [0.0, 1.0, 1.0], [[math.nan]], 1, "classify"),
     ),
     ("knn_grid_scores", "val_X", lambda: knn_grid_scores(X6, Y6, [[math.nan, 0.0]], [1.0], (1,), "classify")),
+    ("Standardizer.fit", "X", lambda: Standardizer.fit([[1.0, math.nan], [2.0, 3.0]])),
+    ("neighbour_ranking", "test_X", lambda: neighbour_ranking(X6, Y6, [[math.nan, 0.0]], 1)),
 ]
 
 

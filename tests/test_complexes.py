@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import tdalab.persistence as persistence
+import tdalab.complexes as complexes
 from tdalab.complexes import (
     FilteredComplex,
     FilteredCubicalGrid,
@@ -357,5 +359,35 @@ def test_prefix_forest_is_its_own_forest():
             caps.append(values[ties[len(ties) // 2]])
         for cap in caps:
             sub = graph.prefix(float(cap))
-            assert np.array_equal(sub.elder_pairs[:, 1], persistence._spanning_forest(sub.n_vertices, sub.edges))
+            assert np.array_equal(sub.elder_pairs[:, 1], complexes._spanning_forest(sub.positions, len(sub.edges)))
         assert np.array_equal(graph.prefix(float(values[-1])).elder_pairs[:, 1], graph.elder_pairs[:, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    weighted=st.booleans(),
+    tied=st.booleans(),
+    pick=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_order_equals_the_rebuilt_prefix(n, weighted, tied, pick, seed):
+    # a prefix shares its complex's position table and inherits its pairs;
+    # read with every position from its edge count up as absent, they are
+    # the table and pairs of the same complex built through the constructor
+    rng = np.random.default_rng(seed)
+    if tied:  # lattice points: many distances tie
+        cells = rng.choice(49, n, replace=False)
+        points = np.column_stack([cells // 7, cells % 7]).astype(float)
+    else:
+        points = rng.random((n, 2))
+    dm = _dm(points)
+    f = dtm(dm, 0.1)
+    graph = _build(dm, (np.round(f * 2) / 2 if tied else f) if weighted else None)
+    sub = graph.prefix(float(graph.edge_values[int(pick * (len(graph.edges) - 1))]))
+    rebuilt = FilteredComplex(sub.vertex_values, sub.edges, sub.edge_values)
+    m = len(sub.edges)
+    assert sub.positions is graph.positions
+    assert rebuilt.positions.dtype == np.int32 and rebuilt.positions.shape == (n, n)
+    assert np.array_equal(np.minimum(sub.positions, m), rebuilt.positions)
+    assert np.array_equal(sub.elder_pairs, rebuilt.elder_pairs)

@@ -3,6 +3,7 @@ needs scipy, and the grid sweep loads ``scipy.ndimage`` at its first call.
 Each case runs in a fresh interpreter, since this test session has scipy
 loaded already."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -53,3 +54,17 @@ def test_first_sweep_loads_ndimage():
         "print(swept == compute_ph(grid, 0).multiset() == naive_reduction_oracle(grid, 0).multiset())\n",
     )
     assert out == ["False", "True", "True"]
+
+
+def test_complexes_imports_nothing_from_persistence():
+    # a flag complex owns its filtration order, and persistence reads it:
+    # the import runs one way only, lazy imports inside functions included
+    tree = ast.parse((SRC / "tdalab" / "complexes.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any("persistence" in name.split(".") for name in names), ast.unparse(node)

@@ -8,6 +8,7 @@ from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
+import tdalab.complexes as complexes
 import tdalab.persistence as persistence
 from tdalab.complexes import (
     FilteredComplex,
@@ -696,15 +697,17 @@ def _forest_graphs():
 
 def test_forest_union_find_equals_edge_loop():
     for cx in _forest_graphs():
-        v_values, rows = persistence._flag_cells(cx)
-        forest = persistence._spanning_forest(cx.n_vertices, cx.edges)
-        pairs = persistence._elder_union_find(len(v_values), rows, forest)
-        ref_pairs, ref_cycle = _edge_loop_union_find(len(v_values), rows)
+        n = cx.n_vertices
+        rows = np.empty(n, dtype=np.int64)
+        rows[np.lexsort((np.arange(n), cx.vertex_values))] = np.arange(n)
+        rows = rows[cx.edges]
+        forest = complexes._spanning_forest(cx.positions, len(cx.edges))
+        pairs = complexes._elder_union_find(n, rows, forest)
+        ref_pairs, ref_cycle = _edge_loop_union_find(n, rows)
         assert pairs.dtype == np.int64 and pairs.shape == ref_pairs.shape
-        assert np.array_equal(pairs, ref_pairs)
+        assert np.array_equal(pairs, ref_pairs) and np.array_equal(cx.elder_pairs, ref_pairs)
         assert np.array_equal(forest, np.nonzero(~ref_cycle)[0])
         # scipy agrees on the forest when each edge weighs its position + 1
-        n = cx.n_vertices
         graph = csr_matrix((np.arange(1.0, len(rows) + 1), tuple(cx.edges.T)), shape=(n, n))
         assert np.array_equal(np.sort(minimum_spanning_tree(graph).data) - 1, forest)
 
@@ -723,7 +726,7 @@ def test_grid_dim1_never_builds_the_dense_forest(monkeypatch):
     def dense(*args):
         raise AssertionError("dense spanning forest built")
 
-    monkeypatch.setattr(persistence, "_spanning_forest", dense)
+    monkeypatch.setattr(complexes, "_spanning_forest", dense)
     with pytest.raises(AssertionError, match="dense spanning forest"):
         compute_ph(rips_complex(_dm(RNG.random((5, 2)))), max_dim=0)
     rng = np.random.default_rng(77)
@@ -743,8 +746,8 @@ def test_grid_ph_never_runs_the_union_find(monkeypatch, max_dim):
     # the union-find serves flag complexes only; the recorder is live, as
     # the flag complex's one call shows
     calls = []
-    real = persistence._elder_union_find
-    monkeypatch.setattr(persistence, "_elder_union_find", lambda *args: calls.append(args) or real(*args))
+    real = complexes._elder_union_find
+    monkeypatch.setattr(complexes, "_elder_union_find", lambda *args: calls.append(args) or real(*args))
     compute_ph(rips_complex(_dm(RNG.random((5, 2)))), max_dim=max_dim)
     assert len(calls) == 1
     grids = list(_tied_grids(np.random.default_rng(78), 20))

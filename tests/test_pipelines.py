@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import tdalab.complexes as complexes
 from tdalab.complexes import FilteredComplex, cubical_complex, rips_complex, weighted_rips_complex
 from tdalab.datagen import (
     gen_convexity_dataset,
@@ -182,7 +183,7 @@ def _union_find_concavity(mask):
         end = grid.top_values[np.isfinite(grid.top_values)].max()
         finite = np.isfinite(pts[:, 1])
         spans = np.where(finite, pts[:, 1] - pts[:, 0], np.maximum(end - pts[:, 0], 0.0))
-        out.append(float(spans[np.argsort(np.where(finite, spans, np.inf))[::-1][1]]))
+        out.append(float(spans[np.argsort(np.where(finite, spans, np.inf), kind="stable")[::-1][1]]))
     return np.array(out)
 
 
@@ -191,6 +192,35 @@ def test_concavity_features_equal_union_find_route():
     # and so two essential classes on every line
     for mask in gen_polygon_masks(60, 30, 603).items[:30]:
         assert np.array_equal(concavity_features(mask), _union_find_concavity(mask))
+
+
+def _tuple_order_concavity(mask):
+    """Concavity features by plain Python: each line's classes as
+    (rank key, birth, death) tuples, the key being the lifespan or +inf for
+    an essential class, sorted, and the second-to-last one's lifespan."""
+    values = cell_units(tubular_distances(mask.occupied_centers(), default_lines(mask)), mask.cell_size)
+    out = []
+    for line_values in values:
+        grid = np.full(mask.cells.shape, np.inf)
+        grid[mask.cells] = line_values
+        _, births, deaths = sublevel_ph0_stack(grid[None])
+        ranked = sorted((d - b if d < math.inf else math.inf, b, d) for b, d in zip(births.tolist(), deaths.tolist()))
+        if len(ranked) < 2:
+            out.append(0.0)
+            continue
+        _, b, d = ranked[-2]
+        out.append(d - b if d < math.inf else max(float(line_values.max()) - b, 0.0))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed, index, line, score", [(603, 24, "left", 28.0), (1, 15, "right", 29.0)])
+def test_second_persistence_ties_keep_birth_death_order(seed, index, line, score):
+    # two or more essential classes tie at +inf on these lines; numpy's
+    # default argsort is unstable on some CPUs and scored both 27
+    mask = gen_polygon_masks(60, 30, seed).items[index]
+    feats = concavity_features(mask)
+    assert np.array_equal(feats, _tuple_order_concavity(mask))
+    assert feats[LINE_NAMES.index(line)] == score
 
 
 def _per_line_concavity(mask, normalize):
@@ -411,8 +441,8 @@ def test_one_spanning_forest_per_cloud(monkeypatch, falls_back):
     # the complete graph computes its forest and its union-find pairs once:
     # its prefix inherits them, and the fallback on the complete graph
     # reuses them
-    forests = _count_calls(monkeypatch, persistence, "_spanning_forest")
-    union_finds = _count_calls(monkeypatch, persistence, "_elder_union_find")
+    forests = _count_calls(monkeypatch, complexes, "_spanning_forest")
+    union_finds = _count_calls(monkeypatch, complexes, "_elder_union_find")
     reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
     _curvature_worker(sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0), CurvatureConfig().cap_factor)
     assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
