@@ -62,7 +62,7 @@ class PointCloud:
     points: Array
 
     def __post_init__(self):
-        pts = checked_array(np.atleast_2d(self.points), "points", ("n", "d"))
+        pts = checked_array(self.points, "points", ("n", "d"))
         if pts.shape[0] < 1:
             raise ValueError("points must be nonempty")
         if pts.shape[1] not in (2, 3):
@@ -86,7 +86,7 @@ class PolarCloud:
     curvature: float
 
     def __post_init__(self):
-        c = checked_array(np.atleast_2d(self.coords), "coords", ("n", 2))
+        c = checked_array(self.coords, "coords", ("n", 2))
         if c.shape[0] < 1:
             raise ValueError("coords must be nonempty")
         rho, phi = c[:, 0], c[:, 1]

@@ -198,13 +198,12 @@ def sublevel_ph0_stack(values) -> tuple:
     the number of planes times the box's cells: small for distances to a
     line or heights over a shape, large for noise.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 3 or len(v) == 0:
-        raise ValueError(f"values must be a 3-D stack of at least one grid, got shape {v.shape}")
-    finite = np.isfinite(v)
-    if np.any(~finite & (v != math.inf)):
+    v = checked_array(values, "values", ("g", "h", "w"), inf=True)
+    if len(v) == 0:
+        raise ValueError("values must hold at least one grid")
+    if np.any(v == -math.inf):
         raise ValueError("values must hold finite or +inf cells")
-    empty = np.flatnonzero(~finite.any(axis=(1, 2)))
+    empty = np.flatnonzero(~np.isfinite(v).any(axis=(1, 2)))
     if len(empty):
         raise ValueError(f"grid {empty[0]} has no finite cell")
     return _sweep(v, eight=True)
@@ -286,7 +285,7 @@ def _grid_ph(grid: FilteredCubicalGrid, max_dim: int, drop_zero: bool) -> Persis
     The dual's one essential class holds the ring and is dropped.
     """
     top = grid.top_values
-    _, births, deaths = sublevel_ph0_stack(top[None])
+    _, births, deaths = _sweep(top[None], eight=True)
     rows = [_grid_rows(0, births, deaths, grid.vertex_values(), drop_zero)]
     if max_dim == 1:
         dual = -np.pad(_box(top[None]), ((0, 0), (1, 1), (1, 1)), constant_values=math.inf)

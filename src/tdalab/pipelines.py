@@ -3,10 +3,14 @@ convexity classification, and the concavity-measure regression on masks.
 
 Each pipeline wires geometry -> complex -> persistence -> signature ->
 learner and emits an ExperimentReport that regenerates bit-identically
-from (config, seed). Per-item persistence computations fan out over
-processes when jobs > 1; results are always reduced in item order.
-Importing the module loads numpy only: the Spearman correlation of the
-concavity-measure report is computed in numpy, equal to the last bit to
+from (config, seed). Each experiment makes one fan-out, ``_map_items``, of
+one config-bound worker over all its items, on one pool of processes when
+jobs > 1; results come back in item order. Holes maps its clean clouds and
+then each transform's test clouds, curvature its training and test disks,
+and convexity the blocks of both corpora. Both flag workers cap the complex
+at a factor of its full radius in ``_capped_dim1_pairs``. Importing the
+module loads numpy only: the Spearman correlation of the concavity-measure
+report is computed in numpy, equal to the last bit to
 ``scipy.stats.spearmanr``, and ``scipy.ndimage`` loads at the first grid
 sweep.
 
@@ -22,6 +26,7 @@ import itertools
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +36,6 @@ from .datagen import LabeledDataset
 from .geometry import (
     BinaryMask,
     Line,
-    PointCloud,
     TransformSpec,
     apply_transform,
     convexity_measure,
@@ -117,14 +121,15 @@ def _report(experiment, config, seed, regimes, ids, labels, preds, t0) -> Experi
     return ExperimentReport(experiment, config, int(seed), tuple(regimes), items, time.perf_counter() - t0)
 
 
-def _map_items(func, args_list, jobs: int):
-    """Apply func over argument tuples, preserving item order."""
+def _map_items(func, items, jobs: int) -> list:
+    """``func`` of each item, in item order; over one pool of ``jobs``
+    processes when jobs > 1."""
     if jobs <= 1:
-        return [func(*args) for args in args_list]
+        return [func(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, *zip(*args_list), chunksize=4))
+        return list(pool.map(func, items, chunksize=4))
 
 
 def train_test_split_indices(labels, test_fraction: float, seed: int, stratify: bool = True):
@@ -273,11 +278,12 @@ def _check_cap_factor(cap_factor: float) -> None:
         raise ValueError(f"cap_factor must be positive, got {cap_factor!r}")
 
 
-def _capped_dim1_pairs(graph: FilteredComplex, cap: float) -> Array:
-    """Finite dim-1 (birth, death) pairs of the flag complex capped at ``cap``.
+def _capped_dim1_pairs(graph: FilteredComplex, cap_factor: float) -> Array:
+    """Finite dim-1 (birth, death) pairs of the flag complex capped at
+    ``cap_factor`` times the full radius, its largest edge value.
 
     ``graph`` is the complete graph, whose flag complex has no essential
-    degree-1 class. Only its prefix of edges valued at most ``cap`` is
+    degree-1 class. Only its prefix of edges valued at most the cap is
     reduced. The prefix's finite pairs are the full pairs that die at or
     below the cap, and its essential classes are the full pairs born at or
     below the cap that die above it. With no essential class the finite
@@ -285,21 +291,24 @@ def _capped_dim1_pairs(graph: FilteredComplex, cap: float) -> Array:
     its pairs are kept, as the complex rebuilt at the full radius would
     give.
     """
-    pd = compute_ph(graph.prefix(cap))
+    pd = compute_ph(graph.prefix(cap_factor * graph.edge_values.max(initial=0.0)))
     if np.all(np.isfinite(pd.in_dim(1)[:, 1])):
         return pd.finite_in_dim(1)
     return compute_ph(graph).finite_in_dim(1)
 
 
-def _weighted_dim1_diagram(points: Array, subsample: int, dtm_mass: float, cap_factor: float, fps_seed: int):
-    """Finite dim-1 intervals of the DTM-weighted Rips filtration."""
-    cloud = PointCloud(points)
-    if subsample and subsample < cloud.n:
-        cloud = farthest_point_subsample(cloud, subsample, fps_seed)
+def _weighted_dim1_diagram(config: HolesConfig, item) -> Array:
+    """Finite dim-1 intervals of the DTM-weighted Rips filtration of one
+    item, ``(cloud, fps_seed, spec, t_seed)``: the cloud perturbed by
+    ``spec`` under ``t_seed`` unless ``spec`` is None, then subsampled."""
+    cloud, fps_seed, spec, t_seed = item
+    if spec is not None:
+        cloud = apply_transform(cloud, spec, t_seed)
+    if config.subsample and config.subsample < cloud.n:
+        cloud = farthest_point_subsample(cloud, config.subsample, fps_seed)
     dm = euclidean_distance_matrix(cloud)
-    graph = weighted_rips_complex(dm, dtm(dm, dtm_mass), max_dim=1)
-    r_full = float(graph.edge_values.max()) if len(graph.edge_values) else 0.0
-    return _capped_dim1_pairs(graph, cap_factor * r_full)
+    graph = weighted_rips_complex(dm, dtm(dm, config.dtm_mass), max_dim=1)
+    return _capped_dim1_pairs(graph, config.cap_factor)
 
 
 def holes_pipeline(
@@ -335,12 +344,13 @@ def holes_pipeline(
     labels = np.asarray(dataset.labels, dtype=float)
     train_idx, test_idx = train_test_split_indices(labels, config.test_fraction, seed)
 
-    fps_seeds = [derive_seed(seed, 0xF5, i) for i in range(len(dataset))]
-    args = [
-        (dataset.items[i].points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
-        for i in range(len(dataset))
-    ]
-    all_pairs = _map_items(_weighted_dim1_diagram, args, config.jobs)
+    # the clean clouds, then each transform's test clouds, in one fan-out
+    n, n_test = len(dataset), len(test_idx)
+    fps_seeds = [derive_seed(seed, 0xF5, i) for i in range(n)]
+    items = [(cloud, fps_seeds[i], None, None) for i, cloud in enumerate(dataset.items)]
+    for t_idx, spec in enumerate(transforms):
+        items += [(dataset.items[i], fps_seeds[i], spec, derive_seed(seed, 0x7A, t_idx, int(i))) for i in test_idx]
+    all_pairs = _map_items(partial(_weighted_dim1_diagram, config), items, config.jobs)
 
     train_points = FinitePoints.from_pairs([all_pairs[i] for i in train_idx])
     (kind, params), best_k, predict = _fit_knn(
@@ -348,16 +358,8 @@ def holes_pipeline(
     )
     clean_preds = predict(FinitePoints.from_pairs([all_pairs[i] for i in test_idx]))
     regimes = [Regime("clean", "accuracy", accuracy(clean_preds, labels[test_idx]))]
-
     for t_idx, spec in enumerate(transforms):
-        t_args = []
-        for i in test_idx:
-            t_seed = derive_seed(seed, 0x7A, t_idx, int(i))
-            moved = apply_transform(dataset.items[i], spec, t_seed)
-            t_args.append(
-                (moved.points, config.subsample, config.dtm_mass, config.cap_factor, fps_seeds[i])
-            )
-        t_pairs = _map_items(_weighted_dim1_diagram, t_args, config.jobs)
+        t_pairs = all_pairs[n + t_idx * n_test : n + (t_idx + 1) * n_test]
         t_preds = predict(FinitePoints.from_pairs(t_pairs))
         regimes.append(Regime(spec.kind, "accuracy", accuracy(t_preds, labels[test_idx])))
 
@@ -384,12 +386,11 @@ class CurvatureConfig:
         _check_cap_factor(self.cap_factor)
 
 
-def _curvature_worker(cloud, cap_factor):
+def _curvature_worker(config: CurvatureConfig, cloud):
     """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud."""
-    dm = geodesic_distance_matrix(cloud)
-    graph = rips_complex(dm, max_dim=1)
+    graph = rips_complex(geodesic_distance_matrix(cloud), max_dim=1)
     pairs0 = compute_ph(graph, max_dim=0).finite_in_dim(0)
-    return pairs0, _capped_dim1_pairs(graph, cap_factor * float(dm.values.max()))
+    return pairs0, _capped_dim1_pairs(graph, config.cap_factor)
 
 
 def curvature_pipeline(
@@ -406,12 +407,8 @@ def curvature_pipeline(
     t0 = time.perf_counter()
     config = config or CurvatureConfig()
 
-    def extract(ds):
-        args = [(item, config.cap_factor) for item in ds.items]
-        return _map_items(_curvature_worker, args, config.jobs)
-
-    train_pairs = extract(train)
-    test_pairs = extract(test)
+    pairs = _map_items(partial(_curvature_worker, config), train.items + test.items, config.jobs)
+    train_pairs, test_pairs = pairs[: len(train)], pairs[len(train) :]
     y_train = np.asarray(train.labels, dtype=float)
     y_test = np.asarray(test.labels, dtype=float)
 
@@ -591,15 +588,11 @@ class ConvexityConfig:
             raise ValueError("raster side must be at least 2")
 
 
-def _convexity_scalar_worker(clouds, grid_side, fill_neighbors):
-    masks = [fill_sampling_gaps(rasterize(cloud, grid_side), fill_neighbors) for cloud in clouds]
+def _convexity_scalars(config: ConvexityConfig, clouds) -> Array:
+    """The largest concavity feature of each cloud of a block, rasterized
+    at the config's side with its sampling gaps filled."""
+    masks = [fill_sampling_gaps(rasterize(cloud, config.grid_side), config.fill_neighbors) for cloud in clouds]
     return _concavity_block(masks, False).max(axis=1)
-
-
-def _convexity_scalars(dataset: LabeledDataset, config: ConvexityConfig) -> Array:
-    blocks = _blocks(dataset.items, itertools.repeat(config.grid_side))
-    args = [(block, config.grid_side, config.fill_neighbors) for block in blocks]
-    return np.concatenate(_map_items(_convexity_scalar_worker, args, config.jobs))
 
 
 def convexity_seed(seed: int, kind: str) -> int:
@@ -646,7 +639,12 @@ def convexity_experiment(
     for kind in ("regular", "random"):
         if kind not in datasets:
             datasets[kind] = _gen_convexity(kind, config, seed)
-    scalars = {k: _convexity_scalars(ds, config) for k, ds in datasets.items()}
+    # each corpus is cut into blocks on its own, so it sweeps the same blocks
+    # whichever corpora run with it
+    blocks = [block for ds in datasets.values() for block in _blocks(ds.items, itertools.repeat(config.grid_side))]
+    flat = np.concatenate(_map_items(partial(_convexity_scalars, config), blocks, config.jobs))
+    ends = np.cumsum([len(ds) for ds in datasets.values()])
+    scalars = dict(zip(datasets, np.split(flat, ends[:-1])))
     labels = {k: np.asarray(ds.labels, dtype=float) for k, ds in datasets.items()}
     results = {
         kinds: _convexity_regime(*kinds, scalars, labels, config, seed) for kinds in CONVEXITY_REGIMES
@@ -710,8 +708,8 @@ def convexity_regression(
             f"need at least 20 usable masks, got {len(kept)} ({len(skipped)} skipped as degenerate)"
         )
     labels = np.array(labels)
-    args = [(block, True) for block in _blocks([masks[i] for i in kept], [masks[i].side for i in kept])]
-    X = np.concatenate(_map_items(_concavity_block, args, config.jobs))
+    blocks = _blocks([masks[i] for i in kept], [masks[i].side for i in kept])
+    X = np.concatenate(_map_items(partial(_concavity_block, normalize=True), blocks, config.jobs))
 
     train_idx, test_idx = train_test_split_indices(
         labels, 1.0 - config.train_fraction, seed, stratify=False

@@ -97,19 +97,16 @@ class FinitePoints:
         return self._select(idx, counts)
 
     def longest(self, top: int | None) -> "FinitePoints":
-        """Each diagram cut to its ``top`` longest intervals (None keeps all)."""
+        """Each diagram cut to its ``top`` longest intervals (None keeps all),
+        by the order of ``lifespans_matrix``."""
         if top is not None and top < 1:
             raise ValueError("top must be at least 1")
-        counts = self.counts
-        if top is None or not np.any(counts > top):
+        if top is None or not np.any(self.counts > top):
             return self
-        parts = []
-        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            if hi - lo > top:
-                parts.append(lo + np.argsort(self.lives[lo:hi])[::-1][:top])
-            else:
-                parts.append(np.arange(lo, hi))
-        return self._select(np.concatenate(parts), np.minimum(counts, top))
+        # lifespans descending within each diagram, equal ones in point order
+        seg, rank = self.positions()
+        order = np.lexsort((-self.lives, seg))
+        return self._select(order[rank < top], np.minimum(self.counts, top))
 
 
 def finite_points(diagrams, dim: int) -> FinitePoints:

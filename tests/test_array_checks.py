@@ -258,6 +258,9 @@ SILENT_FAULTS = [
     ("knn_grid_scores", "val_X", lambda: knn_grid_scores(X6, Y6, [[math.nan, 0.0]], [1.0], (1,), "classify")),
     ("Standardizer.fit", "X", lambda: Standardizer.fit([[1.0, math.nan], [2.0, 3.0]])),
     ("neighbour_ranking", "test_X", lambda: neighbour_ranking(X6, Y6, [[math.nan, 0.0]], 1)),
+    # a (2,) array is not read as one point
+    ("PointCloud.1-d", "points", lambda: PointCloud(np.array([0.0, 1.0]))),
+    ("PolarCloud.1-d", "coords", lambda: PolarCloud(np.array([0.5, 1.0]), 0.0)),
 ]
 
 

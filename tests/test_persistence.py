@@ -421,10 +421,10 @@ def test_sweep_edge_cases(top, expected):
 @pytest.mark.parametrize(
     "values, message",
     [
-        ([[1.0, np.nan], [0.0, 1.0]], "finite or \\+inf cells"),
+        ([[1.0, np.nan], [0.0, 1.0]], "values must not contain nan"),
         ([[1.0, -np.inf], [0.0, 1.0]], "finite or \\+inf cells"),
         ([[np.inf, np.inf], [np.inf, np.inf]], "grid 0 has no finite cell"),
-        ([1.0, 2.0], "3-D stack"),
+        ([1.0, 2.0], "values must have shape \\(g, h, w\\)"),
     ],
     ids=["nan", "-inf", "no-finite-cell", "1-d"],
 )
@@ -482,10 +482,10 @@ def test_stacked_sweep_equals_each_grid_alone(monkeypatch):
 @pytest.mark.parametrize(
     "values, message",
     [
-        (np.ones((3, 3)), "3-D stack"),
-        (np.ones((1, 2, 2, 2)), "3-D stack"),
+        (np.ones((3, 3)), "values must have shape \\(g, h, w\\)"),
+        (np.ones((1, 2, 2, 2)), "values must have shape \\(g, h, w\\)"),
         (np.ones((0, 2, 2)), "at least one grid"),
-        (np.array([[[1.0, np.nan]]]), "finite or \\+inf cells"),
+        (np.array([[[1.0, np.nan]]]), "values must not contain nan"),
         (np.array([[[1.0, -np.inf]]]), "finite or \\+inf cells"),
         (np.array([[[1.0, 2.0]], [[1.0, np.inf]], [[np.inf, np.inf]]]), "grid 2 has no finite cell"),
     ],

@@ -1,6 +1,8 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -282,12 +284,13 @@ def test_concavity_features_sweep_once_per_block(monkeypatch):
     for mask in masks:
         concavity_features(mask)
     assert stack_shapes() == [(9, 30, 30)] * len(masks)
-    # 10 side-20 rasters: two full blocks and a partial one of 2 masks
+    # 10 side-20 rasters per corpus: two full blocks and a partial one of 2
+    # masks, for each corpus alone, so no block spans the two
     config = ConvexityConfig(points_per_cloud=1000, polygons_per_class=5)
     dataset = _gen_convexity("random", config, 601)
     assert len(dataset.items) == 10
-    _convexity_scalars(dataset, config)
-    assert stack_shapes() == [(36, 20, 20), (36, 20, 20), (18, 20, 20)]
+    convexity_experiment(config, 601, {"regular": dataset, "random": dataset})
+    assert stack_shapes() == [(36, 20, 20), (36, 20, 20), (18, 20, 20)] * 2
     # 5 side-30 masks, then 15 side-20 ones: no block spans the change of side
     masks = list(gen_polygon_masks(5, 30, 811).items) + list(gen_polygon_masks(15, 20, 812).items)
     report = convexity_regression(masks)
@@ -373,10 +376,11 @@ def test_holes_pipeline_memorization():
 
 def test_holes_feature_isometry_invariance():
     pts = gen_holes_dataset(1, 200, seed=2).items[2].points
-    base = _weighted_dim1_diagram(pts, 80, 0.03, 0.5, fps_seed=3)
+    config = HolesConfig(subsample=80, dtm_mass=0.03, cap_factor=0.5)
+    base = _weighted_dim1_diagram(config, (PointCloud(pts), 3, None, None))
     for kind in ("translation", "rotation"):
         moved = apply_transform(PointCloud(pts), TransformSpec(kind), seed=8)
-        got = _weighted_dim1_diagram(moved.points, 80, 0.03, 0.5, fps_seed=3)
+        got = _weighted_dim1_diagram(config, (moved, 3, None, None))
         spans_a = np.sort(base[:, 1] - base[:, 0])[::-1][:10]
         spans_b = np.sort(got[:, 1] - got[:, 0])[::-1][:10]
         k = min(len(spans_a), len(spans_b))
@@ -396,7 +400,7 @@ def _cap_then_retry(build, cap_factor, r_full):
 @pytest.mark.parametrize("shape, retries", [(0, False), (4, True)], ids=["disk", "one-hole-disk"])
 def test_weighted_dim1_matches_cap_then_retry(shape, retries):
     points = sample_holes_shape(holes_catalog()[shape], 300, 5).points
-    config = HolesConfig()
+    config = HolesConfig(subsample=100)
     dm = euclidean_distance_matrix(farthest_point_subsample(PointCloud(points), 100, 3))
     f = dtm(dm, config.dtm_mass)
     r_full = float(weighted_rips_complex(dm, f, max_dim=1).edge_values.max())
@@ -404,7 +408,7 @@ def test_weighted_dim1_matches_cap_then_retry(shape, retries):
         lambda r_max: weighted_rips_complex(dm, f, max_dim=2, r_max=r_max), config.cap_factor, r_full
     )
     assert retried == retries
-    got = _weighted_dim1_diagram(points, 100, config.dtm_mass, config.cap_factor, 3)
+    got = _weighted_dim1_diagram(config, (PointCloud(points), 3, None, None))
     assert np.array_equal(got, expected)
 
 
@@ -418,7 +422,7 @@ def test_curvature_worker_matches_cap_then_retry(kappa, retries):
     )
     assert retried == retries
     expected0 = compute_ph(rips_complex(dm, max_dim=1), max_dim=0).finite_in_dim(0)
-    got0, got1 = _curvature_worker(cloud, cap_factor)
+    got0, got1 = _curvature_worker(CurvatureConfig(cap_factor=cap_factor), cloud)
     assert np.array_equal(got0, expected0)
     assert np.array_equal(got1, expected1)
 
@@ -444,14 +448,14 @@ def test_one_spanning_forest_per_cloud(monkeypatch, falls_back):
     forests = _count_calls(monkeypatch, complexes, "_spanning_forest")
     union_finds = _count_calls(monkeypatch, complexes, "_elder_union_find")
     reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
-    _curvature_worker(sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0), CurvatureConfig().cap_factor)
+    _curvature_worker(CurvatureConfig(), sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0))
     assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
     assert len(union_finds) == 1
     forests.clear()
     union_finds.clear()
     reductions.clear()
     points = sample_holes_shape(holes_catalog()[4 if falls_back else 0], 300, 5).points
-    _weighted_dim1_diagram(points, 100, HolesConfig().dtm_mass, HolesConfig().cap_factor, 3)
+    _weighted_dim1_diagram(HolesConfig(subsample=100), (PointCloud(points), 3, None, None))
     assert (len(forests), len(reductions)) == (1, 2 if falls_back else 1)
     assert len(union_finds) == 1
 
@@ -492,6 +496,7 @@ def test_capped_prefix_matches_cap_then_retry(n, weighted, tied, cap_at, pick, s
     expected, _ = _cap_then_retry(
         lambda r_max: FilteredComplex(vertices, edges[values <= r_max], values[values <= r_max]), cap, 1.0
     )
+    # at a full radius of 1.0 the cap factor is the cap
     assert np.array_equal(_capped_dim1_pairs(graph, cap), expected)
 
 
@@ -688,7 +693,7 @@ def test_worker_pairs_make_the_points_of_their_diagrams():
     # the workers' pair arrays come from finite_in_dim, already in the
     # (birth, death) order a diagram sorts them into
     clouds = [sample_constant_curvature_disk(kappa, 40, 3) for kappa in (-2.0, 0.0, 2.0)]
-    pairs = [_curvature_worker(cloud, CurvatureConfig().cap_factor) for cloud in clouds]
+    pairs = [_curvature_worker(CurvatureConfig(), cloud) for cloud in clouds]
     for dim in (0, 1):
         arrays = [p[dim] for p in pairs] + [np.empty((0, 2))]
         diagrams = [PersistenceDiagram(np.column_stack([np.full(len(a), float(dim)), a])) for a in arrays]
@@ -727,9 +732,10 @@ def test_convexity_report_regenerates_bit_identically():
     assert report_to_json(r1) == report_to_json(r2)
 
 
-def _holes_with_jobs(jobs):
+def _holes_with_jobs(jobs, transform=TransformSpec("shear")):
+    # the transformed test clouds go through the same fan-out as the clean ones
     ds = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=80, seed=5)
-    return holes_pipeline(ds, [], HolesConfig(subsample=30, knn_grid=(1,), jobs=jobs), seed=0)
+    return holes_pipeline(ds, transform, HolesConfig(subsample=30, knn_grid=(1,), jobs=jobs), seed=0)
 
 
 def _curvature_with_jobs(jobs):
@@ -776,6 +782,28 @@ def test_jobs_match_serial(run):
     assert parallel.config["jobs"] == 2
     parallel = dataclasses.replace(parallel, config={**parallel.config, "jobs": 1})
     assert report_to_json(parallel) == report_to_json(serial)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [partial(_holes_with_jobs, transform=None), _curvature_with_jobs, _convexity_with_jobs, _regression_with_jobs],
+    ids=["holes-all-transforms", "curvature", "convexity", "regression"],
+)
+def test_one_process_pool_per_run(monkeypatch, run):
+    """Each experiment maps all its items, holes its clean clouds and the
+    test clouds under all six transforms, in one fan-out over one pool."""
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    report = run(2)
+    assert len(pools) == 1
+    if report.experiment == "holes":
+        assert [r.name for r in report.regimes] == ["clean", *TransformSpec.kinds()]
 
 
 def test_jobs_match_serial_through_fallbacks(monkeypatch):
@@ -844,7 +872,7 @@ def test_convexity_pipeline_single_regime():
     # one train/test pairing on the regular dataset alone, as the experiment runs it
     config = _toy_convexity_config()
     ds = _gen_convexity("regular", config, seed=0)
-    scalars = {"regular": _convexity_scalars(ds, config)}
+    scalars = {"regular": _convexity_scalars(config, ds.items)}
     labels = {"regular": np.asarray(ds.labels, dtype=float)}
     acc, test_idx, test_labels, preds = _convexity_regime(
         "regular", "regular", scalars, labels, config, seed=0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tdalab.persistence import PersistenceDiagram
 from tdalab.signatures import (
     BLOCK_ROWS,
+    FinitePoints,
     PI_WEIGHTS,
     SignatureVector,
     _blocks,
@@ -336,12 +337,13 @@ def test_batch_landscapes_equal_single_rows(top):
     ])
     assert np.array_equal(landscape_matrix(points.longest(top), 100, levels, t_range), rows)
     # the per-diagram arithmetic the batch replaces, with its own cut among
-    # tied lifespans (the last three diagrams tie)
+    # tied lifespans (the last three diagrams tie): a stable sort keeps the
+    # earlier of equal lifespans
     ts = np.linspace(*t_range, 100)
     for pd, row in zip(diagrams, rows):
         pts = pd.finite_in_dim(1)
         if top is not None and len(pts) > top:
-            pts = pts[np.argsort(pts[:, 1] - pts[:, 0])[::-1][:top]]
+            pts = pts[np.argsort(pts[:, 0] - pts[:, 1], kind="stable")[:top]]
         out = np.zeros((levels, 100))
         if len(pts):
             tent = np.maximum(0.0, np.minimum(ts[None, :] - pts[:, 0:1], pts[:, 1:2] - ts[None, :]))
@@ -367,6 +369,30 @@ def test_finite_points_take_and_longest():
         assert np.array_equal(a, b)
     cut = points.longest(2)
     assert cut.counts.tolist() == np.minimum(points.counts, 2).tolist()
+
+
+def _longest_reference(births, deaths, top):
+    """A diagram's ``top`` longest points by a stable sort: of equal
+    lifespans, the earlier point is kept."""
+    rows = sorted(range(len(births)), key=lambda i: -(deaths[i] - births[i]))[:top]
+    return sorted((births[i], deaths[i]) for i in rows)
+
+
+def test_longest_keeps_the_earlier_of_equal_lifespans():
+    # tie-heavy diagrams: lifespans on a step of 0.5, distinct births on a
+    # step of 1/8, so every lifespan is exact and each point is told apart
+    rng = np.random.default_rng(11)
+    pairs = []
+    for _ in range(200):
+        births = rng.permutation(64)[: rng.integers(0, 13)] / 8
+        pairs.append(np.column_stack([births, births + rng.integers(1, 4, len(births)) / 2]))
+    points = FinitePoints.from_pairs(pairs)
+    for top in (1, 2, 3, 5):
+        cut = points.longest(top)
+        for i, p in enumerate(pairs):
+            lo, hi = cut.bounds[i], cut.bounds[i + 1]
+            got = sorted(zip(cut.births[lo:hi].tolist(), cut.deaths[lo:hi].tolist()))
+            assert got == _longest_reference(p[:, 0].tolist(), p[:, 1].tolist(), top), (top, i)
 
 
 # ---------------------------------------------------------------------------
