@@ -16,8 +16,15 @@ reduction; the edges it leaves out close a cycle and are the degree-1
 creators. The minimum spanning forest comes first, by a dense numpy Prim
 over that table: the positions are distinct, so the forest is exactly the
 set of edges that merge, and the union-find visits its at most n - 1 edges
-alone. Both run once per complex, at the first read, and a filtration
-prefix inherits the pairs whose edge is among its own.
+alone. Both run once per complex, and a filtration prefix inherits the
+pairs whose edge is among its own.
+
+The builders work on a block of graphs on one vertex count at a time:
+one stable sort puts every graph's edges in filtration order, their
+position tables form one (b, n, n) stack, of which each graph's
+``positions`` is a view, and the Prim takes its n - 1 steps once for the
+whole stack. Only the union-find runs graph by graph. ``rips_complex``
+and ``weighted_rips_complex`` build a block of one.
 """
 
 from __future__ import annotations
@@ -97,25 +104,22 @@ class FilteredComplex:
     @functools.cached_property
     def positions(self) -> Array:
         """(n, n) int32 table of each edge's filtration position, both ways
-        round, computed at the first read; ``len(edges)`` or more where
-        there is no edge, the diagonal too. A prefix shares its complex's
-        table: the complex's later edges sit at the prefix's edge count or more."""
-        n, m = self.n_vertices, len(self.edges)
-        pos = np.full((n, n), m, dtype=np.int32)
-        pos[self.edges[:, 0], self.edges[:, 1]] = pos[self.edges[:, 1], self.edges[:, 0]] = np.arange(m)
-        return pos
+        round; ``len(edges)`` or more where there is no edge, the diagonal
+        too. The builders hand each graph a view of its block's stack of
+        tables; a complex from the constructor computes it at the first
+        read. A prefix shares its complex's table: the complex's later edges
+        sit at the prefix's edge count or more."""
+        return _position_tables(self.n_vertices, self.edges[None])[0]
 
     @functools.cached_property
     def elder_pairs(self) -> Array:
         """(k, 2) degree-0 death pairs (vertex row, edge position) of the
-        elder-rule union-find, in edge order, computed at the first read. A
-        vertex's row is its position in (value, index) order. The
-        union-find visits only the edges of the minimum spanning forest
+        elder-rule union-find, in edge order, computed by the builders for
+        their whole block, and by a complex from the constructor at the
+        first read. A vertex's row is its position in (value, index) order.
+        The union-find visits only the edges of the minimum spanning forest
         (``_spanning_forest``), so the edge column is the forest."""
-        n = self.n_vertices
-        rows = np.empty(n, dtype=np.int64)
-        rows[np.argsort(self.vertex_values, kind="stable")] = np.arange(n)
-        return _elder_union_find(n, rows[self.edges], _spanning_forest(self.positions, len(self.edges)))
+        return _elder_pairs(self.vertex_values, self.edges, _spanning_forest(self.positions, len(self.edges)))
 
     def prefix(self, cap: float) -> FilteredComplex:
         """The flag complex of the edges valued at most ``cap``, with every
@@ -140,31 +144,60 @@ class FilteredComplex:
         return self.n_vertices + len(self.edges) + triangles
 
 
-def _spanning_forest(pos: Array, m: int) -> Array:
+def _position_tables(n: int, edges: Array) -> Array:
+    """(b, n, n) int32 stack of position tables of a (b, m, 2) stack of
+    edge lists in filtration order: each edge's index, both ways round, and
+    m where there is no edge, the diagonal too."""
+    b, m = edges.shape[:2]
+    pos = np.full((b, n, n), m, dtype=np.int32)
+    graph = np.arange(b)[:, None]
+    pos[graph, edges[..., 0], edges[..., 1]] = pos[graph, edges[..., 1], edges[..., 0]] = np.arange(m)
+    return pos
+
+
+def _spanning_forest(pos: Array, m):
     """Ascending positions of the edges of the minimum spanning forest of
-    the graph of the first ``m`` edges of a ``positions`` table.
+    the graph of the first ``m`` edges of a ``positions`` table; of each
+    table of a (b, n, n) stack, with one edge count each, as a list.
 
     Dense Prim over the edges' positions, restarted at a vertex no edge
-    reaches from the trees grown so far. The positions are distinct, so the
-    forest is unique: it is exactly the set of edges on which Kruskal's
-    order, and so the elder-rule union-find, merges two components. Reads
-    the (n, n) table, so only flag complexes call it.
+    reaches from the trees grown so far, taking each of its n - 1 steps
+    once for the whole stack. The positions are distinct, so the forest is
+    unique: it is exactly the set of edges on which Kruskal's order, and
+    so the elder-rule union-find, merges two components. Reads the (n, n)
+    tables, so only flag complexes call it.
     """
-    n = len(pos)
-    best = np.full(n, m, dtype=np.int64)  # least edge from the trees; m: none
-    free = np.ones(n, dtype=bool)
-    forest = []
-    v = 0
-    for _ in range(n - 1):
+    stack = pos.reshape((-1,) + pos.shape[-2:])
+    b, n = stack.shape[:2]
+    m = np.broadcast_to(np.asarray(m, dtype=np.int64), (b,))
+    # flat indices: table t's vertex v is row t * n + v of the stacked tables
+    rows, start = stack.reshape(b * n, n), np.arange(b) * n
+    best = np.repeat(m[:, None], n, axis=1)  # least edge from the trees; m: none
+    free = np.ones((b, n), dtype=bool)
+    best_flat, free_flat = best.reshape(-1), free.reshape(-1)
+    picked = np.empty((b, max(n - 1, 0)), dtype=np.int64)
+    v = start.copy()
+    for step in range(n - 1):
         # v joins a tree: it is no longer free, and m + 1 keeps it from being picked again
-        free[v] = False
-        np.minimum(best, pos[v], out=best, where=free)
-        best[v] = m + 1
-        v = int(best.argmin())
-        edge = int(best[v])
-        if edge < m:
-            forest.append(edge)
-    return np.sort(np.array(forest, dtype=np.int64))
+        free_flat[v] = False
+        np.minimum(best, rows[v], out=best, where=free)
+        best_flat[v] = m + 1
+        v = best.argmin(axis=1)
+        v += start
+        picked[:, step] = best_flat[v]
+    # a step that found no edge picked m, which sorts after every forest edge
+    picked.sort(axis=1)
+    forests = [row[:k] for row, k in zip(picked, (picked < m[:, None]).sum(axis=1).tolist())]
+    return forests if pos.ndim == 3 else forests[0]
+
+
+def _elder_pairs(vertex_values: Array, edges: Array, forest: Array) -> Array:
+    """``elder_pairs`` of a graph from its minimum spanning forest: the
+    vertex rows are the positions of the vertices in (value, index) order."""
+    n = len(vertex_values)
+    rows = np.empty(n, dtype=np.int64)
+    rows[np.argsort(vertex_values, kind="stable")] = np.arange(n)
+    return _elder_union_find(n, rows[edges], forest)
 
 
 def _elder_union_find(n_vertices: int, edge_rows: Array, forest: Array) -> Array:
@@ -213,24 +246,90 @@ def _check_dim(n: int, max_dim: int, force: bool) -> None:
         )
 
 
+def _stable_argsort(vals: Array) -> Array:
+    """``np.argsort(vals, axis=1, kind="stable")`` of a (b, M) array with no
+    NaN, from numpy's faster unstable sort. Where a row holds equal values,
+    a second sort orders it by (dense rank of the value, index): a key
+    that the row holds once, so no sort can break its ties another way."""
+    order = np.argsort(vals, axis=1)
+    ascending = np.take_along_axis(vals, order, axis=1)
+    new = ascending[:, 1:] != ascending[:, :-1]
+    if new.all():
+        return order
+    rank = np.zeros(vals.shape, dtype=np.int64)
+    np.cumsum(new, axis=1, out=rank[:, 1:])
+    key = np.empty_like(rank)
+    np.put_along_axis(key, order, rank * vals.shape[1], axis=1)
+    key += np.arange(vals.shape[1])
+    return np.argsort(key, axis=1)
+
+
 def _build_flag(vertex_values: Array, edge_value: Array, r_max: float, max_dim: int) -> FilteredComplex:
     """The graph of the edges valued at most r_max in a dense (n, n) matrix;
-    at max_dim 0, the vertices alone.
+    at max_dim 0, the vertices alone: ``_flag_block`` on a block of one."""
+    return _flag_block([(vertex_values, edge_value, r_max)], max_dim)[0]
+
+
+def _flag_block(graphs, max_dim: int) -> list:
+    """The graph of the edges valued at most r_max in a dense (n, n) matrix,
+    for each (vertex_values, matrix, r_max) of ``graphs``, an iterable
+    read one at a time whose matrices share n; at max_dim 0, the vertices
+    alone.
 
     The upper-triangle edges are distinct, in range and in (i, j) order, so
-    one stable sort by value puts them in the constructor's (value, i, j)
-    order, and only the check on values is left to make.
+    one stable sort of the block's (b, n(n-1)/2) upper-triangle values, row
+    by row (``_stable_argsort``), puts every graph's edges in the
+    constructor's (value, i, j) order, those valued at most r_max first;
+    only the check on values is left to make. The position tables and the
+    minimum spanning forests are made once for the block: each graph's
+    ``positions`` is a view of one (b, n, n) stack, whose later positions,
+    at the graph's edge count or more, are the edges above its r_max. Each
+    graph's ``elder_pairs`` comes from its own union-find.
     """
-    if math.isnan(r_max):
-        raise ValueError("r_max must not be NaN")
-    iu, ju = np.triu_indices(len(vertex_values), 1)
-    vals = edge_value[iu, ju]
-    keep = (vals <= r_max) & (max_dim > 0)
-    edges, vals = np.column_stack([iu[keep], ju[keep]]), vals[keep]
-    below = vals < np.maximum(vertex_values[edges[:, 0]], vertex_values[edges[:, 1]])
-    _reject(edges, below, "is valued below a vertex")
-    order = np.argsort(vals, kind="stable")
-    return FilteredComplex._in_order(vertex_values, edges[order], vals[order])
+    f, vals, counts = [], [], []
+    for vertex_values, edge_value, r_max in graphs:
+        if math.isnan(r_max):
+            raise ValueError("r_max must not be NaN")
+        if not f:
+            n = len(vertex_values)
+            iu, ju = np.triu_indices(n, 1)
+            upper = np.column_stack([iu, ju])
+        elif len(vertex_values) != n:
+            raise ValueError(f"the graphs of a block must all have {n} vertices, got {len(vertex_values)}")
+        row = edge_value[iu, ju]
+        keep = (row <= r_max) & (max_dim > 0)
+        _reject(upper, keep & (row < np.maximum(vertex_values[iu], vertex_values[ju])), "is valued below a vertex")
+        f.append(vertex_values)
+        vals.append(row)
+        counts.append(int(np.count_nonzero(keep)))
+    if not f:
+        return []
+    vals = np.stack(vals)
+    if max_dim == 0:  # no graph keeps an edge: there is nothing to sort
+        vals = vals[:, :0]
+    order = _stable_argsort(vals)
+    edges, vals = upper[order], np.take_along_axis(vals, order, axis=1)
+    positions = _position_tables(n, edges)
+    forests = _spanning_forest(positions, counts)
+    block = []
+    for i, m in enumerate(counts):
+        pairs = _elder_pairs(f[i], edges[i, :m], forests[i])
+        block.append(
+            FilteredComplex._in_order(f[i], edges[i, :m], vals[i, :m], positions=positions[i], elder_pairs=pairs)
+        )
+    return block
+
+
+def _rips_graph(matrix: DistanceMatrix, max_dim: int, r_max, force: bool) -> tuple:
+    """(vertex values, edge values, r_max) of ``rips_complex`` on one matrix."""
+    n = matrix.n
+    _check_dim(n, max_dim, force)
+    d = matrix.values
+    if r_max is None:
+        r_max = float(d.max()) if n > 1 else 0.0
+    if n > 1 and r_max <= 0:
+        raise ValueError("r_max must be positive")
+    return np.zeros(n), d, r_max
 
 
 def rips_complex(
@@ -240,14 +339,29 @@ def rips_complex(
     truncated at r_max. At max_dim 1 and 2 it is the same complex, whose
     triangles take the maximum of their three edges; max_dim=0 keeps the
     vertices alone."""
+    return _build_flag(*_rips_graph(matrix, max_dim, r_max, force), max_dim)
+
+
+def rips_complexes(matrices, max_dim: int = 2, r_max: float | None = None, force: bool = False) -> list:
+    """``rips_complex`` of each distance matrix of an iterable of matrices
+    of one size, read one at a time, built as one block (``_flag_block``)."""
+    return _flag_block((_rips_graph(matrix, max_dim, r_max, force) for matrix in matrices), max_dim)
+
+
+def _weighted_graph(matrix: DistanceMatrix, vertex_values, max_dim: int, r_max, force: bool) -> tuple:
+    """(vertex values, edge values, r_max) of ``weighted_rips_complex`` on one matrix."""
     n = matrix.n
+    f = checked_array(vertex_values, "vertex_values", (n,))
     _check_dim(n, max_dim, force)
     d = matrix.values
+    fi = f[:, None]
+    fj = f[None, :]
+    swallowed = d <= np.abs(fi - fj)
+    w = np.where(swallowed, np.maximum(fi, fj), (fi + fj + d) / 2.0)
+    np.fill_diagonal(w, np.inf)
     if r_max is None:
-        r_max = float(d.max()) if n > 1 else 0.0
-    if n > 1 and r_max <= 0:
-        raise ValueError("r_max must be positive")
-    return _build_flag(np.zeros(n), d, r_max, max_dim)
+        r_max = float(w[np.isfinite(w)].max()) if n > 1 else float(f.max())
+    return f, w, r_max
 
 
 def weighted_rips_complex(
@@ -265,18 +379,15 @@ def weighted_rips_complex(
     the two balls first meet. Triangles take the maximum of their edges.
     ``max_dim``, ``r_max`` and ``force`` read as in ``rips_complex``.
     """
-    n = matrix.n
-    f = checked_array(vertex_values, "vertex_values", (n,))
-    _check_dim(n, max_dim, force)
-    d = matrix.values
-    fi = f[:, None]
-    fj = f[None, :]
-    swallowed = d <= np.abs(fi - fj)
-    w = np.where(swallowed, np.maximum(fi, fj), (fi + fj + d) / 2.0)
-    np.fill_diagonal(w, np.inf)
-    if r_max is None:
-        r_max = float(w[np.isfinite(w)].max()) if n > 1 else float(f.max())
-    return _build_flag(f, w, r_max, max_dim)
+    return _build_flag(*_weighted_graph(matrix, vertex_values, max_dim, r_max, force), max_dim)
+
+
+def weighted_rips_complexes(pairs, max_dim: int = 2, r_max: float | None = None, force: bool = False) -> list:
+    """``weighted_rips_complex`` of each (matrix, vertex_values) of an
+    iterable of pairs whose matrices share their size, read one at a time,
+    built as one block (``_flag_block``)."""
+    graphs = (_weighted_graph(matrix, f, max_dim, r_max, force) for matrix, f in pairs)
+    return _flag_block(graphs, max_dim)
 
 
 # ---------------------------------------------------------------------------

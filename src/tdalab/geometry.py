@@ -319,31 +319,43 @@ def tubular_distances(points: Array, line) -> Array:
 def farthest_point_subsample(cloud: PointCloud, k: int, seed: int) -> PointCloud:
     """Greedy maximin subsample of k points; the first point is drawn by seed.
 
-    The cloud is held coordinate-major, one contiguous row per coordinate,
-    and each step's distances go into one preallocated buffer. The squares
-    are summed left to right, (dx² + dy²) + dz², as
-    ``np.linalg.norm(pts - p, axis=1)`` sums the rows of an (n, d) array,
-    so the subsample is that of the norm loop, bit for bit.
+    The sweep of ``farthest_point_subsamples`` on a block of one cloud.
     """
-    n = cloud.n
+    return farthest_point_subsamples([cloud], k, [seed])[0]
+
+
+def farthest_point_subsamples(clouds, k: int, seeds) -> list:
+    """``farthest_point_subsample`` of each cloud of a block of clouds of one
+    size and dimension, one seed each, by one sweep over the block.
+
+    The clouds are stacked coordinate-major, (b, d, n), and each step's
+    distances go into one preallocated buffer, every cloud's distances to
+    its own last choice at once. The squares are summed left to right,
+    (dx² + dy²) + dz², as ``np.linalg.norm(pts - p, axis=1)`` sums the rows
+    of an (n, d) array, so each subsample is that of the norm loop, bit for
+    bit, whatever else shares its block.
+    """
+    clouds = list(clouds)
+    n, d = clouds[0].n, clouds[0].dim
+    if any((cloud.n, cloud.dim) != (n, d) for cloud in clouds):
+        raise ValueError(f"the clouds of a block must all have {n} points in {d} dimensions")
     if not 1 <= k <= n:
         raise ValueError(f"subsample size must lie in [1, {n}], got {k}")
-    rng = generator(seed)
-    coords = np.ascontiguousarray(cloud.points.T)
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    best = np.full(n, math.inf)
+    coords = np.stack([cloud.points.T for cloud in clouds])
+    rows = np.arange(len(clouds))
+    chosen = np.empty((len(clouds), k), dtype=np.int64)
+    chosen[:, 0] = [generator(seed).integers(n) for seed in seeds]
+    best = np.full((len(clouds), n), math.inf)
     diff = np.empty_like(coords)
     for i in range(1, k):
-        j = chosen[i - 1]
-        np.subtract(coords, coords[:, j : j + 1], out=diff)
+        np.subtract(coords, coords[rows, :, chosen[:, i - 1]][:, :, None], out=diff)
         np.multiply(diff, diff, out=diff)
-        dist = np.add(diff[0], diff[1], out=diff[0])
-        if len(diff) == 3:
-            dist += diff[2]
+        dist = np.add(diff[:, 0], diff[:, 1], out=diff[:, 0])
+        if d == 3:
+            dist += diff[:, 2]
         np.minimum(best, np.sqrt(dist, out=dist), out=best)
-        chosen[i] = np.argmax(best)  # argmax takes the first max: deterministic ties
-    return PointCloud(cloud.points[chosen])
+        chosen[:, i] = best.argmax(axis=1)  # argmax takes the first max: deterministic ties
+    return [PointCloud(cloud.points[idx]) for cloud, idx in zip(clouds, chosen)]
 
 
 def apply_transform(cloud: PointCloud, spec: TransformSpec, seed: int) -> PointCloud:

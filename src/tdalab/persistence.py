@@ -20,7 +20,10 @@ and are the degree-1 creators. Degree-1 deaths come from the coboundary (cohomol
 Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
 (skipped), apparent pairs -- an edge whose earliest cofacet has the edge
 as its latest facet -- are found for all edges at once with numpy, and
-only the few remaining columns are reduced. A column is an ascending
+only the few remaining columns are reduced. Of those, a column whose
+earliest cofacet no other column has claimed as its pivot pairs at once,
+an emergent pair; like an apparent pair's, its column is enumerated only
+when a later column collides with it. A column is an ascending
 array of distinct keys, and adding two columns is one stable merge: a
 timsort of their concatenation, which finds the two sorted runs, keeping
 the keys that occur once. An edge's cofacets are enumerated on demand from
@@ -36,6 +39,7 @@ vertices, edges and squares listed cell by cell, is the reference oracle.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -342,6 +346,8 @@ class _FlagCofacets:
     least value rank. The graph's edges are in filtration order with sorted
     rows, as every ``FilteredComplex`` holds them, so the value ranks come
     from one pass over the sorted edge values, gathered through ``positions``.
+    Every key of a cofacet with an absent edge is at least ``absent_key``,
+    so an earliest key there means the edge has no cofacet.
     """
 
     def __init__(self, graph: FilteredComplex):
@@ -360,9 +366,8 @@ class _FlagCofacets:
         ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.int32)
         self._pos = graph.positions
         self._rank = ranks[np.minimum(self._pos, len(values))]
-        # every key of a cofacet with an absent edge is at least _absent_key
         self._key = self._rank * np.int64(self._n3)
-        self._absent_key = self._absent * self._n3
+        self.absent_key = self._absent * self._n3
         self._u, self._v = _code_tables(n)
 
     def cofacets(self, e: int) -> Array:
@@ -376,7 +381,7 @@ class _FlagCofacets:
         keys += self._u[a]
         keys += self._v[b]
         keys.sort()
-        return keys[: keys.searchsorted(self._absent_key)]
+        return keys[: keys.searchsorted(self.absent_key)]
 
     def earliest(self, edges: Array) -> tuple:
         """(key of each edge's earliest cofacet, mask of apparent pairs).
@@ -417,7 +422,7 @@ def _add_columns(col: Array, other: Array) -> Array:
     return keys[single]
 
 
-def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
+def _reduce_coboundaries(columns, cofacets, pivots: dict, firsts=None) -> list:
     """Reduce edge coboundary columns, latest edge first.
 
     ``cofacets(e)`` gives the ascending cofacet keys of edge e, so a
@@ -425,13 +430,20 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict) -> list:
     merge of their sorted keys (``_add_columns``). ``pivots`` maps the
     pivot of each apparent pair to its edge; those columns need no
     reduction, are not in ``columns``, and are enumerated only when a
-    column collides with one.
+    column collides with one. ``firsts``, when given, holds the first key
+    of each column, none of them empty: a column whose first key no pivot
+    has claimed is already reduced, an emergent pair (after Ripser), and
+    joins ``pivots`` unenumerated, as the apparent pairs did.
     Returns the (edge, pivot key) pairs of ``columns``; an edge with no pair
     is essential.
     """
     reduced = {}  # pivot key -> reduced column
     pairs = []
-    for j in columns:
+    for j, first in zip(columns, firsts or itertools.repeat(None)):
+        if first is not None and first not in reduced and first not in pivots:
+            pivots[first] = j
+            pairs.append((j, first))
+            continue
         col = cofacets(j)
         while len(col):
             low = int(col[0])
@@ -457,7 +469,10 @@ def _ph(v_values, e_values, pairs0, cof, max_dim: int, drop_zero: bool):
     closes a cycle and creates a degree-1 class. Of those, apparent pairs
     are found at once from ``cof.earliest``; only the rest are reduced.
     ``cof`` gives the edges' cofacets through ``cofacets``, ``earliest``
-    and ``values``, as ``_FlagCofacets`` does; None means no 2-cells.
+    and ``values``, as ``_FlagCofacets`` does; None means no 2-cells. One
+    with an ``absent_key``, at or above which an earliest key means an
+    empty column, also lets the reduction take emergent pairs without
+    enumerating their columns.
     """
     alive = np.ones(len(v_values), dtype=bool)
     alive[pairs0[:, 0]] = False
@@ -472,10 +487,16 @@ def _ph(v_values, e_values, pairs0, cof, max_dim: int, drop_zero: bool):
         killed = np.zeros(len(e_values), dtype=bool)
         if cof is not None and len(creators):
             first, apparent = cof.earliest(creators)
+            rest, firsts = ~apparent, None
+            absent_key = getattr(cof, "absent_key", None)
+            if absent_key is not None:
+                rest &= first < absent_key  # an empty column is essential as it stands
+                firsts = first[rest][::-1].tolist()
             pairs = _reduce_coboundaries(
-                creators[~apparent][::-1].tolist(),
+                creators[rest][::-1].tolist(),
                 cof.cofacets,
                 dict(zip(first[apparent].tolist(), creators[apparent].tolist())),
+                firsts,
             )
             edges = np.concatenate([creators[apparent], np.array([e for e, _ in pairs], dtype=np.int64)])
             keys = np.concatenate([first[apparent], np.array([k for _, k in pairs], dtype=np.int64)])

@@ -4,11 +4,15 @@ convexity classification, and the concavity-measure regression on masks.
 Each pipeline wires geometry -> complex -> persistence -> signature ->
 learner and emits an ExperimentReport that regenerates bit-identically
 from (config, seed). Each experiment makes one fan-out, ``_map_items``, of
-one config-bound worker over all its items, on one pool of processes when
-jobs > 1; results come back in item order. Holes maps its clean clouds and
-then each transform's test clouds, curvature its training and test disks,
-and convexity the blocks of both corpora. Both flag workers cap the complex
-at a factor of its full radius in ``_capped_dim1_pairs``. Importing the
+one config-bound worker over all its items or blocks of items, on one pool
+of processes when jobs > 1; results come back in item order. Holes maps its
+clean clouds and then each transform's test clouds, curvature its training
+and test disks, and convexity the blocks of both corpora. Holes and
+curvature cut their clouds into blocks of one size and dimension
+(``_map_flag_blocks``), whose worker makes one farthest-point sweep and one
+block of flag complexes for all of them, and takes each cloud's degree 1
+from ``_capped_dim1_pairs``, which caps the complex at a factor of its full
+radius; a cloud alone is a block of one. Importing the
 module loads numpy only: the Spearman correlation of the concavity-measure
 report is computed in numpy, equal to the last bit to
 ``scipy.stats.spearmanr``, and ``scipy.ndimage`` loads at the first grid
@@ -31,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from . import datagen
-from .complexes import FilteredComplex, rips_complex, weighted_rips_complex
+from .complexes import FilteredComplex, rips_complexes, weighted_rips_complexes
 from .datagen import LabeledDataset
 from .geometry import (
     BinaryMask,
@@ -41,7 +45,7 @@ from .geometry import (
     convexity_measure,
     dtm,
     euclidean_distance_matrix,
-    farthest_point_subsample,
+    farthest_point_subsamples,
     fill_sampling_gaps,
     geodesic_distance_matrix,
     rasterize,
@@ -130,6 +134,33 @@ def _map_items(func, items, jobs: int) -> list:
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, items, chunksize=4))
+
+
+# Cells of the stacked (n, n) tables of a block of flag complexes: a block
+# holds 6 clouds of 70 points, 3 of 100, and one of 129 or more. Blocks twice
+# as large ran no faster and raised the peak memory of 100-point clouds by
+# about 1 MB more, since every graph of a block lives until the block is done.
+_FLAG_BLOCK_CELLS = 1 << 15
+
+
+def _map_flag_blocks(func, items, keys, jobs: int) -> list:
+    """One result per item, in item order, from ``_map_items`` of ``func``,
+    which maps a block of items to a list of their results, over blocks of
+    items that share a key. ``keys[i]`` starts with the side of item i's
+    (n, n) tables; the items of a key, in order, are cut into blocks of at
+    most ``_FLAG_BLOCK_CELLS`` table cells, and of at least one item."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    blocks = []
+    for key, run in groups.items():
+        step = max(1, _FLAG_BLOCK_CELLS // key[0] ** 2)
+        blocks += [run[i : i + step] for i in range(0, len(run), step)]
+    out = [None] * len(items)
+    for block, results in zip(blocks, _map_items(func, [[items[i] for i in b] for b in blocks], jobs)):
+        for i, result in zip(block, results, strict=True):
+            out[i] = result
+    return out
 
 
 def train_test_split_indices(labels, test_fraction: float, seed: int, stratify: bool = True):
@@ -297,18 +328,31 @@ def _capped_dim1_pairs(graph: FilteredComplex, cap_factor: float) -> Array:
     return compute_ph(graph).finite_in_dim(1)
 
 
+def _kept_points(config: HolesConfig, n: int) -> int:
+    """The points of an n-point cloud that the subsample keeps: the
+    vertices of its complex."""
+    return config.subsample if config.subsample and config.subsample < n else n
+
+
 def _weighted_dim1_diagram(config: HolesConfig, item) -> Array:
     """Finite dim-1 intervals of the DTM-weighted Rips filtration of one
     item, ``(cloud, fps_seed, spec, t_seed)``: the cloud perturbed by
-    ``spec`` under ``t_seed`` unless ``spec`` is None, then subsampled."""
-    cloud, fps_seed, spec, t_seed = item
-    if spec is not None:
-        cloud = apply_transform(cloud, spec, t_seed)
-    if config.subsample and config.subsample < cloud.n:
-        cloud = farthest_point_subsample(cloud, config.subsample, fps_seed)
-    dm = euclidean_distance_matrix(cloud)
-    graph = weighted_rips_complex(dm, dtm(dm, config.dtm_mass), max_dim=1)
-    return _capped_dim1_pairs(graph, config.cap_factor)
+    ``spec`` under ``t_seed`` unless ``spec`` is None, then subsampled.
+    ``_holes_block`` on a block of one."""
+    return _holes_block(config, [item])[0]
+
+
+def _holes_block(config: HolesConfig, items) -> list:
+    """``_weighted_dim1_diagram`` of each item of a block whose clouds share
+    their size and dimension: one farthest-point sweep and one block of
+    flag complexes for all of them, then one cap rule per cloud."""
+    clouds = [cloud if spec is None else apply_transform(cloud, spec, t_seed) for cloud, _, spec, t_seed in items]
+    k = _kept_points(config, clouds[0].n)
+    if k < clouds[0].n:
+        clouds = farthest_point_subsamples(clouds, k, [fps_seed for _, fps_seed, _, _ in items])
+    matrices = map(euclidean_distance_matrix, clouds)
+    graphs = weighted_rips_complexes(((dm, dtm(dm, config.dtm_mass)) for dm in matrices), max_dim=1)
+    return [_capped_dim1_pairs(graph, config.cap_factor) for graph in graphs]
 
 
 def holes_pipeline(
@@ -350,7 +394,8 @@ def holes_pipeline(
     items = [(cloud, fps_seeds[i], None, None) for i, cloud in enumerate(dataset.items)]
     for t_idx, spec in enumerate(transforms):
         items += [(dataset.items[i], fps_seeds[i], spec, derive_seed(seed, 0x7A, t_idx, int(i))) for i in test_idx]
-    all_pairs = _map_items(partial(_weighted_dim1_diagram, config), items, config.jobs)
+    keys = [(_kept_points(config, cloud.n), cloud.n, cloud.dim) for cloud, *_ in items]
+    all_pairs = _map_flag_blocks(partial(_holes_block, config), items, keys, config.jobs)
 
     train_points = FinitePoints.from_pairs([all_pairs[i] for i in train_idx])
     (kind, params), best_k, predict = _fit_knn(
@@ -387,10 +432,16 @@ class CurvatureConfig:
 
 
 def _curvature_worker(config: CurvatureConfig, cloud):
-    """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud."""
-    graph = rips_complex(geodesic_distance_matrix(cloud), max_dim=1)
-    pairs0 = compute_ph(graph, max_dim=0).finite_in_dim(0)
-    return pairs0, _capped_dim1_pairs(graph, config.cap_factor)
+    """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud:
+    ``_curvature_block`` on a block of one."""
+    return _curvature_block(config, [cloud])[0]
+
+
+def _curvature_block(config: CurvatureConfig, clouds) -> list:
+    """``_curvature_worker`` of each polar cloud of a block of clouds of
+    one size, from one block of complete geodesic Rips graphs."""
+    graphs = rips_complexes(map(geodesic_distance_matrix, clouds), max_dim=1)
+    return [(compute_ph(g, max_dim=0).finite_in_dim(0), _capped_dim1_pairs(g, config.cap_factor)) for g in graphs]
 
 
 def curvature_pipeline(
@@ -407,7 +458,8 @@ def curvature_pipeline(
     t0 = time.perf_counter()
     config = config or CurvatureConfig()
 
-    pairs = _map_items(partial(_curvature_worker, config), train.items + test.items, config.jobs)
+    clouds = train.items + test.items
+    pairs = _map_flag_blocks(partial(_curvature_block, config), clouds, [(c.n,) for c in clouds], config.jobs)
     train_pairs, test_pairs = pairs[: len(train)], pairs[len(train) :]
     y_train = np.asarray(train.labels, dtype=float)
     y_test = np.asarray(test.labels, dtype=float)

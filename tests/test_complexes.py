@@ -13,8 +13,10 @@ from tdalab.complexes import (
     cubical_complex,
     height_filtration,
     rips_complex,
+    rips_complexes,
     tubular_filtration,
     weighted_rips_complex,
+    weighted_rips_complexes,
     _build_flag,
 )
 from tdalab.geometry import BinaryMask, Line, PointCloud, dtm, euclidean_distance_matrix
@@ -345,6 +347,41 @@ def test_builder_keeps_the_vertex_check():
     values = np.array([[math.inf, 0.5], [0.5, math.inf]])
     with pytest.raises(ValueError, match=r"edge \(0, 1\) is valued below a vertex"):
         _build_flag(np.array([0.0, 1.0]), values, 1.0, 1)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["rips", "weighted"])
+def test_block_builders_equal_one_graph_builds(weighted):
+    # one stable sort orders the edges of a whole block of graphs, and one
+    # Prim finds their forests: each graph equals the graph built alone, its
+    # position table read with every position from its edge count up as
+    # absent, and the block's tables are views of one stack
+    rng = np.random.default_rng(26)
+    lattice = np.stack(np.meshgrid(np.arange(5.0), np.arange(4.0)), -1).reshape(-1, 2) / 4.0
+    clouds = [lattice, rng.random((20, 2)), lattice[rng.permutation(20)], rng.random((20, 2)) * 3.0]
+    matrices = [_dm(points) for points in clouds]
+    weights = [np.round(dtm(dm, 0.1) * 8) / 8 for dm in matrices]  # tied weights
+    for max_dim, r_max in ((1, None), (2, 0.4), (0, None)):
+        if weighted:
+            block = weighted_rips_complexes(zip(matrices, weights), max_dim, r_max)
+            alone = [weighted_rips_complex(dm, f, max_dim, r_max) for dm, f in zip(matrices, weights)]
+        else:
+            block = rips_complexes(iter(matrices), max_dim, r_max)
+            alone = [rips_complex(dm, max_dim, r_max) for dm in matrices]
+        for got, want in zip(block, alone, strict=True):
+            for name in ("vertex_values", "edges", "edge_values", "elder_pairs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            m = len(want.edges)
+            assert np.array_equal(np.minimum(got.positions, m), np.minimum(want.positions, m))
+        assert all(graph.positions.base is block[0].positions.base is not None for graph in block)
+    assert rips_complexes([]) == []
+
+
+def test_block_builders_reject_graphs_of_another_size():
+    matrices = [_dm(RNG.random((6, 2))), _dm(RNG.random((7, 2)))]
+    with pytest.raises(ValueError, match="must all have 6 vertices, got 7"):
+        rips_complexes(matrices)
+    with pytest.raises(ValueError, match="must all have 6 vertices, got 7"):
+        weighted_rips_complexes((dm, np.zeros(dm.n)) for dm in matrices)
 
 
 def test_prefix_forest_is_its_own_forest():

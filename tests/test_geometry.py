@@ -30,6 +30,7 @@ from tdalab.geometry import (
     dtm,
     euclidean_distance_matrix,
     farthest_point_subsample,
+    farthest_point_subsamples,
     fill_sampling_gaps,
     geodesic_distance_matrix,
     points_in_polygon,
@@ -308,6 +309,33 @@ def test_fps_equals_the_norm_loop_bit_for_bit():
         for k in sorted({1, 2, max(1, cloud.n // 3), cloud.n}):
             got = farthest_point_subsample(cloud, k, seed=i)
             assert np.array_equal(got.points, _fps_norm_loop(cloud, k, i)), (i, k)
+
+
+def test_fps_block_equals_one_cloud_at_a_time():
+    # one sweep serves a block of clouds of one size and dimension, each
+    # with its own seed: bit for bit, each subsample is that of the norm
+    # loop on its cloud alone, whatever shares its block
+    rng = np.random.default_rng(25)
+    for dim in (2, 3):
+        lattice = np.round(rng.random((30, dim)) * 3.0) / 3.0
+        clouds = [PointCloud(np.vstack([lattice, lattice[:10]]))]  # tied and duplicate points
+        clouds += [PointCloud(rng.random((40, dim)) * 10.0 ** rng.integers(-3, 4, size=dim)) for _ in range(3)]
+        clouds.append(clouds[1])  # the same cloud again, under another seed
+        seeds = [int(seed) for seed in rng.integers(0, 2**63, size=len(clouds))]
+        for k in (1, 2, 13, 40):
+            block = farthest_point_subsamples(clouds, k, seeds)
+            for cloud, seed, sub in zip(clouds, seeds, block, strict=True):
+                want = _fps_norm_loop(cloud, k, seed)
+                assert np.array_equal(sub.points, want), (dim, k)
+                assert np.array_equal(farthest_point_subsample(cloud, k, seed).points, want), (dim, k)
+
+
+def test_fps_block_rejects_clouds_of_another_shape():
+    clouds = [PointCloud(RNG.random((10, 2))), PointCloud(RNG.random((10, 3)))]
+    with pytest.raises(ValueError, match="must all have 10 points in 2 dimensions"):
+        farthest_point_subsamples(clouds, 3, [0, 1])
+    with pytest.raises(ValueError, match="must all have 10 points"):
+        farthest_point_subsamples([clouds[0], PointCloud(RNG.random((9, 2)))], 3, [0, 1])
 
 
 def test_fps_equals_the_norm_loop_on_holes_clouds():

@@ -712,6 +712,34 @@ def test_forest_union_find_equals_edge_loop():
         assert np.array_equal(np.sort(minimum_spanning_tree(graph).data) - 1, forest)
 
 
+def _scipy_forest(edges, n):
+    """Ascending positions of scipy's minimum spanning forest of the graph
+    of ``edges``, each edge weighing its position + 1."""
+    graph = csr_matrix((np.arange(1.0, len(edges) + 1), tuple(np.reshape(edges, (-1, 2)).T)), shape=(n, n))
+    return np.sort(minimum_spanning_tree(graph).data) - 1
+
+
+def test_stacked_forests_equal_one_table_at_a_time():
+    # the Prim takes its n - 1 steps once for a whole stack of tables, each
+    # with its own edge count, most of them leaving the graph disconnected:
+    # row by row, its forests are those of each table alone, and scipy's
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 6, 23):
+        graphs = [rips_complex(_dm(rng.random((n, 2))), max_dim=1) for _ in range(5)]
+        counts = [int(rng.integers(0, len(graph.edges) + 1)) for graph in graphs]
+        forests = complexes._spanning_forest(np.stack([graph.positions for graph in graphs]), counts)
+        for graph, m, forest in zip(graphs, counts, forests, strict=True):
+            assert np.array_equal(forest, complexes._spanning_forest(graph.positions, m))
+            assert np.array_equal(forest, _scipy_forest(graph.edges[:m], n))
+    # a stack of one: the prefix of two far clusters, which it cannot join
+    points = np.vstack([rng.random((8, 2)), rng.random((7, 2)) + 10.0])
+    sub = rips_complex(_dm(points), max_dim=1).prefix(3.0)
+    (forest,) = complexes._spanning_forest(sub.positions[None], [len(sub.edges)])
+    assert len(forest) == len(points) - 2
+    assert np.array_equal(forest, sub.elder_pairs[:, 1])
+    assert np.array_equal(forest, _scipy_forest(sub.edges, len(points)))
+
+
 def test_forest_union_find_keeps_the_diagrams():
     for cx in list(_forest_graphs())[::4]:
         if cx.n_simplices <= persistence.ORACLE_MAX_SIMPLICES:

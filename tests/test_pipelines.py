@@ -441,23 +441,84 @@ def _count_calls(monkeypatch, module, name) -> list:
 
 
 @pytest.mark.parametrize("falls_back", [False, True], ids=["capped", "fallback"])
-def test_one_spanning_forest_per_cloud(monkeypatch, falls_back):
-    # the complete graph computes its forest and its union-find pairs once:
-    # its prefix inherits them, and the fallback on the complete graph
-    # reuses them
+def test_one_spanning_forest_per_block(monkeypatch, falls_back):
+    # a block of complete graphs finds its forests in one Prim, and each
+    # graph its union-find pairs once: its prefix inherits them, and the
+    # fallback on the complete graph reuses them; a cloud alone is a block
+    # of one
     forests = _count_calls(monkeypatch, complexes, "_spanning_forest")
     union_finds = _count_calls(monkeypatch, complexes, "_elder_union_find")
     reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
-    _curvature_worker(CurvatureConfig(), sample_constant_curvature_disk(0.0 if falls_back else 2.0, 50, 0))
+
+    def clear():
+        forests.clear()
+        union_finds.clear()
+        reductions.clear()
+
+    kappa = 0.0 if falls_back else 2.0
+    _curvature_worker(CurvatureConfig(), sample_constant_curvature_disk(kappa, 50, 0))
     assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
     assert len(union_finds) == 1
-    forests.clear()
-    union_finds.clear()
-    reductions.clear()
-    points = sample_holes_shape(holes_catalog()[4 if falls_back else 0], 300, 5).points
+    clear()
+    clouds = [sample_constant_curvature_disk(k, 50, 0) for k in (2.0, kappa, -1.0)]
+    pipelines._curvature_block(CurvatureConfig(), clouds)
+    assert (len(forests), len(reductions)) == (1, 7 if falls_back else 6)
+    assert len(union_finds) == len(clouds)
+    clear()
+    shape = 4 if falls_back else 0
+    points = sample_holes_shape(holes_catalog()[shape], 300, 5).points
     _weighted_dim1_diagram(HolesConfig(subsample=100), (PointCloud(points), 3, None, None))
     assert (len(forests), len(reductions)) == (1, 2 if falls_back else 1)
     assert len(union_finds) == 1
+    clear()
+    items = [(sample_holes_shape(holes_catalog()[s], 300, 5), 3, None, None) for s in (0, shape, 2)]
+    pipelines._holes_block(HolesConfig(subsample=100), items)
+    assert (len(forests), len(reductions)) == (1, 4 if falls_back else 3)
+    assert len(union_finds) == len(items)
+
+
+def test_flag_block_workers_equal_one_item_blocks(monkeypatch):
+    """Blocks of a few (n, n) tables over items whose (n, dim) changes
+    mid-list, with a partial block last: each item's result equals that of
+    the item alone, and lands at the item's place."""
+    forests = _count_calls(monkeypatch, complexes, "_spanning_forest")
+
+    def block_sizes():
+        sizes = [len(args[0]) for args in forests]
+        forests.clear()
+        return sizes
+
+    # holes: 30-vertex tables, three to a block; 80-point clouds alternate
+    # 2-D and 3-D, then come two 60-point 2-D ones
+    monkeypatch.setattr(pipelines, "_FLAG_BLOCK_CELLS", 3 * 30**2)
+    config = HolesConfig(subsample=30)
+    clouds = list(gen_holes_dataset(1, 80, seed=9).items[:7])
+    clouds += [sample_holes_shape(holes_catalog()[i], 60, 9) for i in (0, 2)]
+    specs = [None, "gaussian", None, "rotation", None, None, "outliers", None, "shear"]
+    items = [
+        (cloud, 100 + i, spec and TransformSpec(spec), 200 + i) for i, (cloud, spec) in enumerate(zip(clouds, specs))
+    ]
+    keys = [(30, cloud.n, cloud.dim) for cloud in clouds]
+    got = pipelines._map_flag_blocks(partial(pipelines._holes_block, config), items, keys, 1)
+    # 2-D at 80 points: items 0, 2, 4 and 6; 3-D: 1, 3 and 5; 2-D at 60: 7 and 8
+    assert block_sizes() == [3, 1, 3, 2]
+    want = [_weighted_dim1_diagram(config, item) for item in items]
+    assert block_sizes() == [1] * len(items)
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a, b)
+    # curvature: 40-point clouds three to a block, 30-point ones five, and a
+    # 50-point one alone
+    monkeypatch.setattr(pipelines, "_FLAG_BLOCK_CELLS", 3 * 40**2)
+    config = CurvatureConfig()
+    shapes = [(0.0, 50), (2.0, 40), (-1.0, 40), (1.0, 30), (0.0, 40), (-2.0, 40), (0.5, 30)]
+    clouds = [sample_constant_curvature_disk(kappa, n, seed) for seed, (kappa, n) in enumerate(shapes)]
+    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    got = pipelines._map_flag_blocks(partial(pipelines._curvature_block, config), clouds, [(c.n,) for c in clouds], 1)
+    assert block_sizes() == [1, 3, 1, 2]
+    assert len(reductions) > 2 * len(clouds)  # some clouds fall back to the complete graph
+    want = [_curvature_worker(config, cloud) for cloud in clouds]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @settings(max_examples=80, deadline=None)
