@@ -16,25 +16,24 @@ pixels is built. ``scipy.ndimage`` loads at the first sweep, not with this
 module, so flag-complex work never imports scipy.
 Degree 0 of a flag complex is its elder-rule union-find pairs,
 ``FilteredComplex.elder_pairs``; the edges they leave out close a cycle
-and are the degree-1 creators. Degree-1 deaths come from the coboundary (cohomology) reduction of the edge-triangle block, after
-Ripser (Bauer, 2021): the edges that kill a degree-0 class are cleared
-(skipped), apparent pairs -- an edge whose earliest cofacet has the edge
-as its latest facet -- are found for all edges at once with numpy, and
-only the few remaining columns are reduced. Of those, a column whose
-earliest cofacet no other column has claimed as its pivot pairs at once,
-an emergent pair; like an apparent pair's, its column is enumerated only
-when a later column collides with it. A column is an ascending
-array of distinct keys, and adding two columns is one stable merge: a
-timsort of their concatenation, which finds the two sorted runs, keeping
-the keys that occur once. An edge's cofacets are enumerated on demand from
-the edge-value ranks, keyed by one order-preserving int64, value rank
-times n^3 plus the code of the sorted vertex triple: rows of an (n, n)
-table of rank times n^3, gathered once per complex from the complex's
-``positions``, plus rows of two (n, n)
-code tables built once per vertex count; so the triangles are never
-built. A deliberately unoptimized textbook reduction of the whole boundary
-matrix, with the flag triangles listed by brute force and a grid's
-vertices, edges and squares listed cell by cell, is the reference oracle.
+and create the degree-1 classes, whose deaths come from the coboundary
+(cohomology) reduction of the edge-triangle block after Ripser (Bauer,
+2021). The edges that kill a degree-0 class are cleared. Apparent pairs
+-- an edge whose earliest cofacet has the edge as its latest facet -- are
+found for all cycle edges at once: the earliest cofacet of an edge is at
+its own value rank whenever some third vertex's two edges rank no higher,
+the first True of one comparison over rows of a uint16 rank table, and
+only the edges with no such vertex scan for the least rank. Of the other
+columns, one whose earliest cofacet no column has claimed pairs at once,
+an emergent pair; neither kind is enumerated unless a later column
+collides with it. A column is an ascending array of distinct int64 keys,
+value rank times n^3 plus the code of the sorted vertex triple, enumerated
+on demand from (n, n) tables, so no triangle is built. ``flag_pairs``
+gives one degree's pairs as arrays, and ``compute_ph`` wraps them in a
+diagram. A deliberately unoptimized textbook reduction of the whole
+boundary matrix, with the flag triangles listed by brute force and a
+grid's vertices, edges and squares listed cell by cell, is the reference
+oracle.
 """
 from __future__ import annotations
 
@@ -88,12 +87,6 @@ class PersistenceDiagram:
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-
-def _diagram(rows) -> PersistenceDiagram:
-    if not rows:
-        return PersistenceDiagram(np.empty((0, 3)))
-    return PersistenceDiagram(np.array(rows, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +253,11 @@ def _sweep(v: Array, eight: bool) -> tuple:
         lo = hi
 
 
+def _rows(dim: int, births: Array, deaths) -> Array:
+    """(k, 3) diagram rows of degree ``dim``; ``deaths`` may be one value."""
+    return np.column_stack([np.full(len(births), float(dim)), births, np.broadcast_to(deaths, births.shape)])
+
+
 def _grid_rows(dim: int, births: Array, deaths: Array, cells: Array, drop_zero: bool) -> Array:
     """(k, 3) rows of degree ``dim`` of a cubical grid from its classes of
     positive length, given by their births and deaths.
@@ -275,7 +273,7 @@ def _grid_rows(dim: int, births: Array, deaths: Array, cells: Array, drop_zero: 
         taken = np.bincount(np.searchsorted(levels, ends), minlength=len(levels))
         zero = np.repeat(levels, entering - taken)
         births, deaths = np.concatenate([births, zero]), np.concatenate([deaths, zero])
-    return np.column_stack([np.full(len(births), float(dim)), births, deaths])
+    return _rows(dim, births, deaths)
 
 
 def _grid_ph(grid: FilteredCubicalGrid, max_dim: int, drop_zero: bool) -> PersistenceDiagram:
@@ -336,18 +334,16 @@ class _FlagCofacets:
     within a ``FilteredComplex``. A triangle's key packs
     (value rank, i, j, k) with i < j < k into one int64,
     rank·n³ + i·n² + j·n + k, whose integer order is that filtration order;
-    its value is the largest of its three edge values. Two (n, n) tables
-    hold each edge's rank, an absent edge's one above every present one's:
-    an int32 one, whose smaller rows ``earliest`` scans, and an int64 one
-    of rank·n³, from which ``cofacets`` adds up keys. For an edge (a, b),
-    a < b, the code i·n² + j·n + k of the sorted triple {a, b, k} is
-    ``U[a, k] + V[b, k]`` of the two code tables of n (``_code_tables``),
-    and it is monotone in k, so the earliest cofacet is the least k of
-    least value rank. The graph's edges are in filtration order with sorted
-    rows, as every ``FilteredComplex`` holds them, so the value ranks come
-    from one pass over the sorted edge values, gathered through ``positions``.
-    Every key of a cofacet with an absent edge is at least ``absent_key``,
-    so an earliest key there means the edge has no cofacet.
+    its value is the largest of its three edge values. Two (n, n) tables,
+    gathered through ``positions`` from one pass over the sorted edge
+    values, hold each edge's rank, an absent edge's one above every present
+    one's: a uint16 one (int32 past 65,535 levels), whose small rows
+    ``earliest`` scans, and an int64 one of rank·n³, from which
+    ``cofacets`` adds up keys. For an edge (a, b), a < b, the code
+    i·n² + j·n + k of the sorted triple {a, b, k} is ``U[a, k] + V[b, k]``
+    of the two code tables of n (``_code_tables``), monotone in k. Every
+    key of a cofacet with an absent edge is at least ``absent_key``, so an
+    earliest key there means the edge has no cofacet.
     """
 
     def __init__(self, graph: FilteredComplex):
@@ -360,10 +356,11 @@ class _FlagCofacets:
         self._n, self._n3 = n, n**3
         self._a, self._b = graph.edges.T
         # value rank of each position, an absent edge's (position len(values)
-        # or more) one above every present one's; int32 holds it, as keys
+        # or more) one above every present one's; int32 holds any, as keys
         # only fit int64 below about 7,000 points
         self._absent = len(self._levels)
-        ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.int32)
+        small = self._absent <= np.iinfo(np.uint16).max
+        ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.uint16 if small else np.int32)
         self._pos = graph.positions
         self._rank = ranks[np.minimum(self._pos, len(values))]
         self._key = self._rank * np.int64(self._n3)
@@ -386,21 +383,30 @@ class _FlagCofacets:
     def earliest(self, edges: Array) -> tuple:
         """(key of each edge's earliest cofacet, mask of apparent pairs).
 
-        The pair is apparent when the earliest cofacet's latest facet, by
-        edge position, is the edge itself; an absent facet's never is.
+        The cofacet of edge e = (a, b) through k has the rank of e, r, or
+        that of its other edges, ``top = max(R[a], R[b])``, if higher. So
+        the earliest is the least k with ``top[k] <= r``, the first True of
+        one mask, and only edges with no such k take the least k of least
+        ``top``. The pair is apparent when the earliest cofacet's latest
+        facet, by edge position, is the edge itself; an absent one never is.
         """
-        keys = np.zeros(len(edges), dtype=np.int64)
-        apparent = np.zeros(len(edges), dtype=bool)
+        keys = np.empty(len(edges), dtype=np.int64)
+        apparent = np.empty(len(edges), dtype=bool)
         step = max(1, _FLAG_BLOCK // self._n)
         for s in range(0, len(edges), step):
             e = edges[s : s + step]
             a, b = self._a[e], self._b[e]
-            rank = self._rank[a]  # a fancy-indexed copy, maxed in place
-            np.maximum(rank, self._rank[b], out=rank)
-            np.maximum(rank, self._rank[a, b][:, None], out=rank)
-            k = rank.argmin(axis=1)  # the first minimum: the least k among ties
-            rank = rank[np.arange(len(e)), k]
-            keys[s : s + step] = rank.astype(np.int64) * self._n3 + self._u[a, k] + self._v[b, k]
+            rank = self._rank[a, b]
+            top = self._rank[a]  # a fancy-indexed copy, maxed in place
+            np.maximum(top, self._rank[b], out=top)
+            mask = top <= rank[:, None]
+            k = mask.argmax(axis=1)  # the first True: the least k
+            late = np.flatnonzero(~mask[np.arange(len(e)), k])
+            if len(late):
+                top = top[late]
+                k[late] = top.argmin(axis=1)  # the first minimum: the least k among ties
+                rank[late] = top[np.arange(len(late)), k[late]]
+            keys[s : s + step] = rank * np.int64(self._n3) + self._u[a, k] + self._v[b, k]
             apparent[s : s + step] = (self._pos[a, k] < e) & (self._pos[b, k] < e)
         return keys, apparent
 
@@ -415,8 +421,9 @@ def _add_columns(col: Array, other: Array) -> Array:
     ``np.setxor1d(col, other, assume_unique=True)``."""
     keys = np.concatenate((col, other))
     keys.sort(kind="stable")
-    single = np.ones(len(keys), dtype=bool)
     differ = keys[1:] != keys[:-1]
+    single = np.empty(len(keys), dtype=bool)
+    single[:1] = True
     single[1:] = differ
     single[:-1] &= differ
     return keys[single]
@@ -459,32 +466,24 @@ def _reduce_coboundaries(columns, cofacets, pivots: dict, firsts=None) -> list:
     return pairs
 
 
-def _ph(v_values, e_values, pairs0, cof, max_dim: int, drop_zero: bool):
-    """Assemble the intervals of a flag complex from its sorted vertex and
-    edge values.
+def _flag_pairs(v_values, e_values, pairs0, cof, dim: int, drop_zero: bool) -> tuple:
+    """``flag_pairs`` from sorted vertex values (read in degree 0 only),
+    sorted edge values and ``pairs0``, the (vertex row, edge) death pairs
+    of the elder-rule union-find, whose edges are cleared.
 
-    Degree 0 comes from ``pairs0``, the (vertex row, edge) death pairs of
-    the elder-rule union-find. The edges it pairs with vertices are
-    cleared: their coboundary columns reduce to zero. Every other edge
-    closes a cycle and creates a degree-1 class. Of those, apparent pairs
-    are found at once from ``cof.earliest``; only the rest are reduced.
     ``cof`` gives the edges' cofacets through ``cofacets``, ``earliest``
     and ``values``, as ``_FlagCofacets`` does; None means no 2-cells. One
     with an ``absent_key``, at or above which an earliest key means an
-    empty column, also lets the reduction take emergent pairs without
-    enumerating their columns.
+    empty column, also lets the reduction take emergent pairs. Finite rows
+    sort by (birth, death), ties in the order found: the union-find's in
+    degree 0, the apparent pairs and then the reduced ones in degree 1.
     """
-    alive = np.ones(len(v_values), dtype=bool)
-    alive[pairs0[:, 0]] = False
-    blocks = [
-        (0, v_values[pairs0[:, 0]], e_values[pairs0[:, 1]]),
-        (0, v_values[alive], math.inf),
-    ]
-    if max_dim >= 1:
-        cycle = np.ones(len(e_values), dtype=bool)
-        cycle[pairs0[:, 1]] = False
-        creators = np.nonzero(cycle)[0]
-        killed = np.zeros(len(e_values), dtype=bool)
+    if dim == 0:
+        births, deaths = v_values[pairs0[:, 0]], e_values[pairs0[:, 1]]
+        essential = np.delete(v_values, pairs0[:, 0])
+    else:
+        creators = np.delete(np.arange(len(e_values)), pairs0[:, 1])
+        edges, births, deaths = creators[:0], np.empty(0), np.empty(0)
         if cof is not None and len(creators):
             first, apparent = cof.earliest(creators)
             rest, firsts = ~apparent, None
@@ -500,35 +499,46 @@ def _ph(v_values, e_values, pairs0, cof, max_dim: int, drop_zero: bool):
             )
             edges = np.concatenate([creators[apparent], np.array([e for e, _ in pairs], dtype=np.int64)])
             keys = np.concatenate([first[apparent], np.array([k for _, k in pairs], dtype=np.int64)])
-            killed[edges] = True
-            blocks.append((1, e_values[edges], cof.values(keys)))
-        blocks.append((1, e_values[creators[~killed[creators]]], math.inf))
-    rows = []
-    for dim, births, deaths in blocks:
-        deaths = np.broadcast_to(deaths, births.shape)
-        keep = deaths != births if drop_zero else slice(None)
-        rows.append(np.column_stack([np.full(len(births), float(dim)), births, deaths])[keep])
-    return PersistenceDiagram(np.concatenate(rows))
+            births, deaths = e_values[edges], cof.values(keys)
+        essential = np.delete(e_values, np.concatenate([pairs0[:, 1], edges]))
+    if drop_zero:
+        keep = deaths != births
+        births, deaths = births[keep], deaths[keep]
+    order = np.lexsort((deaths, births))
+    return np.column_stack([births[order], deaths[order]]), essential
+
+
+def flag_pairs(cx: FilteredComplex, dim: int, drop_zero: bool = True) -> tuple:
+    """(finite, essential) of a flag complex in degree ``dim``, 0 or 1: the
+    (m, 2) finite (birth, death) rows in the order of
+    ``compute_ph(cx).finite_in_dim(dim)``, and the ascending births of the
+    essential classes, with no ``PersistenceDiagram`` built. Degree 0 is
+    ``cx.elder_pairs``; degree 1 reduces the cycle edges' coboundaries.
+    """
+    if dim not in (0, 1):
+        raise ValueError("dim must be 0 or 1")
+    v_values = np.sort(cx.vertex_values, kind="stable") if dim == 0 else None
+    cof = _FlagCofacets(cx) if dim == 1 else None
+    return _flag_pairs(v_values, cx.edge_values, cx.elder_pairs, cof, dim, drop_zero)
 
 
 def compute_ph(cx, max_dim: int = 1, drop_zero: bool = True) -> PersistenceDiagram:
     """Persistence diagram of a complex in degrees 0..max_dim.
 
-    ``cx`` is a ``FilteredComplex``, whose triangles the reduction
-    enumerates from its edges and never builds, keyed through two code
-    tables, and whose union-find pairs, ``elder_pairs``, are computed once
-    per complex and inherited by its prefixes; or a ``FilteredCubicalGrid``,
-    whose degrees both come from level sweeps: degree 0 from the
-    8-connected one of ``sublevel_ph0_stack``, degree 1 from a 4-connected
-    one by duality. No coboundary of a grid is reduced.
-    Zero-length intervals are dropped by default; pass drop_zero=False to
-    keep them (Euler-characteristic bookkeeping).
+    ``cx`` is a ``FilteredComplex``, whose degrees come from ``flag_pairs``,
+    or a ``FilteredCubicalGrid``, whose degrees come from level sweeps:
+    degree 0 from the 8-connected one of ``sublevel_ph0_stack``, degree 1
+    from a 4-connected one by duality. Zero-length intervals are dropped by
+    default; drop_zero=False keeps them (Euler-characteristic bookkeeping).
     """
     if not 0 <= max_dim <= 1:
         raise ValueError("max_dim must be 0 or 1")
     if isinstance(cx, FilteredComplex):
-        cof = _FlagCofacets(cx) if max_dim >= 1 else None
-        return _ph(np.sort(cx.vertex_values, kind="stable"), cx.edge_values, cx.elder_pairs, cof, max_dim, drop_zero)
+        rows = []
+        for dim in range(max_dim + 1):
+            finite, essential = flag_pairs(cx, dim, drop_zero)
+            rows += [_rows(dim, *finite.T), _rows(dim, essential, math.inf)]
+        return PersistenceDiagram(np.concatenate(rows))
     if isinstance(cx, FilteredCubicalGrid):
         return _grid_ph(cx, max_dim, drop_zero)
     raise TypeError(f"cannot compute persistence of {type(cx).__name__}")
@@ -636,4 +646,4 @@ def naive_reduction_oracle(cx, max_dim: int = 1, drop_zero: bool = True) -> Pers
                 rows.append((dim, value, death))
         elif i not in dead:
             rows.append((dim, value, math.inf))
-    return _diagram(rows)
+    return PersistenceDiagram(np.array(rows, dtype=float).reshape(-1, 3))

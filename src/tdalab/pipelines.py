@@ -64,7 +64,7 @@ from .learn import (
     threshold_fit,
     threshold_predict,
 )
-from .persistence import compute_ph, sublevel_ph0_stack
+from .persistence import flag_pairs, sublevel_ph0_stack
 from .seeding import derive_seed, generator
 from .signatures import (
     FinitePoints,
@@ -314,18 +314,18 @@ def _capped_dim1_pairs(graph: FilteredComplex, cap_factor: float) -> Array:
     ``cap_factor`` times the full radius, its largest edge value.
 
     ``graph`` is the complete graph, whose flag complex has no essential
-    degree-1 class. Only its prefix of edges valued at most the cap is
-    reduced. The prefix's finite pairs are the full pairs that die at or
-    below the cap, and its essential classes are the full pairs born at or
-    below the cap that die above it. With no essential class the finite
-    pairs are the answer; otherwise the complete graph is reduced and all
-    its pairs are kept, as the complex rebuilt at the full radius would
-    give.
+    degree-1 class. Only degree 1 of its prefix of edges valued at most the
+    cap is reduced (``flag_pairs``), and no degree-0 row is built. The
+    prefix's finite pairs are the full pairs that die at or below the cap,
+    and its essential classes the full pairs born at or below the cap that
+    die above it. With no essential class the finite pairs are the answer;
+    otherwise degree 1 of the complete graph is reduced and all its pairs
+    kept, as the complex rebuilt at the full radius would give.
     """
-    pd = compute_ph(graph.prefix(cap_factor * graph.edge_values.max(initial=0.0)))
-    if np.all(np.isfinite(pd.in_dim(1)[:, 1])):
-        return pd.finite_in_dim(1)
-    return compute_ph(graph).finite_in_dim(1)
+    finite, essential = flag_pairs(graph.prefix(cap_factor * graph.edge_values.max(initial=0.0)), 1)
+    if len(essential) == 0:
+        return finite
+    return flag_pairs(graph, 1)[0]
 
 
 def _kept_points(config: HolesConfig, n: int) -> int:
@@ -334,18 +334,13 @@ def _kept_points(config: HolesConfig, n: int) -> int:
     return config.subsample if config.subsample and config.subsample < n else n
 
 
-def _weighted_dim1_diagram(config: HolesConfig, item) -> Array:
-    """Finite dim-1 intervals of the DTM-weighted Rips filtration of one
-    item, ``(cloud, fps_seed, spec, t_seed)``: the cloud perturbed by
-    ``spec`` under ``t_seed`` unless ``spec`` is None, then subsampled.
-    ``_holes_block`` on a block of one."""
-    return _holes_block(config, [item])[0]
-
-
 def _holes_block(config: HolesConfig, items) -> list:
-    """``_weighted_dim1_diagram`` of each item of a block whose clouds share
-    their size and dimension: one farthest-point sweep and one block of
-    flag complexes for all of them, then one cap rule per cloud."""
+    """Finite dim-1 intervals of the DTM-weighted Rips filtration of each
+    item, ``(cloud, fps_seed, spec, t_seed)``: the cloud perturbed by
+    ``spec`` under ``t_seed`` unless ``spec`` is None, then subsampled. The
+    clouds of a block share their size and dimension: one farthest-point
+    sweep and one block of flag complexes for all of them, then one cap
+    rule per cloud."""
     clouds = [cloud if spec is None else apply_transform(cloud, spec, t_seed) for cloud, _, spec, t_seed in items]
     k = _kept_points(config, clouds[0].n)
     if k < clouds[0].n:
@@ -431,17 +426,12 @@ class CurvatureConfig:
         _check_cap_factor(self.cap_factor)
 
 
-def _curvature_worker(config: CurvatureConfig, cloud):
-    """Finite (birth, death) pairs in dims 0 and 1 for one polar cloud:
-    ``_curvature_block`` on a block of one."""
-    return _curvature_block(config, [cloud])[0]
-
-
 def _curvature_block(config: CurvatureConfig, clouds) -> list:
-    """``_curvature_worker`` of each polar cloud of a block of clouds of
-    one size, from one block of complete geodesic Rips graphs."""
+    """Finite (birth, death) pairs in dims 0 and 1 of each polar cloud of a
+    block of clouds of one size, from one block of complete geodesic Rips
+    graphs: degree 0 of the complete graph, degree 1 capped."""
     graphs = rips_complexes(map(geodesic_distance_matrix, clouds), max_dim=1)
-    return [(compute_ph(g, max_dim=0).finite_in_dim(0), _capped_dim1_pairs(g, config.cap_factor)) for g in graphs]
+    return [(flag_pairs(g, 0)[0], _capped_dim1_pairs(g, config.cap_factor)) for g in graphs]
 
 
 def curvature_pipeline(

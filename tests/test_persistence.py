@@ -26,6 +26,7 @@ from tdalab.persistence import (
     PersistenceDiagram,
     compute_ph,
     compute_ph0_unionfind,
+    flag_pairs,
     naive_reduction_oracle,
     sublevel_ph0_stack,
 )
@@ -105,7 +106,11 @@ def _reduce_cells(values, boundaries, drop_zero=True):
     if len(values[2]):
         cof = _BoundaryCofacets(boundaries[2], values[2], len(values[1]))
     pairs0, _ = _edge_loop_union_find(len(values[0]), boundaries[1])
-    return persistence._ph(values[0], values[1], pairs0, cof, 1, drop_zero)
+    rows = []
+    for dim in (0, 1):
+        finite, essential = persistence._flag_pairs(values[0], values[1], pairs0, cof, dim, drop_zero)
+        rows += [persistence._rows(dim, *finite.T), persistence._rows(dim, essential, math.inf)]
+    return PersistenceDiagram(np.concatenate(rows))
 
 
 def _random_grid(rng, max_side=8):
@@ -991,6 +996,119 @@ def test_enumeration_leaves_the_rank_table_unchanged(monkeypatch):
             cof.earliest(edges[::2])
         for name, table in tables.items():
             assert np.array_equal(getattr(cof, name), table), name
+
+
+def _argmin_scan(cof, edges):
+    """Reference ``earliest``: per block of edges, the ranks of every
+    cofacet, max(R[a], R[b], R[a, b]) as int32, and the first minimum."""
+    keys = np.zeros(len(edges), dtype=np.int64)
+    apparent = np.zeros(len(edges), dtype=bool)
+    step = max(1, persistence._FLAG_BLOCK // cof._n)
+    for s in range(0, len(edges), step):
+        e = edges[s : s + step]
+        a, b = cof._a[e], cof._b[e]
+        rank = cof._rank[a].astype(np.int32)
+        np.maximum(rank, cof._rank[b], out=rank)
+        np.maximum(rank, cof._rank[a, b][:, None], out=rank)
+        k = rank.argmin(axis=1)
+        rank = rank[np.arange(len(e)), k]
+        keys[s : s + step] = rank.astype(np.int64) * cof._n3 + cof._u[a, k] + cof._v[b, k]
+        apparent[s : s + step] = (cof._pos[a, k] < e) & (cof._pos[b, k] < e)
+    return keys, apparent
+
+
+def _scan_graphs():
+    """Rips and swallowing weighted Rips complexes, complete and capped,
+    and random graphs with tied values."""
+    rng = np.random.default_rng(41)
+    for n in (3, 12, 40, 90):
+        pts = rng.random((n, 2))
+        dm = _dm(pts)
+        # weights up to twice the cloud's diameter: most edges are swallowed
+        # and take the larger weight, so the values of a vertex's edges tie
+        for graph in (rips_complex(dm, max_dim=1), weighted_rips_complex(dm, 2.0 * rng.random(n), max_dim=1)):
+            yield graph
+            for q in (0.1, 0.5):
+                yield graph.prefix(float(np.quantile(graph.edge_values, q)))
+    for trial in range(6):
+        yield _random_graph(rng, 30, float(rng.choice([0.3, 1.0])), tied=True)
+
+
+@pytest.mark.parametrize("block", [1, 64, 1000, 1 << 18])
+def test_earliest_mask_scan_equals_the_argmin_scan(monkeypatch, block):
+    # the mask of third vertices whose two edges rank no higher than the
+    # edge itself gives every edge's earliest cofacet, as the scan of all
+    # cofacet ranks does, on cycle edges and on all edges
+    monkeypatch.setattr(persistence, "_FLAG_BLOCK", block)
+    for cx in _scan_graphs():
+        cof = persistence._FlagCofacets(cx)
+        assert cof._rank.dtype == np.uint16
+        cycle = np.delete(np.arange(len(cx.edges)), cx.elder_pairs[:, 1])
+        for edges in (cycle, np.arange(len(cx.edges))):
+            got, want = cof.earliest(edges), _argmin_scan(cof, edges)
+            assert got[0].dtype == np.int64
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("levels, dtype", [(65_535, np.uint16), (65_536, np.int32), (66_066, np.int32)])
+def test_earliest_on_both_sides_of_the_uint16_rank_limit(levels, dtype):
+    # distinct edge values on 364 vertices: the graph's first ``levels``
+    # edges, all 66,066 of the complete graph last; the absent rank is the
+    # level count, which uint16 holds up to 65,535
+    n = 364
+    rng = np.random.default_rng(levels)
+    iu, ju = np.triu_indices(n, 1)
+    keep = np.sort(rng.permutation(len(iu))[:levels])
+    cx = FilteredComplex(np.zeros(n), np.column_stack([iu[keep], ju[keep]]), rng.permutation(levels) + 1.0)
+    cof = persistence._FlagCofacets(cx)
+    assert cof._rank.dtype == dtype and len(cof._levels) == levels
+    for edges in (np.delete(np.arange(levels), cx.elder_pairs[:, 1]), np.arange(levels)[::7]):
+        got, want = cof.earliest(edges), _argmin_scan(cof, edges)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def _pair_graphs():
+    """(graph, capped prefix or None) of complete Rips and weighted Rips
+    graphs whose prefixes at a 0.35 cap keep or lose their degree-1
+    classes, and graphs with no cycle edge."""
+    rng = np.random.default_rng(6)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 60)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)]) + rng.normal(0.0, 0.05, (60, 2))
+    for points in (ring, rng.random((60, 2)), rng.random((45, 3))):
+        dm = _dm(points)
+        for graph in (rips_complex(dm, max_dim=1), weighted_rips_complex(dm, dtm(dm, 0.1), max_dim=1)):
+            yield graph, graph.prefix(0.35 * float(graph.edge_values.max()))
+    path = np.column_stack([np.arange(5), np.arange(1, 6)])
+    yield FilteredComplex(rng.random(6), path, np.arange(5) + 1.0), None  # a tree
+    yield FilteredComplex([0.5], np.empty((0, 2)), []), None  # a single vertex
+    yield FilteredComplex([0.0, 1.0, 1.0], np.empty((0, 2)), []), None  # no edges
+
+
+def test_flag_pairs_equal_the_diagram_rows():
+    # the finite rows bit for bit and in the diagram's order, the essential
+    # births as the diagram's +inf rows, and the essential count deciding
+    # the cap fallback as the +inf test on the diagram does
+    fallbacks = []
+    for graph, prefix in _pair_graphs():
+        for cx in [graph] if prefix is None else [graph, prefix]:
+            for drop_zero in (True, False):
+                pd = compute_ph(cx, drop_zero=drop_zero)
+                for dim in (0, 1):
+                    finite, essential = flag_pairs(cx, dim, drop_zero)
+                    want = pd.finite_in_dim(dim)
+                    assert finite.dtype == want.dtype and finite.shape == want.shape
+                    assert finite.tobytes() == want.tobytes()
+                    rows = pd.in_dim(dim)
+                    assert np.array_equal(essential, rows[rows[:, 1] == math.inf, 0])
+        if prefix is not None:
+            essential = flag_pairs(prefix, 1)[1]
+            fallbacks.append(len(essential) > 0)
+            assert fallbacks[-1] == (not np.all(np.isfinite(compute_ph(prefix).in_dim(1)[:, 1])))
+        else:
+            assert len(flag_pairs(graph, 1)[0]) == 0
+    assert any(fallbacks) and not all(fallbacks)
+    with pytest.raises(ValueError, match="dim must be 0 or 1"):
+        flag_pairs(graph, 2)
 
 
 def _flag_builders(points, weighted):

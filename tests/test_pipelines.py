@@ -53,12 +53,10 @@ from tdalab.pipelines import (
     _concavity_block,
     _convexity_regime,
     _convexity_scalars,
-    _curvature_worker,
     _gen_convexity,
     _knn_search,
     _second_persistence,
     _spearman,
-    _weighted_dim1_diagram,
     cell_units,
     concavity_features,
     convexity_experiment,
@@ -377,10 +375,10 @@ def test_holes_pipeline_memorization():
 def test_holes_feature_isometry_invariance():
     pts = gen_holes_dataset(1, 200, seed=2).items[2].points
     config = HolesConfig(subsample=80, dtm_mass=0.03, cap_factor=0.5)
-    base = _weighted_dim1_diagram(config, (PointCloud(pts), 3, None, None))
+    base = pipelines._holes_block(config, [(PointCloud(pts), 3, None, None)])[0]
     for kind in ("translation", "rotation"):
         moved = apply_transform(PointCloud(pts), TransformSpec(kind), seed=8)
-        got = _weighted_dim1_diagram(config, (moved, 3, None, None))
+        got = pipelines._holes_block(config, [(moved, 3, None, None)])[0]
         spans_a = np.sort(base[:, 1] - base[:, 0])[::-1][:10]
         spans_b = np.sort(got[:, 1] - got[:, 0])[::-1][:10]
         k = min(len(spans_a), len(spans_b))
@@ -408,7 +406,7 @@ def test_weighted_dim1_matches_cap_then_retry(shape, retries):
         lambda r_max: weighted_rips_complex(dm, f, max_dim=2, r_max=r_max), config.cap_factor, r_full
     )
     assert retried == retries
-    got = _weighted_dim1_diagram(config, (PointCloud(points), 3, None, None))
+    got = pipelines._holes_block(config, [(PointCloud(points), 3, None, None)])[0]
     assert np.array_equal(got, expected)
 
 
@@ -422,7 +420,7 @@ def test_curvature_worker_matches_cap_then_retry(kappa, retries):
     )
     assert retried == retries
     expected0 = compute_ph(rips_complex(dm, max_dim=1), max_dim=0).finite_in_dim(0)
-    got0, got1 = _curvature_worker(CurvatureConfig(cap_factor=cap_factor), cloud)
+    got0, got1 = pipelines._curvature_block(CurvatureConfig(cap_factor=cap_factor), [cloud])[0]
     assert np.array_equal(got0, expected0)
     assert np.array_equal(got1, expected1)
 
@@ -448,7 +446,7 @@ def test_one_spanning_forest_per_block(monkeypatch, falls_back):
     # of one
     forests = _count_calls(monkeypatch, complexes, "_spanning_forest")
     union_finds = _count_calls(monkeypatch, complexes, "_elder_union_find")
-    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    reductions = _count_calls(monkeypatch, pipelines, "flag_pairs")
 
     def clear():
         forests.clear()
@@ -456,7 +454,7 @@ def test_one_spanning_forest_per_block(monkeypatch, falls_back):
         reductions.clear()
 
     kappa = 0.0 if falls_back else 2.0
-    _curvature_worker(CurvatureConfig(), sample_constant_curvature_disk(kappa, 50, 0))
+    pipelines._curvature_block(CurvatureConfig(), [sample_constant_curvature_disk(kappa, 50, 0)])
     assert (len(forests), len(reductions)) == (1, 3 if falls_back else 2)
     assert len(union_finds) == 1
     clear()
@@ -467,7 +465,7 @@ def test_one_spanning_forest_per_block(monkeypatch, falls_back):
     clear()
     shape = 4 if falls_back else 0
     points = sample_holes_shape(holes_catalog()[shape], 300, 5).points
-    _weighted_dim1_diagram(HolesConfig(subsample=100), (PointCloud(points), 3, None, None))
+    pipelines._holes_block(HolesConfig(subsample=100), [(PointCloud(points), 3, None, None)])
     assert (len(forests), len(reductions)) == (1, 2 if falls_back else 1)
     assert len(union_finds) == 1
     clear()
@@ -502,7 +500,7 @@ def test_flag_block_workers_equal_one_item_blocks(monkeypatch):
     got = pipelines._map_flag_blocks(partial(pipelines._holes_block, config), items, keys, 1)
     # 2-D at 80 points: items 0, 2, 4 and 6; 3-D: 1, 3 and 5; 2-D at 60: 7 and 8
     assert block_sizes() == [3, 1, 3, 2]
-    want = [_weighted_dim1_diagram(config, item) for item in items]
+    want = [pipelines._holes_block(config, [item])[0] for item in items]
     assert block_sizes() == [1] * len(items)
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
@@ -512,11 +510,11 @@ def test_flag_block_workers_equal_one_item_blocks(monkeypatch):
     config = CurvatureConfig()
     shapes = [(0.0, 50), (2.0, 40), (-1.0, 40), (1.0, 30), (0.0, 40), (-2.0, 40), (0.5, 30)]
     clouds = [sample_constant_curvature_disk(kappa, n, seed) for seed, (kappa, n) in enumerate(shapes)]
-    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    reductions = _count_calls(monkeypatch, pipelines, "flag_pairs")
     got = pipelines._map_flag_blocks(partial(pipelines._curvature_block, config), clouds, [(c.n,) for c in clouds], 1)
     assert block_sizes() == [1, 3, 1, 2]
     assert len(reductions) > 2 * len(clouds)  # some clouds fall back to the complete graph
-    want = [_curvature_worker(config, cloud) for cloud in clouds]
+    want = [pipelines._curvature_block(config, [cloud])[0] for cloud in clouds]
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
@@ -751,10 +749,10 @@ def test_landscape_signature_levels():
 
 
 def test_worker_pairs_make_the_points_of_their_diagrams():
-    # the workers' pair arrays come from finite_in_dim, already in the
+    # the workers' pair arrays come from flag_pairs, already in the
     # (birth, death) order a diagram sorts them into
     clouds = [sample_constant_curvature_disk(kappa, 40, 3) for kappa in (-2.0, 0.0, 2.0)]
-    pairs = [_curvature_worker(CurvatureConfig(), cloud) for cloud in clouds]
+    pairs = [pipelines._curvature_block(CurvatureConfig(), [cloud])[0] for cloud in clouds]
     for dim in (0, 1):
         arrays = [p[dim] for p in pairs] + [np.empty((0, 2))]
         diagrams = [PersistenceDiagram(np.column_stack([np.full(len(a), float(dim)), a])) for a in arrays]
@@ -871,7 +869,7 @@ def test_jobs_match_serial_through_fallbacks(monkeypatch):
     """Corpora where clouds fall back to the complete graph: each worker
     process builds and caches its own complexes, so two workers give the
     report of one."""
-    reductions = _count_calls(monkeypatch, pipelines, "compute_ph")
+    reductions = _count_calls(monkeypatch, pipelines, "flag_pairs")
     holes = gen_holes_dataset(clouds_per_shape=1, points_per_cloud=300, seed=5)
     train, test = gen_curvature_dataset(seed=1, clouds_per_kappa=1, points_per_cloud=40, test_count=4)
     runs = {
