@@ -357,13 +357,13 @@ class _FlagCofacets:
         self._a, self._b = graph.edges.T
         # value rank of each position, an absent edge's (position len(values)
         # or more) one above every present one's; int32 holds any, as keys
-        # only fit int64 below about 7,000 points
+        # only fit int64 below about 7,000 points. Keys widen ranks to int64
+        # first: NumPy 1 keeps a uint16 or int32 product, which wraps
         self._absent = len(self._levels)
-        small = self._absent <= np.iinfo(np.uint16).max
-        ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.uint16 if small else np.int32)
+        ranks = np.append(np.cumsum(new) - 1, self._absent).astype(np.uint16 if self._absent < 1 << 16 else np.int32)
         self._pos = graph.positions
         self._rank = ranks[np.minimum(self._pos, len(values))]
-        self._key = self._rank * np.int64(self._n3)
+        self._key = self._rank.astype(np.int64) * self._n3
         self.absent_key = self._absent * self._n3
         self._u, self._v = _code_tables(n)
 
@@ -406,7 +406,7 @@ class _FlagCofacets:
                 top = top[late]
                 k[late] = top.argmin(axis=1)  # the first minimum: the least k among ties
                 rank[late] = top[np.arange(len(late)), k[late]]
-            keys[s : s + step] = rank * np.int64(self._n3) + self._u[a, k] + self._v[b, k]
+            keys[s : s + step] = rank.astype(np.int64) * self._n3 + self._u[a, k] + self._v[b, k]
             apparent[s : s + step] = (self._pos[a, k] < e) & (self._pos[b, k] < e)
         return keys, apparent
 

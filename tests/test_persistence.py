@@ -1062,6 +1062,8 @@ def test_earliest_on_both_sides_of_the_uint16_rank_limit(levels, dtype):
     cx = FilteredComplex(np.zeros(n), np.column_stack([iu[keep], ju[keep]]), rng.permutation(levels) + 1.0)
     cof = persistence._FlagCofacets(cx)
     assert cof._rank.dtype == dtype and len(cof._levels) == levels
+    # rank·n³ passes 2**32 here: the keys are the exact products
+    assert cof._key.dtype == np.int64 and np.array_equal(cof._key, cof._rank.astype(object) * cof._n3)
     for edges in (np.delete(np.arange(levels), cx.elder_pairs[:, 1]), np.arange(levels)[::7]):
         got, want = cof.earliest(edges), _argmin_scan(cof, edges)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
